@@ -188,7 +188,7 @@ func BenchmarkMultiResource(b *testing.B) {
 			sys.Sim.RunUntil(sys.Sim.Now() + 10*time.Second)
 		}
 		sink := sys.Engines[1].Sink("heavy", 0)
-		emitted := sys.Engines[1].EmittedUnits("heavy", 0)
+		emitted := sys.Engines[1].Throughput("heavy", 0).EmittedUnits
 		if sink == nil || emitted == 0 {
 			return 0
 		}

@@ -42,9 +42,6 @@ func main() {
 		jsonPath  = flag.String("json", "", "write compose benchmark results as JSON to this path and exit")
 		admJSON   = flag.String("admission-json", "", "write admission-control benchmark results (decision latency at 1k tenants) as JSON to this path and exit")
 
-		dpJSON    = flag.String("dataplane-json", "", "write the legacy-vs-batched data plane throughput comparison as JSON to this path and exit")
-		dpSpeedup = flag.Float64("dataplane-min-speedup", 0, "with -dataplane-json: fail unless the batched plane is at least this many times faster")
-
 		tsJSON    = flag.String("tenancy-scale-json", "", "write the incremental-vs-full-recompute tenancy scale comparison (5k tenants, churn + host storms) as JSON to this path and exit")
 		tsSpeedup = flag.Float64("tenancy-min-speedup", 0, "with -tenancy-scale-json: fail unless the incremental admit p50 is at least this many times faster")
 
@@ -59,14 +56,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
-		return
-	}
-	if *dpJSON != "" {
-		if err := runDataplaneBenchJSON(*dpJSON, *dpSpeedup); err != nil {
-			fmt.Fprintf(os.Stderr, "dataplane bench json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *dpJSON)
 		return
 	}
 	if *tsJSON != "" {

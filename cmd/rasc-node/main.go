@@ -72,9 +72,9 @@ func main() {
 		capCoalesce  = flag.Duration("cap-coalesce", 0, "collapse cap fan-out bursts within this window into one sweep carrying the final caps (0: immediate fan-out)")
 		hostLedger   = flag.Bool("per-host-ledger", false, "account admission capacity per host, fed from gossip membership and monitoring digests, instead of one aggregate budget (implies -admission)")
 
-		batchUnits = flag.Int("batch-units", 0, "coalesce up to N data units per destination into one binary wire message (0 or 1: legacy per-unit path)")
-		flushIvl   = flag.Duration("flush-interval", 0, "flush an open data-unit batch no later than this after its first unit (0: default 2ms when batching)")
-		shards     = flag.Int("shards", 0, "parallel execution contexts for the data plane (0 or 1: single context)")
+		batchUnits = flag.Int("batch-units", 0, "coalesce up to N data units per destination into one wire message (0 or 1: every unit is its own message)")
+		flushIvl   = flag.Duration("flush-interval", 0, "flush an open data-unit batch no later than this after its first unit, and tick sources no more often (0: 2ms when -batch-units > 1, else none)")
+		shards     = flag.Int("shards", 0, "simulated CPUs per node; a substream stays on one (0 or 1: one CPU, as in the paper)")
 
 		traceEvents = flag.Int("trace-events", 0, "attach a per-unit event buffer of this capacity, served at /debug/rasc/trace (0: disabled)")
 		journalCap  = flag.Int("decision-journal", 0, "adaptation decision journal retention, served at /debug/rasc/decisions (0: default 256)")

@@ -104,9 +104,9 @@ func main() {
 		chaosDup     = flag.Float64("chaos-dup", 0, "probability each transport message is duplicated")
 		chaosReorder = flag.Float64("chaos-reorder", 0, "probability each transport message is held back and overtaken")
 
-		batchUnits = flag.Int("batch-units", 0, "coalesce up to N data units per destination into one binary wire message (0 or 1: legacy per-unit path)")
-		flushIvl   = flag.Duration("flush-interval", 0, "flush an open data-unit batch no later than this after its first unit (0: default 2ms when batching)")
-		shards     = flag.Int("shards", 0, "parallel execution contexts per node, keyed by (request, substream) (0 or 1: single context)")
+		batchUnits = flag.Int("batch-units", 0, "coalesce up to N data units per destination into one wire message (0 or 1: every unit is its own message)")
+		flushIvl   = flag.Duration("flush-interval", 0, "flush an open data-unit batch no later than this after its first unit, and tick sources no more often (0: 2ms when -batch-units > 1, else none)")
+		shards     = flag.Int("shards", 0, "simulated CPUs per node; a substream stays on one (0 or 1: one CPU, as in the paper)")
 	)
 	flag.Parse()
 

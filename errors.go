@@ -3,6 +3,7 @@ package rasc
 import (
 	"errors"
 
+	"rasc.dev/rasc/internal/spec"
 	"rasc.dev/rasc/internal/tenant"
 )
 
@@ -28,6 +29,11 @@ var (
 	// ErrUnknownService reports a request naming a service that is not in
 	// the deployment's catalog — composition is not attempted.
 	ErrUnknownService = errors.New("rasc: unknown service")
+
+	// ErrRequestIDTooLong reports a request whose ID is longer than 255
+	// bytes, the most the data-unit wire format can frame — composition
+	// is not attempted. Re-exported from internal/spec.
+	ErrRequestIDTooLong = spec.ErrRequestIDTooLong
 )
 
 // Admission sentinels of deployments built WithTenancy, re-exported from

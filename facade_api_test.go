@@ -3,6 +3,7 @@ package rasc
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +76,11 @@ func TestSubmitSentinelErrors(t *testing.T) {
 	bad.Substreams = []Substream{{Services: []string{"no-such-service"}, Rate: 5}}
 	if _, err := sys.Submit(0, bad, ComposerMinCost); !errors.Is(err, ErrUnknownService) {
 		t.Fatalf("err = %v, want ErrUnknownService", err)
+	}
+	long := req
+	long.ID = strings.Repeat("x", 256)
+	if _, err := sys.Submit(0, long, ComposerMinCost); !errors.Is(err, ErrRequestIDTooLong) {
+		t.Fatalf("err = %v, want ErrRequestIDTooLong", err)
 	}
 	huge := req
 	huge.Substreams = []Substream{{Services: []string{"filter"}, Rate: 100000}}

@@ -142,9 +142,9 @@ type SystemOptions struct {
 	// capacity; Clock and Journal are filled in from the deployment.
 	Tenancy *tenant.Config
 
-	// DataPlane tunes every engine's data-unit path (wire batching, flush
-	// deadline, execution shards). The zero value is the legacy per-unit
-	// path, bit-identical to the pre-batching engine.
+	// DataPlane sizes every engine's data-unit path (units per wire
+	// message, flush deadline, simulated CPUs). The zero value is one
+	// unit per message on one CPU per host.
 	DataPlane stream.DataPlaneConfig
 
 	// Federation, when set, shards the deployment into clusters with

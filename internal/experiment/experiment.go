@@ -424,7 +424,7 @@ func RunOne(cfg Config, composerName string, rate int, seed int64) (RunStats, er
 	for _, a := range live {
 		eng := sys.Engines[a.origin]
 		for l := range a.req.Substreams {
-			rs.Emitted += eng.EmittedUnits(a.req.ID, l)
+			rs.Emitted += eng.Throughput(a.req.ID, l).EmittedUnits
 			sink := eng.Sink(a.req.ID, l)
 			if sink == nil {
 				continue

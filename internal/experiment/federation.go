@@ -279,7 +279,7 @@ func runFederationCell(cfg FederationConfig, seed int64, fed bool, reqs []spec.R
 	for _, a := range live {
 		eng := sys.Engines[a.origin]
 		for l := range a.req.Substreams {
-			cell.Emitted += eng.EmittedUnits(a.req.ID, l)
+			cell.Emitted += eng.Throughput(a.req.ID, l).EmittedUnits
 			if sink := eng.Sink(a.req.ID, l); sink != nil {
 				cell.Received += sink.Received
 			}

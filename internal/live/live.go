@@ -106,9 +106,9 @@ type Config struct {
 	// and Journal are filled in from the node. Served by
 	// /debug/rasc/tenants.
 	Tenancy *tenant.Config
-	// DataPlane tunes the engine's data-unit path (wire batching, flush
-	// deadline, execution shards). The zero value is the legacy per-unit
-	// path. Served by /debug/rasc/dataplane.
+	// DataPlane sizes the engine's data-unit path (units per wire
+	// message, flush deadline, simulated CPUs). The zero value is one
+	// unit per message on one CPU. Served by /debug/rasc/dataplane.
 	DataPlane stream.DataPlaneConfig
 	// TraceEvents, when positive, attaches a per-unit event buffer of
 	// that capacity to the engine, served by /debug/rasc/trace.
@@ -546,7 +546,7 @@ func (n *Node) Stats(req string, substream int) (s stream.SinkSnapshot) {
 		if sink := n.Engine.Sink(req, substream); sink != nil {
 			s = stream.Snapshot(sink)
 		}
-		s.Emitted = n.Engine.EmittedUnits(req, substream)
+		s.Emitted = n.Engine.Throughput(req, substream).EmittedUnits
 	})
 	return s
 }

@@ -1,11 +1,15 @@
 package overlay
 
-import "rasc.dev/rasc/internal/transport"
+import (
+	"errors"
+
+	"rasc.dev/rasc/internal/transport"
+)
 
 // msgTypeData is the transport message type of the binary data envelope.
 // The JSON envelope (msgType) carries every control message; the data
-// envelope exists solely for the stream data plane's batched units, where
-// per-message JSON marshal cost dominates. Its layout is:
+// envelope carries the stream data plane's units, where per-message JSON
+// marshal cost would dominate. Its layout is:
 //
 //	appLen:u8 app srcAddrLen:u8 srcAddr srcID[IDBytes] body
 const msgTypeData = "overlay-data"
@@ -14,15 +18,18 @@ const msgTypeData = "overlay-data"
 // address and body.
 const dataEnvelopeOverhead = 2 + IDBytes
 
+// ErrDataNameTooLong reports an app name or node address that does not fit
+// the data envelope's u8 length prefix.
+var ErrDataNameTooLong = errors.New("overlay: app or address name longer than 255 bytes")
+
 // DirectDataPadded is DirectPadded on the binary data envelope: datagram
 // (loss-tolerant) delivery, pad extra bytes charged on the wire, and the
 // returned error reporting local send failures. The payload is built with
 // one exact-size allocation — the transport retains it until delivery, so
-// the buffer cannot be pooled here. App and address names longer than 255
-// bytes fall back to the JSON envelope.
+// the buffer cannot be pooled here.
 func (n *Node) DirectDataPadded(to transport.Addr, app string, body []byte, pad int) error {
 	if len(app) > 255 || len(n.info.Addr) > 255 {
-		return n.DirectPadded(to, app, body, pad)
+		return ErrDataNameTooLong
 	}
 	buf := make([]byte, 0, dataEnvelopeOverhead+len(app)+len(n.info.Addr)+len(body))
 	buf = append(buf, byte(len(app)))

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bytes"
 	"testing"
 
 	"rasc.dev/rasc/internal/clock"
@@ -55,6 +56,36 @@ func FuzzOnMessage(f *testing.F) {
 		sim.RunUntil(sim.Now() + 10e9)
 		if !delivered {
 			t.Fatal("node stopped routing after malformed input")
+		}
+	})
+}
+
+// FuzzParseDataEnvelope feeds arbitrary bytes to the binary data envelope
+// decoder, which takes every data unit off the network: it must never
+// panic, whatever it accepts must re-encode to exactly the input, and a
+// node handed the bytes as a message or as a drop must survive them.
+func FuzzParseDataEnvelope(f *testing.F) {
+	src := NodeInfo{ID: HashID("fuzz-src"), Addr: "10.0.0.1:4000"}
+	whole := dataEnvelope("stream-data-batch", src, []byte{0, 1, 2, 3})
+	f.Add(whole)
+	f.Add(whole[:len(whole)-5]) // body gone, source ID cut short
+	f.Add(dataEnvelope("", NodeInfo{}, nil))
+	f.Add([]byte{})
+	f.Add([]byte{255})
+	f.Add([]byte{3, 'a', 'p', 'p', 200})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		app, from, body, ok := parseDataEnvelope(payload)
+		if ok && !bytes.Equal(dataEnvelope(app, from, body), payload) {
+			t.Fatalf("accepted envelope does not re-encode to its input: app %q from %+v body %x", app, from, body)
+		}
+		n := newCluster(t, 1, 1).nodes[0]
+		handled := false
+		n.Register(app, func(ID, NodeInfo, []byte) { handled = true })
+		n.RegisterDropObserver(app, func(ID, NodeInfo, []byte) {})
+		n.onDataMessage(transport.Message{Type: msgTypeData, Payload: payload})
+		n.onDataDropped(transport.Message{Type: msgTypeData, Payload: payload})
+		if handled != ok {
+			t.Fatalf("handler ran = %v for an envelope with ok = %v", handled, ok)
 		}
 	})
 }

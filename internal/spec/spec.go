@@ -151,10 +151,21 @@ type Request struct {
 	Cluster string `json:"cluster,omitempty"`
 }
 
+// MaxRequestIDBytes is the longest request ID the data-unit wire format
+// can frame (a u8 length prefix).
+const MaxRequestIDBytes = 255
+
+// ErrRequestIDTooLong reports a request whose ID exceeds
+// MaxRequestIDBytes. Match it with errors.Is.
+var ErrRequestIDTooLong = errors.New("spec: request ID longer than 255 bytes")
+
 // Validate checks structural sanity.
 func (r Request) Validate() error {
 	if r.ID == "" {
 		return errors.New("spec: request needs an ID")
+	}
+	if len(r.ID) > MaxRequestIDBytes {
+		return fmt.Errorf("%w (%d)", ErrRequestIDTooLong, len(r.ID))
 	}
 	if r.UnitBytes <= 0 {
 		return fmt.Errorf("spec: request %s: unit size %d must be positive", r.ID, r.UnitBytes)

@@ -1,6 +1,10 @@
 package spec
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+)
 
 func valid() Request {
 	return Request{
@@ -35,6 +39,20 @@ func TestValidateRejects(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: validation passed", name)
 		}
+	}
+}
+
+// The data-unit wire format frames the request ID with a u8 length: the
+// longest ID that fits is valid, one byte more is a typed rejection.
+func TestValidateRequestIDLength(t *testing.T) {
+	r := valid()
+	r.ID = strings.Repeat("x", MaxRequestIDBytes)
+	if err := r.Validate(); err != nil {
+		t.Fatalf("%d-byte ID: %v", len(r.ID), err)
+	}
+	r.ID += "x"
+	if err := r.Validate(); !errors.Is(err, ErrRequestIDTooLong) {
+		t.Fatalf("%d-byte ID: err = %v, want ErrRequestIDTooLong", len(r.ID), err)
 	}
 }
 

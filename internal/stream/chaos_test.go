@@ -98,7 +98,7 @@ func TestChaosSoak(t *testing.T) {
 				if sink == nil {
 					continue
 				}
-				emitted := s.Engines[app.origin].EmittedUnits(app.req.ID, l)
+				emitted := s.Engines[app.origin].Throughput(app.req.ID, l).EmittedUnits
 				if sink.Received > emitted {
 					t.Fatalf("round %d: %s/%d received %d > emitted %d",
 						round, app.req.ID, l, sink.Received, emitted)

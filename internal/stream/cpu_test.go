@@ -77,7 +77,7 @@ func runCPU(t *testing.T, composerName string, seed int64) (drops int64, deliver
 		drops += e.DropsLaxity + e.DropsQueueFull
 	}
 	sink := s.Engines[1].Sink("heavy", 0)
-	emitted := s.Engines[1].EmittedUnits("heavy", 0)
+	emitted := s.Engines[1].Throughput("heavy", 0).EmittedUnits
 	if emitted > 0 {
 		delivered = float64(sink.Received) / float64(emitted)
 	}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/binary"
+	"sort"
 	"sync"
 	"time"
 
@@ -11,23 +12,27 @@ import (
 	"rasc.dev/rasc/internal/transport"
 )
 
-// DataPlaneConfig tunes the engine's data-unit path. The zero value (and
-// any config with BatchUnits ≤ 1 and Shards ≤ 1) selects the legacy path:
-// per-unit JSON messages on a single execution context, bit-identical to
-// the pre-batching engine.
+// DataPlaneConfig sizes the engine's data-unit path. Every unit travels
+// the same way whatever the values: appended to its destination's batch,
+// binary-encoded at the flush, decoded and queued on its substream's
+// shard. The zero value (equal to BatchUnits 1, Shards 1) is one unit per
+// wire message on one simulated CPU per host, which is what the paper's
+// experiments model.
 type DataPlaneConfig struct {
 	// BatchUnits is the maximum number of data units coalesced per
-	// destination into one binary wire message. Values ≤ 1 send each unit
-	// individually through the legacy JSON path.
+	// destination into one wire message, and the most units a shard
+	// processes per timer span. Values ≤ 1 make every batch a batch of
+	// one, flushed the moment the unit is appended.
 	BatchUnits int
 	// FlushInterval bounds how long a unit may sit in an open batch
-	// waiting for companions; it is the latency cost of batching
-	// (default DefaultFlushInterval when batching is enabled).
+	// waiting for companions; it is the latency cost of coalescing
+	// (default DefaultFlushInterval when BatchUnits > 1). Sources tick
+	// no more often than this.
 	FlushInterval time.Duration
-	// Shards is the number of parallel execution contexts. Units are
-	// routed to a shard by (request, substream), so one substream keeps
-	// its ordering while a busy node uses multiple simulated cores.
-	// Values ≤ 1 keep the single deterministic context.
+	// Shards is the number of simulated CPUs. Units are routed to a
+	// shard by (request, substream), so one substream keeps its ordering
+	// while a busy node processes several substreams at once. Values ≤ 1
+	// keep one CPU per host.
 	Shards int
 }
 
@@ -38,8 +43,8 @@ const (
 	DefaultShards        = 4
 )
 
-// DefaultDataPlane returns the tuned batching configuration benchmarked in
-// results/BENCH_dataplane.json.
+// DefaultDataPlane returns the batched configuration the benchmark
+// suite's sim-stream-batched workload runs (bench/).
 func DefaultDataPlane() DataPlaneConfig {
 	return DataPlaneConfig{
 		BatchUnits:    DefaultBatchUnits,
@@ -61,19 +66,15 @@ func (c *DataPlaneConfig) normalize() {
 	}
 }
 
-// batching reports whether the wire path coalesces units.
-func (c DataPlaneConfig) batching() bool { return c.BatchUnits > 1 }
-
 // maxBatchSimBytes caps the simulated payload of one batch so a flush
-// never serializes for longer than a handful of legacy units would.
+// never serializes for longer than a handful of large units would.
 const maxBatchSimBytes = 64 << 10
 
 // ---------------------------------------------------------------------------
 // Binary unit codec.
 //
-// The legacy path JSON-encodes every dataMsg. The batched path reuses the
-// transport's framing style (fixed-width big-endian fields, length-prefixed
-// strings) to pack many units into one payload:
+// Units travel in the transport's framing style (fixed-width big-endian
+// fields, length-prefixed strings), one or many to a payload:
 //
 //	batch   := count:u16 unit*
 //	unit    := reqLen:u8 req substream:u32 stage:u32 seq:u64 created:u64 size:u32
@@ -84,11 +85,9 @@ const maxBatchSimBytes = 64 << 10
 // unitWireOverhead is the encoded size of a unit minus its request ID.
 const unitWireOverhead = 1 + 4 + 4 + 8 + 8 + 4
 
-// encodedUnitSize returns the wire size of one encoded unit.
-func encodedUnitSize(m *dataMsg) int { return unitWireOverhead + len(m.Req) }
-
-// appendUnit encodes one unit. Req must fit a u8 length (callers route
-// longer IDs through the legacy path).
+// appendUnit encodes one unit. Req must fit a u8 length:
+// spec.Request.Validate and onInstantiate reject longer IDs before a unit
+// can carry one.
 func appendUnit(b []byte, m *dataMsg) []byte {
 	b = append(b, byte(len(m.Req)))
 	b = append(b, m.Req...)
@@ -130,7 +129,8 @@ func appendBatchUnits(b []byte, units []pendingUnit) []byte {
 }
 
 // decodeBatchUnits decodes a batch payload into dst (reused between
-// calls); it returns nil on any framing error.
+// calls); it returns nil on any framing error, bytes left over after the
+// last unit included.
 func decodeBatchUnits(b []byte, dst []dataMsg) []dataMsg {
 	if len(b) < 2 {
 		return nil
@@ -146,6 +146,9 @@ func decodeBatchUnits(b []byte, dst []dataMsg) []dataMsg {
 			return nil
 		}
 		dst = append(dst, m)
+	}
+	if len(b) != 0 {
+		return nil
 	}
 	return dst
 }
@@ -191,7 +194,7 @@ func putUnit(u *sched.Unit) {
 type pendingUnit struct {
 	msg dataMsg
 	// fromStage is the stage the unit was produced at (-1 for sources),
-	// used for forward/drop traces exactly like the legacy path.
+	// used for forward/drop traces.
 	fromStage int
 	// key and service attribute drops to the producing component
 	// ("source:<req>/<substream>" and "source" for source emissions).
@@ -207,12 +210,11 @@ type unitBatch struct {
 	to    overlay.NodeInfo
 	units []pendingUnit
 	// simBytes is the simulated payload total (Σ unit Size), charged on
-	// the wire via padding like the legacy per-unit messages.
+	// the wire via padding.
 	simBytes int
-	// wireBytes tracks the encoded payload size so oversized batches
-	// flush early.
-	wireBytes int
-	cancel    func() // pending flush-deadline timer
+	// seq orders open batches by when they were opened, for flushAll.
+	seq    uint64
+	cancel func() // pending flush-deadline timer, nil until armed
 }
 
 // engineShard is one execution context: a ready queue plus the busy flag
@@ -228,7 +230,7 @@ type engineShard struct {
 
 // shardFor routes a unit to its execution context. Substreams are pinned
 // to one shard (FNV-1a over request ID and substream) so per-substream
-// ordering survives sharding; with one shard this is the legacy queue.
+// ordering survives sharding.
 func (e *Engine) shardFor(req string, substream int) *engineShard {
 	if len(e.shards) == 1 {
 		return e.shards[0]
@@ -257,31 +259,29 @@ func (e *Engine) queueLen() int {
 }
 
 // ---------------------------------------------------------------------------
-// Batched send path.
+// Send path.
 
-// batchUnit enqueues one unit into the open batch for its destination,
-// flushing when the batch is full. Only called when batching is enabled.
+// batchUnit appends one unit to the open batch for its destination and
+// flushes the batch when it is full; a batch of one is therefore sent
+// before batchUnit returns and never arms a flush timer.
 func (e *Engine) batchUnit(to overlay.NodeInfo, pu pendingUnit) {
-	if len(pu.msg.Req) > 255 {
-		// Pathological request IDs do not fit the binary framing; fall
-		// back to a legacy single-unit message.
-		e.settleUnit(&pu, e.sendUnit(to, pu.msg))
-		return
-	}
 	b := e.batches[to.Addr]
 	if b == nil {
-		b = &unitBatch{to: to}
+		e.batchSeq++
+		b = &unitBatch{to: to, seq: e.batchSeq}
 		e.batches[to.Addr] = b
+	}
+	b.units = append(b.units, pu)
+	b.simBytes += pu.msg.Size
+	if len(b.units) >= e.cfg.DataPlane.BatchUnits || b.simBytes >= maxBatchSimBytes {
+		e.flushDest(to.Addr, "full")
+		return
+	}
+	if b.cancel == nil {
 		addr := to.Addr
 		b.cancel = e.clk.After(e.cfg.DataPlane.FlushInterval, func() {
 			e.flushDest(addr, "deadline")
 		})
-	}
-	b.units = append(b.units, pu)
-	b.simBytes += pu.msg.Size
-	b.wireBytes += encodedUnitSize(&pu.msg)
-	if len(b.units) >= e.cfg.DataPlane.BatchUnits || b.simBytes >= maxBatchSimBytes {
-		e.flushDest(to.Addr, "full")
 	}
 }
 
@@ -306,6 +306,10 @@ func (e *Engine) flushDest(addr transport.Addr, cause string) {
 	*scratch = payload[:0]
 	encodeScratch.Put(scratch)
 	if err == nil {
+		// Charge the send meter only after the transport accepted the
+		// batch: units refused at the uplink never consumed send capacity,
+		// and counting them skewed OutBpsUsed upward exactly when the link
+		// was congested.
 		e.Monitor.ObserveSend(e.clk.Now(), b.simBytes)
 		telBatchFlush(cause)
 		telBatchUnits.Observe(float64(len(b.units)))
@@ -315,15 +319,26 @@ func (e *Engine) flushDest(addr transport.Addr, cause string) {
 	}
 }
 
-// flushAll flushes every open batch (used when a request stops so no units
-// linger past their flush deadline in tests and teardown paths).
+// flushAll flushes every open batch, oldest first (used when a request
+// stops so no units linger past their flush deadline in tests and teardown
+// paths). The order is part of the engine's determinism: flushes draw on
+// the shared link model, so ranging over the map directly would make a
+// stop that finds two batches open irreproducible.
 func (e *Engine) flushAll() {
-	for addr := range e.batches {
-		e.flushDest(addr, "stop")
+	if len(e.batches) == 0 {
+		return
+	}
+	open := make([]*unitBatch, 0, len(e.batches))
+	for _, b := range e.batches {
+		open = append(open, b)
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i].seq < open[j].seq })
+	for _, b := range open {
+		e.flushDest(b.to.Addr, "stop")
 	}
 }
 
-// settleUnit applies the legacy per-unit send accounting for a unit whose
+// settleUnit applies the per-unit send accounting for a unit whose
 // transmission outcome is err.
 func (e *Engine) settleUnit(pu *pendingUnit, err error) {
 	if err != nil {
@@ -356,8 +371,7 @@ func (e *Engine) settleUnit(pu *pendingUnit, err error) {
 	}
 }
 
-// onDataBatch receives a binary batch: each unit goes through the same
-// delivery path as a legacy arrival.
+// onDataBatch receives a binary batch and hands each unit to handleUnit.
 func (e *Engine) onDataBatch(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 	scratch := decodeScratch.Get().(*[]dataMsg)
 	units := decodeBatchUnits(body, *scratch)
@@ -368,8 +382,9 @@ func (e *Engine) onDataBatch(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 	decodeScratch.Put(scratch)
 }
 
-// onDataBatchDropped accounts a batch lost at this node's downlink: every
-// unit inside is charged exactly like a legacy downlink drop.
+// onDataBatchDropped accounts a batch lost at this node's downlink
+// (receive-buffer overflow): every unit inside is charged to the component
+// or sink it was addressed to.
 func (e *Engine) onDataBatchDropped(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 	scratch := decodeScratch.Get().(*[]dataMsg)
 	units := decodeBatchUnits(body, *scratch)

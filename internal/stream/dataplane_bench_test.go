@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -21,8 +20,7 @@ func benchUnits(n int) []pendingUnit {
 	return units
 }
 
-// BenchmarkBatchEncode measures the binary codec against the per-unit JSON
-// encoding it replaces (32 units per op for both).
+// BenchmarkBatchEncode measures the binary codec (32 units per op).
 func BenchmarkBatchEncode(b *testing.B) {
 	units := benchUnits(32)
 	buf := make([]byte, 0, 4096)
@@ -30,19 +28,6 @@ func BenchmarkBatchEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = appendBatchUnits(buf[:0], units)
-	}
-}
-
-func BenchmarkLegacyJSONEncode(b *testing.B) {
-	units := benchUnits(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range units {
-			if _, err := json.Marshal(units[j].msg); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 
@@ -57,28 +42,6 @@ func BenchmarkBatchDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if scratch = decodeBatchUnits(payload, scratch[:0]); scratch == nil {
 			b.Fatal("decode failed")
-		}
-	}
-}
-
-func BenchmarkLegacyJSONDecode(b *testing.B) {
-	units := benchUnits(32)
-	bodies := make([][]byte, len(units))
-	for i := range units {
-		body, err := json.Marshal(units[i].msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies[i] = body
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, body := range bodies {
-			var m dataMsg
-			if err := json.Unmarshal(body, &m); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

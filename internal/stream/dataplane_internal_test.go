@@ -1,19 +1,29 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"rasc.dev/rasc/internal/core"
 	"rasc.dev/rasc/internal/overlay"
+	"rasc.dev/rasc/internal/spec"
 	"rasc.dev/rasc/internal/transport"
 )
 
 // testClock is a manually advanced clock.Clock for exercising the batcher's
-// flush-deadline timers without a simulator.
+// flush-deadline timers and the source loop without a simulator.
 type testClock struct {
 	now    time.Duration
 	timers []*testTimer
+	// lag makes every timer fire this much later than asked, the way a
+	// wall clock's timers do under load.
+	lag time.Duration
 }
 
 type testTimer struct {
@@ -25,7 +35,7 @@ type testTimer struct {
 func (c *testClock) Now() time.Duration { return c.now }
 
 func (c *testClock) After(d time.Duration, fn func()) (cancel func()) {
-	t := &testTimer{at: c.now + d, fn: fn}
+	t := &testTimer{at: c.now + d + c.lag, fn: fn}
 	c.timers = append(c.timers, t)
 	return func() { t.stopped = true }
 }
@@ -48,7 +58,9 @@ func (c *testClock) advance(d time.Duration) {
 		}
 		t := c.timers[best]
 		t.stopped = true
-		c.now = t.at
+		if t.at > c.now { // an overdue timer fires late, not in the past
+			c.now = t.at
+		}
 		t.fn()
 	}
 	c.now = target
@@ -89,37 +101,108 @@ var stubPeer = overlay.NodeInfo{ID: overlay.HashID("peer"), Addr: "peer"}
 
 // Regression for the uplink-skew bug: a unit the transport refuses must not
 // charge the send meter — OutBpsUsed previously inflated exactly when the
-// link was congested, misleading the composer's availability vector.
+// link was congested, misleading the composer's availability vector. Pinned
+// on the zero config, where every unit is a batch of one flushed by
+// batchUnit itself.
 func TestSendUnitChargesOnlyTransportedBytes(t *testing.T) {
 	clk := &testClock{}
 	ep := &stubEndpoint{addr: "stub", fail: transport.ErrBacklog}
 	e := newStubEngine(clk, ep, DataPlaneConfig{})
-
-	m := dataMsg{Req: "app", Substream: 0, Stage: 1, Seq: 1, Size: 1250}
-	if err := e.sendUnit(stubPeer, m); err == nil {
-		t.Fatal("sendUnit must surface the transport error")
+	flow := e.flowFor("app", 0)
+	send := func() {
+		e.batchUnit(stubPeer, pendingUnit{
+			msg: dataMsg{Req: "app", Stage: 1, Seq: 1, Size: 1250}, key: "app/0/0", flow: flow,
+		})
+		if len(e.batches) != 0 || len(clk.timers) != 0 {
+			t.Fatalf("a batch of one left %d batches open and %d timers armed, want 0 and 0",
+				len(e.batches), len(clk.timers))
+		}
 	}
+
+	send()
 	clk.now += time.Second
-	if err := e.sendUnit(stubPeer, m); err == nil {
-		t.Fatal("sendUnit must surface the transport error")
+	send()
+	if flow.droppedUnits != 2 || e.DropsUplink != 2 {
+		t.Fatalf("refused sends dropped %d units (%d uplink), want 2 (2)", flow.droppedUnits, e.DropsUplink)
 	}
 	if got := e.Monitor.Report(clk.now).OutBpsUsed; got != 0 {
 		t.Fatalf("OutBpsUsed = %v after refused sends, want 0", got)
 	}
 
 	ep.fail = nil
-	if err := e.sendUnit(stubPeer, m); err != nil {
-		t.Fatalf("sendUnit: %v", err)
-	}
+	send()
 	clk.now += time.Second
-	if err := e.sendUnit(stubPeer, m); err != nil {
-		t.Fatalf("sendUnit: %v", err)
+	send()
+	if flow.forwardedUnits != 2 {
+		t.Fatalf("accepted sends forwarded %d units, want 2", flow.forwardedUnits)
 	}
 	if got := e.Monitor.Report(clk.now).OutBpsUsed; got <= 0 {
 		t.Fatalf("OutBpsUsed = %v after accepted sends, want > 0", got)
 	}
 	if len(ep.sent) != 2 {
 		t.Fatalf("transport saw %d messages, want 2", len(ep.sent))
+	}
+	for _, msg := range ep.sent {
+		if units := decodeWireBatch(t, msg); len(units) != 1 {
+			t.Fatalf("zero-config wire message carries %d units, want 1", len(units))
+		}
+	}
+}
+
+// startStubSource starts a source of rate units/s on a stub engine and
+// returns the counters it charges.
+func startStubSource(e *Engine, rate int) *flowCounters {
+	e.startSource("app", 0, spec.Substream{Rate: rate}, 1000, []outSpec{{To: stubPeer, Rate: float64(rate)}})
+	return e.flowFor("app", 0)
+}
+
+// A source with no flush interval emits exactly one unit per period, also
+// at rates whose period is not a whole number of nanoseconds (there
+// rate·period falls just short of one unit, and a credit kept in
+// rate·seconds would slip an emission).
+func TestSourceEmitsOneUnitPerPeriod(t *testing.T) {
+	for _, rate := range []int{3, 7, 30} {
+		clk := &testClock{}
+		ep := &stubEndpoint{addr: "stub"}
+		e := newStubEngine(clk, ep, DataPlaneConfig{})
+		flow := startStubSource(e, rate)
+		period := time.Duration(float64(time.Second) / float64(rate))
+
+		clk.advance(period)
+		if flow.emittedUnits != 1 {
+			t.Fatalf("rate %d: %d units in the first period, want 1", rate, flow.emittedUnits)
+		}
+		first := decodeWireBatch(t, ep.sent[0])[0].Created
+		clk.advance(first + 10*time.Second - clk.now)
+		if want := int64(10*rate + 1); flow.emittedUnits != want {
+			t.Errorf("rate %d: %d units in the 10 s after the first, want %d", rate, flow.emittedUnits, want)
+		}
+		if len(ep.sent) != int(flow.emittedUnits) {
+			t.Errorf("rate %d: %d wire messages for %d units, want one each", rate, len(ep.sent), flow.emittedUnits)
+		}
+	}
+}
+
+// A source holds its rate on a clock whose timers fire late: credit accrues
+// from the time that passed, not from the number of ticks. 650 µs is the
+// tick lag the benchmark suite measures on live-loopback at 500 units/s,
+// where a credit of one unit per tick attains 2/2.65 of the rate.
+func TestSourceHoldsRateWhenTimersLag(t *testing.T) {
+	const rate, seconds = 500, 4
+	clk := &testClock{lag: 650 * time.Microsecond}
+	e := newStubEngine(clk, &stubEndpoint{addr: "stub"}, DataPlaneConfig{})
+	flow := startStubSource(e, rate)
+	clk.advance(seconds * time.Second)
+	if got := float64(flow.emittedUnits) / (rate * seconds); got < 0.98 || got > 1.001 {
+		t.Fatalf("attainment with lagging timers = %.3f (%d units), want within [0.98, 1.001]", got, flow.emittedUnits)
+	}
+
+	// A clock that stalls outright is caught up only by the bounded burst.
+	before := flow.emittedUnits
+	clk.now += time.Second
+	clk.advance(0)
+	if burst := flow.emittedUnits - before; burst < 1 || burst > sourceCatchUpTicks+1 {
+		t.Fatalf("a 1 s stall was followed by a burst of %d units, want at most %d", burst, sourceCatchUpTicks+1)
 	}
 }
 
@@ -132,7 +215,7 @@ func TestUnitCodecRoundTrip(t *testing.T) {
 	b := appendBatchUnits(nil, units)
 	wantLen := 2
 	for i := range units {
-		wantLen += encodedUnitSize(&units[i].msg)
+		wantLen += unitWireOverhead + len(units[i].msg.Req)
 	}
 	if len(b) != wantLen {
 		t.Fatalf("encoded %d bytes, want %d", len(b), wantLen)
@@ -164,6 +247,43 @@ func TestDecodeBatchRejectsTruncation(t *testing.T) {
 	if decodeBatchUnits(nil, nil) != nil {
 		t.Fatal("decode of empty buffer must be rejected")
 	}
+	if decodeBatchUnits(append(b, 0), nil) != nil {
+		t.Fatal("decode of a batch with a trailing byte must be rejected")
+	}
+}
+
+// FuzzDecodeBatchUnits feeds arbitrary bytes to the decoder that takes
+// every data unit off the network: it must never panic, never return more
+// units than the count word announces, and whatever it accepts must
+// re-encode to exactly the input.
+func FuzzDecodeBatchUnits(f *testing.F) {
+	whole := appendBatchUnits(nil, []pendingUnit{
+		{msg: dataMsg{Req: "a"}},
+		{msg: dataMsg{Req: "app-7", Substream: 3, Stage: 2, Seq: 1 << 40, Created: 90 * time.Minute, Size: 64 << 10}},
+		{msg: dataMsg{Req: "", Substream: 1, Stage: 5, Seq: 9, Created: time.Microsecond, Size: 1250}},
+	})
+	f.Add(whole)
+	f.Add(whole[:len(whole)/2])                     // truncated mid-unit
+	f.Add(append(whole[:len(whole):len(whole)], 0)) // trailing byte
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		units := decodeBatchUnits(b, nil)
+		if units == nil {
+			return
+		}
+		if count := int(binary.BigEndian.Uint16(b)); len(units) != count {
+			t.Fatalf("decoded %d units from a batch announcing %d", len(units), count)
+		}
+		pending := make([]pendingUnit, len(units))
+		for i := range units {
+			pending[i].msg = units[i]
+		}
+		if re := appendBatchUnits(nil, pending); !bytes.Equal(re, b) {
+			t.Fatalf("accepted batch does not re-encode to its input:\n in  %x\n out %x", b, re)
+		}
+	})
 }
 
 func TestBatchFlushOnFull(t *testing.T) {
@@ -251,7 +371,7 @@ func TestFlushAllCancelsDeadline(t *testing.T) {
 }
 
 // A refused batch charges every unit as an uplink drop and leaves the send
-// meter untouched — the batched twin of the sendUnit regression above.
+// meter untouched — the multi-unit twin of the regression above.
 func TestBatchSettlesRefusedSends(t *testing.T) {
 	clk := &testClock{}
 	ep := &stubEndpoint{addr: "stub", fail: transport.ErrBacklog}
@@ -278,25 +398,33 @@ func TestBatchSettlesRefusedSends(t *testing.T) {
 	}
 }
 
-// Oversized request IDs cannot be framed with a u8 length; they must fall
-// back to a legacy single-unit message instead of corrupting the batch.
-func TestBatchLongRequestIDFallsBack(t *testing.T) {
+// Oversized request IDs cannot be framed with a u8 length. Nothing falls
+// back to another encoding: Submit refuses the request with a typed error,
+// and a host refuses to instantiate a component for one, so no unit ever
+// carries such an ID into a batch it would corrupt.
+func TestLongRequestIDRejected(t *testing.T) {
 	clk := &testClock{}
-	ep := &stubEndpoint{addr: "stub"}
-	e := newStubEngine(clk, ep, DataPlaneConfig{BatchUnits: 8, Shards: 1})
+	e := newStubEngine(clk, &stubEndpoint{addr: "stub"}, DataPlaneConfig{BatchUnits: 8, Shards: 1})
+	long := strings.Repeat("x", spec.MaxRequestIDBytes+1)
 
-	long := make([]byte, 300)
-	for i := range long {
-		long[i] = 'x'
+	var got error
+	e.Submit(spec.Request{
+		ID: long, UnitBytes: 1000,
+		Substreams: []spec.Substream{{Services: []string{"filter"}, Rate: 10}},
+	}, nil, time.Second, func(_ *core.ExecutionGraph, err error) { got = err })
+	if !errors.Is(got, spec.ErrRequestIDTooLong) {
+		t.Fatalf("Submit error = %v, want ErrRequestIDTooLong", got)
 	}
-	e.batchUnit(stubPeer, pendingUnit{
-		msg: dataMsg{Req: string(long), Size: 1000}, key: "k", flow: e.flowFor(string(long), 0),
-	})
-	if len(e.batches) != 0 {
-		t.Fatal("oversized request ID was admitted into a batch")
+
+	body, err := json.Marshal(instantiateMsg{Req: long, Service: "filter", Rate: 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(ep.sent) != 1 {
-		t.Fatalf("transport saw %d messages, want 1 legacy fallback", len(ep.sent))
+	var refusal string
+	e.onInstantiate(stubPeer, body, func(_ []byte, errStr string) { refusal = errStr })
+	if refusal == "" || len(e.comps) != 0 {
+		t.Fatalf("instantiate with a %d-byte request ID: refusal %q, %d components; want a refusal and none",
+			len(long), refusal, len(e.comps))
 	}
 }
 

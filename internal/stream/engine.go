@@ -49,9 +49,9 @@ type Config struct {
 	// in the sink for percentile analysis (costs memory proportional to
 	// units delivered).
 	KeepDelaySamples bool
-	// DataPlane tunes the data-unit path (batching, flush deadline,
-	// execution sharding). The zero value keeps the legacy per-unit
-	// path, bit-identical to the pre-batching engine.
+	// DataPlane sizes the data-unit path (units per wire message, flush
+	// deadline, simulated CPUs). The zero value is one unit per message
+	// on one CPU.
 	DataPlane DataPlaneConfig
 }
 
@@ -84,9 +84,9 @@ type unitTask struct {
 }
 
 // Engine is one node's stream-processing runtime: it hosts components,
-// runs the node's ready queue on a single simulated CPU, serves the stats
-// and instantiation protocols, and (at the request origin) runs sources
-// and sinks.
+// runs the node's ready queues on its simulated CPUs (one unless
+// DataPlane.Shards says otherwise), serves the stats and instantiation
+// protocols, and (at the request origin) runs sources and sinks.
 type Engine struct {
 	node *overlay.Node
 	clk  clock.Clock
@@ -96,13 +96,14 @@ type Engine struct {
 	Monitor *monitor.NodeMonitor
 	Dir     *discovery.Directory
 
-	// shards are the execution contexts (ready queue + simulated core);
-	// legacy single-context mode is exactly one shard. batches holds the
-	// open per-destination unit batches of the batched wire path, and
-	// flows the per-substream throughput counters behind Throughput().
-	shards  []*engineShard
-	batches map[transport.Addr]*unitBatch
-	flows   map[string]*flowCounters
+	// shards are the execution contexts (ready queue + simulated core).
+	// batches holds the open per-destination unit batches, batchSeq the
+	// count of batches opened so far (it stamps their age), and flows the
+	// per-substream throughput counters behind Throughput().
+	shards   []*engineShard
+	batches  map[transport.Addr]*unitBatch
+	batchSeq uint64
+	flows    map[string]*flowCounters
 
 	comps   map[string]*component
 	sinks   map[string]*Sink
@@ -200,8 +201,6 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir *discovery.Directory, ca
 		// relative to the shard count so CPUFraction stays in [0,1].
 		e.Monitor.SetCPUCount(cfg.DataPlane.Shards)
 	}
-	node.Register(appData, e.onData)
-	node.RegisterDropObserver(appData, e.onDataDropped)
 	node.Register(appDataBatch, e.onDataBatch)
 	node.RegisterDropObserver(appDataBatch, e.onDataBatchDropped)
 	node.RegisterRequest(appInstantiate, e.onInstantiate)
@@ -288,33 +287,10 @@ func (e *Engine) SetStatsProvider(fn func(overlay.ID) (monitor.Report, bool)) {
 }
 
 // Sink returns the sink for a request substream hosted at this engine, or
-// nil.
-//
-// Deprecated: use Throughput, which carries delivered units and bytes in
-// one snapshot alongside emissions, forwards and drops. Sink remains for
-// callers that need the full latency/jitter detail.
+// nil. It is the accessor for delivery detail (delay, jitter, ordering,
+// timeliness, stalls); unit and byte counts are in Throughput.
 func (e *Engine) Sink(req string, substream int) *Sink {
 	return e.sinks[sinkKey(req, substream)]
-}
-
-// EmittedUnits returns how many data units the local source for a request
-// substream has sent (0 when this engine hosts no such source, including
-// after StopRequest removed it).
-//
-// Deprecated: use Throughput, whose counters survive source teardown.
-func (e *Engine) EmittedUnits(req string, substream int) int64 {
-	return emittedOf(e.sources[sinkKey(req, substream)])
-}
-
-// EmittedBytes returns the total bytes the local source for a request
-// substream has sent.
-//
-// Deprecated: use Throughput, whose counters survive source teardown.
-func (e *Engine) EmittedBytes(req string, substream int) int64 {
-	if s := e.sources[sinkKey(req, substream)]; s != nil {
-		return s.EmittedBytes
-	}
-	return 0
 }
 
 func sinkKey(req string, substream int) string { return req + "/" + itoa(substream) }
@@ -345,6 +321,11 @@ func (e *Engine) onInstantiate(_ overlay.NodeInfo, body []byte, respond func([]b
 	var m instantiateMsg
 	if err := json.Unmarshal(body, &m); err != nil {
 		respond(nil, "stream: bad instantiate: "+err.Error())
+		return
+	}
+	if len(m.Req) > spec.MaxRequestIDBytes {
+		// The unit codec frames the request ID with a u8 length.
+		respond(nil, "stream: bad instantiate: "+spec.ErrRequestIDTooLong.Error())
 		return
 	}
 	key := componentKey(m.Req, m.Substream, m.Stage)
@@ -394,20 +375,9 @@ func (e *Engine) StopSources(req string) {
 	e.flushAll()
 }
 
-// onDataDropped records a data unit lost at this node's downlink
-// (receive-buffer overflow). The drop is attributed to the component the
-// unit was addressed to, feeding the drop-ratio statistic exactly like a
-// queue or deadline drop.
-func (e *Engine) onDataDropped(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
-	var m dataMsg
-	if err := json.Unmarshal(body, &m); err != nil {
-		return
-	}
-	e.dropArrival(m)
-}
-
-// dropArrival is the shared downlink-drop accounting for legacy and
-// batched arrivals.
+// dropArrival records a data unit lost at this node's downlink. The drop is
+// attributed to the component or sink the unit was addressed to, feeding
+// the drop-ratio statistic exactly like a queue or deadline drop.
 func (e *Engine) dropArrival(m dataMsg) {
 	e.DropsDownlink++
 	telDropDownlink.Inc()
@@ -427,18 +397,8 @@ func (e *Engine) dropArrival(m dataMsg) {
 	}
 }
 
-// onData handles an arriving data unit: sink delivery or enqueue for a
-// local component.
-func (e *Engine) onData(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
-	var m dataMsg
-	if err := json.Unmarshal(body, &m); err != nil {
-		return
-	}
-	e.handleUnit(m)
-}
-
-// handleUnit is the shared arrival path for legacy and batched units:
-// sink delivery, or a pooled enqueue onto the unit's shard.
+// handleUnit handles an arriving data unit: sink delivery, or a pooled
+// enqueue onto the unit's shard for a local component.
 func (e *Engine) handleUnit(m dataMsg) {
 	now := e.clk.Now()
 	if s, ok := e.sinks[sinkKey(m.Req, m.Substream)]; ok && m.Stage == s.Stages {
@@ -490,18 +450,12 @@ func (e *Engine) scaledProc(c *component) time.Duration {
 
 // kick runs one shard's CPU loop: if the shard is idle, drain up to
 // BatchUnits ready units (dropping ones whose laxity went negative) and
-// simulate their combined processing time in one timer span. With
-// BatchUnits=1 this schedules exactly one unit per span — the legacy
-// behavior, event for event.
+// simulate their combined processing time in one timer span.
 func (e *Engine) kick(sh *engineShard) {
 	if sh.busy {
 		return
 	}
-	maxRun := 1
-	if e.cfg.DataPlane.batching() {
-		maxRun = e.cfg.DataPlane.BatchUnits
-	}
-	sh.runs = sched.DrainN(sh.queue, e.clk.Now(), maxRun, sh.runs[:0], func(d *sched.Unit) {
+	sh.runs = sched.DrainN(sh.queue, e.clk.Now(), e.cfg.DataPlane.BatchUnits, sh.runs[:0], func(d *sched.Unit) {
 		task := d.Payload.(*unitTask)
 		e.DropsLaxity++
 		telDropLaxity.Inc()
@@ -548,17 +502,20 @@ func (e *Engine) kick(sh *engineShard) {
 	})
 }
 
-// forward produces the component's output units and sends them downstream
-// according to the composed rate split. The rate ratio accumulates as a
-// credit so non-unit ratios emit the right long-run rate.
+// creditEpsilon absorbs float rounding in the unit credits of forward and
+// the source loop, so a credit that sums to a whole unit emits it.
+const creditEpsilon = 1e-9
+
+// forward produces the component's output units and batches them for their
+// downstream hosts according to the composed rate split. The rate ratio
+// accumulates as a credit so non-unit ratios emit the right long-run rate.
 func (e *Engine) forward(c *component, in dataMsg) {
 	ratio := c.msg.RateRatio
 	if ratio <= 0 {
 		ratio = 1
 	}
 	c.outCredit += ratio
-	const epsilon = 1e-9
-	for c.outCredit >= 1-epsilon {
+	for c.outCredit >= 1-creditEpsilon {
 		c.outCredit--
 		out := c.split.next()
 		if out == nil {
@@ -568,7 +525,7 @@ func (e *Engine) forward(c *component, in dataMsg) {
 		if size <= 0 {
 			size = in.Size
 		}
-		pu := pendingUnit{
+		e.batchUnit(out.To, pendingUnit{
 			msg: dataMsg{
 				Req:       in.Req,
 				Substream: in.Substream,
@@ -581,33 +538,6 @@ func (e *Engine) forward(c *component, in dataMsg) {
 			key:       c.key,
 			service:   c.msg.Service,
 			flow:      c.flow,
-		}
-		if e.cfg.DataPlane.batching() {
-			e.batchUnit(out.To, pu)
-		} else {
-			e.settleUnit(&pu, e.sendUnit(out.To, pu.msg))
-		}
+		})
 	}
-}
-
-// sendUnit transmits one data unit, padding the wire message to the unit's
-// simulated size. It returns an error when the unit was dropped locally.
-func (e *Engine) sendUnit(to overlay.NodeInfo, m dataMsg) error {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	pad := m.Size - len(body)
-	if pad < 0 {
-		pad = 0
-	}
-	if err := e.node.DirectPadded(to.Addr, appData, body, pad); err != nil {
-		return err
-	}
-	// Charge the send meter only after the transport accepted the unit:
-	// units refused at the uplink never consumed send capacity, and
-	// counting them skewed OutBpsUsed upward exactly when the link was
-	// congested.
-	e.Monitor.ObserveSend(e.clk.Now(), m.Size)
-	return nil
 }

@@ -23,8 +23,8 @@ func TestVBRSourceVariesSizesAroundMean(t *testing.T) {
 	s.Sim.RunUntil(s.Sim.Now() + 30*time.Second)
 	// Mean emitted size must stay near UnitBytes while individual sizes
 	// vary: check via the byte counter.
-	emitted := s.Engines[0].EmittedUnits("vbr", 0)
-	bytes := s.Engines[0].EmittedBytes("vbr", 0)
+	emitted := s.Engines[0].Throughput("vbr", 0).EmittedUnits
+	bytes := s.Engines[0].Throughput("vbr", 0).EmittedBytes
 	if emitted < 400 {
 		t.Fatalf("emitted only %d units", emitted)
 	}
@@ -39,8 +39,8 @@ func TestCBRSourceExactSizes(t *testing.T) {
 	req := simpleRequest("cbr", 10, "filter")
 	submit(t, s, 0, req, &core.MinCost{})
 	s.Sim.RunUntil(s.Sim.Now() + 10*time.Second)
-	emitted := s.Engines[0].EmittedUnits("cbr", 0)
-	bytes := s.Engines[0].EmittedBytes("cbr", 0)
+	emitted := s.Engines[0].Throughput("cbr", 0).EmittedUnits
+	bytes := s.Engines[0].Throughput("cbr", 0).EmittedBytes
 	if bytes != emitted*1250 {
 		t.Fatalf("CBR bytes = %d for %d units, want exact multiples of 1250", bytes, emitted)
 	}

@@ -16,10 +16,9 @@ import (
 
 // Application names on the overlay.
 const (
-	appData = "stream-data"
-	// appDataBatch carries binary-coded unit batches (see dataplane.go).
-	// Engines register both handlers unconditionally so nodes with
-	// different DataPlane configs interoperate in one deployment.
+	// appDataBatch carries every data unit, binary-coded in batches of one
+	// or more (see dataplane.go); the format does not depend on the
+	// DataPlane config, so nodes with different configs interoperate.
 	appDataBatch   = "stream-data-batch"
 	appInstantiate = "stream-instantiate"
 	appTeardown    = "stream-teardown"
@@ -53,15 +52,16 @@ type teardownMsg struct {
 	Req string `json:"req"`
 }
 
-// dataMsg is one data unit on the wire. Its simulated size is carried via
-// transport padding; Size records it for the receiver's accounting.
+// dataMsg is one data unit; dataplane.go has its wire encoding. Its
+// simulated size is carried via transport padding; Size records it for the
+// receiver's accounting.
 type dataMsg struct {
-	Req       string        `json:"req"`
-	Substream int           `json:"sub"`
-	Stage     int           `json:"stage"` // stage this unit is addressed to; len(chain) = sink
-	Seq       int64         `json:"seq"`
-	Created   time.Duration `json:"created"` // source emission time (virtual clock)
-	Size      int           `json:"size"`
+	Req       string
+	Substream int
+	Stage     int // stage this unit is addressed to; len(chain) = sink
+	Seq       int64
+	Created   time.Duration // source emission time (virtual clock)
+	Size      int
 }
 
 // componentKey identifies a component instance within an engine.

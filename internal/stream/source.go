@@ -7,9 +7,6 @@ import (
 	"rasc.dev/rasc/internal/trace"
 )
 
-// traceEmitKind aliases the emit kind for the source loop.
-const traceEmitKind = trace.KindEmit
-
 // source emits a substream's data units at the requested rate, spreading
 // them across the stage-0 component instances according to the composed
 // split. A bursty source varies unit sizes (VBR) while keeping the unit
@@ -17,17 +14,14 @@ const traceEmitKind = trace.KindEmit
 type source struct {
 	req        string
 	substream  int
-	rate       float64
 	unitBytes  int
 	burstiness float64
 	split      *splitter
 	seq        int64
-	// Emitted counts units sent so far; EmittedBytes their total size.
-	Emitted      int64
-	EmittedBytes int64
-	stopped      bool
-	flow         *flowCounters
-	// credit accumulates fractional units between burst-mode ticks.
+	stopped    bool
+	flow       *flowCounters
+	// credit is the emission the source is owed, in units: it accrues one
+	// unit per period of clock time and is spent one unit per emission.
 	credit float64
 }
 
@@ -37,53 +31,74 @@ type source struct {
 // seamless at the origin.
 func (s *source) retarget(outs []outSpec) { s.split = newSplitter(outs) }
 
-// Emitted returns the number of units a source has sent (0 for nil).
-func emittedOf(s *source) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.Emitted
-}
+// sourceCatchUpTicks bounds the credit one tick may accrue, in nominal
+// ticks: a source whose timer fired late emits what it missed, up to one
+// whole tick's worth. What a longer stall missed is not emitted at all: a
+// burst reaches the first component at one instant, and the units behind
+// its head run out of laxity there, so a larger bound buys drops, not
+// deliveries.
+const sourceCatchUpTicks = 2
 
 // startSource installs and starts a source for one substream of a request
-// originated at this engine.
+// originated at this engine. The source ticks once per period, or once per
+// flush interval when that is longer (a faster tick could only add timer
+// events, its units would wait in the batch anyway), and on each tick
+// emits the units owed for the clock time elapsed since the previous tick.
+// Counting elapsed time rather than ticks holds the requested rate on a
+// clock whose timers fire late; on the simulator's clock the two are the
+// same number.
 func (e *Engine) startSource(req string, substream int, ss spec.Substream, unitBytes int, outs []outSpec) *source {
 	s := &source{
 		req:        req,
 		substream:  substream,
-		rate:       float64(ss.Rate),
 		unitBytes:  unitBytes,
 		burstiness: ss.Burstiness,
 		split:      newSplitter(outs),
+		flow:       e.flowFor(req, substream),
 	}
-	s.flow = e.flowFor(req, substream)
 	e.sources[sinkKey(req, substream)] = s
-	period := time.Duration(float64(time.Second) / s.rate)
-	if e.cfg.DataPlane.batching() {
-		e.startBurstSource(s, period)
-		return s
+	period := time.Duration(float64(time.Second) / float64(ss.Rate))
+	tickEvery := period
+	if fi := e.cfg.DataPlane.FlushInterval; tickEvery < fi {
+		tickEvery = fi
 	}
+	key := "source:" + sinkKey(req, substream)
+	// Desynchronize sources slightly so simultaneous requests do not beat
+	// in lockstep. The first tick is owed one full tick of credit.
+	offset := time.Duration(e.rng.Int63n(int64(tickEvery)))
+	last := e.clk.Now() + offset - tickEvery
 	var tick func()
 	tick = func() {
 		if s.stopped {
 			return
 		}
-		out := s.split.next()
-		if out != nil {
-			m := e.emitUnit(s, out)
-			if err := e.sendUnit(out.To, m); err != nil {
-				// The origin's own uplink is congested: record the
-				// drop so the node's ratio reflects it.
-				e.Monitor.ObserveDrop("source:"+sinkKey(s.req, s.substream), "source")
-				s.flow.droppedUnits++
-				s.flow.droppedBytes += int64(m.Size)
-			}
+		now := e.clk.Now()
+		elapsed := now - last
+		if elapsed > sourceCatchUpTicks*tickEvery {
+			elapsed = sourceCatchUpTicks * tickEvery
 		}
-		e.clk.After(period, tick)
+		last = now
+		// Credit is counted in periods, not rate·seconds: period is
+		// rounded to whole nanoseconds, and a tick of exactly one period
+		// must be worth exactly one unit.
+		s.credit += float64(elapsed) / float64(period)
+		for ; s.credit >= 1-creditEpsilon; s.credit-- {
+			out := s.split.next()
+			if out == nil {
+				continue
+			}
+			e.batchUnit(out.To, pendingUnit{
+				msg:       e.emitUnit(s, out),
+				fromStage: -1,
+				key:       key,
+				service:   "source",
+				isSource:  true,
+				flow:      s.flow,
+			})
+		}
+		e.clk.After(tickEvery, tick)
 	}
-	// Desynchronize sources slightly so simultaneous requests do not
-	// beat in lockstep.
-	e.clk.After(time.Duration(e.rng.Int63n(int64(period))), tick)
+	e.clk.After(offset, tick)
 	return s
 }
 
@@ -107,48 +122,9 @@ func (e *Engine) emitUnit(s *source, out *outSpec) dataMsg {
 		Size:      size,
 	}
 	s.seq++
-	s.Emitted++
-	s.EmittedBytes += int64(size)
 	s.flow.emittedUnits++
 	s.flow.emittedBytes += int64(size)
 	telEmitted.Inc()
-	e.traceEvent(traceEmitKind, m, -1, "")
+	e.traceEvent(trace.KindEmit, m, -1, "")
 	return m
-}
-
-// startBurstSource runs the batched-data-plane emission loop: instead of
-// one timer event per unit, the source ticks at most once per flush
-// interval, accrues rate·Δt of unit credit, and emits the whole burst into
-// the per-destination batches. High-rate sources thus cost a few timer
-// events per flush interval rather than thousands per second, while the
-// long-run emission rate is identical to the legacy per-period loop.
-func (e *Engine) startBurstSource(s *source, period time.Duration) {
-	tickEvery := period
-	if fi := e.cfg.DataPlane.FlushInterval; tickEvery < fi {
-		tickEvery = fi
-	}
-	var tick func()
-	tick = func() {
-		if s.stopped {
-			return
-		}
-		s.credit += s.rate * tickEvery.Seconds()
-		for ; s.credit >= 1; s.credit-- {
-			out := s.split.next()
-			if out == nil {
-				continue
-			}
-			m := e.emitUnit(s, out)
-			e.batchUnit(out.To, pendingUnit{
-				msg:       m,
-				fromStage: -1,
-				key:       "source:" + sinkKey(s.req, s.substream),
-				service:   "source",
-				isSource:  true,
-				flow:      s.flow,
-			})
-		}
-		e.clk.After(tickEvery, tick)
-	}
-	e.clk.After(time.Duration(e.rng.Int63n(int64(tickEvery))), tick)
 }

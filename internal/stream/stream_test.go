@@ -62,7 +62,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	if sink == nil {
 		t.Fatal("no sink at origin")
 	}
-	emitted := s.Engines[0].EmittedUnits("r1", 0)
+	emitted := s.Engines[0].Throughput("r1", 0).EmittedUnits
 	if emitted < 80 {
 		t.Fatalf("source emitted only %d units in 10s at rate 10", emitted)
 	}
@@ -217,7 +217,7 @@ func TestRateSplittingDeliversAcrossInstances(t *testing.T) {
 	}
 	s.Sim.RunUntil(s.Sim.Now() + 5*time.Second)
 	sink := s.Engines[0].Sink("split", 0)
-	emitted := s.Engines[0].EmittedUnits("split", 0)
+	emitted := s.Engines[0].Throughput("split", 0).EmittedUnits
 	if sink.Received < emitted/2 {
 		t.Fatalf("split delivery too lossy: %d of %d", sink.Received, emitted)
 	}

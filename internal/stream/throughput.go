@@ -5,9 +5,9 @@ import "sort"
 // flowCounters accumulates one engine's per-substream data-plane counters.
 // Sources charge emissions, components charge forwards, and every drop
 // cause (queue-full, laxity, uplink, downlink — including source uplink
-// drops, which the legacy diagnostic counters never counted) charges the
-// dropped fields, so emitted = delivered + dropped + in-flight holds per
-// substream across a deployment.
+// drops, which the engine's Drops* diagnostic counters do not count)
+// charges the dropped fields, so emitted = delivered + dropped + in-flight
+// holds per substream across a deployment.
 type flowCounters struct {
 	emittedUnits   int64
 	emittedBytes   int64
@@ -33,9 +33,8 @@ func (e *Engine) flowFor(req string, substream int) *flowCounters {
 // Throughput is one engine's typed data-plane snapshot for a request
 // substream: how many units (and bytes) its local source emitted, its
 // components forwarded downstream, its runtime dropped for any cause, and
-// its local sink delivered. It replaces the ad-hoc EmittedUnits /
-// EmittedBytes / Sink accessor trio; aggregate engine snapshots with
-// Accumulate for a deployment-wide view.
+// its local sink delivered. The counters survive StopRequest; aggregate
+// engine snapshots with Accumulate for a deployment-wide view.
 type Throughput struct {
 	Req       string `json:"req"`
 	Substream int    `json:"substream"`

@@ -95,26 +95,26 @@ func WithTenancy(cfg TenancyConfig) Option {
 	return func(o *Options) { o.Tenancy = &cfg }
 }
 
-// DataPlaneConfig tunes the per-node data-unit path: BatchUnits is the
+// DataPlaneConfig sizes the per-node data-unit path: BatchUnits is the
 // maximum number of units coalesced per destination into one binary wire
 // message, FlushInterval bounds how long a unit waits in an open batch,
-// and Shards is the number of parallel execution contexts per node. The
-// zero value (and BatchUnits ≤ 1 with Shards ≤ 1) selects the legacy
-// per-unit path, bit-identical to deployments built without the option.
+// and Shards is the number of simulated CPUs per node. The zero value
+// (equal to BatchUnits 1, Shards 1) sends one unit per message and keeps
+// one CPU per host, the same as a deployment built without the option;
+// the wire encoding is the same at every setting.
 type DataPlaneConfig = stream.DataPlaneConfig
 
-// DefaultDataPlane returns the tuned batching configuration benchmarked in
-// results/BENCH_dataplane.json (32-unit batches, 2ms flush deadline, 4
-// execution shards).
+// DefaultDataPlane returns the batching configuration the benchmark
+// suite's sim-stream-batched workload runs (32-unit batches, 2ms flush
+// deadline, 4 shards).
 func DefaultDataPlane() DataPlaneConfig { return stream.DefaultDataPlane() }
 
-// WithDataPlane selects the batched, sharded data plane on every node:
-// sources and forwarders coalesce up to cfg.BatchUnits units per
-// destination into one binary wire message (flushed no later than
-// cfg.FlushInterval after the first unit), and each node schedules units
-// across cfg.Shards execution contexts keyed by (request, substream) so
-// per-substream ordering is preserved. Read the aggregate effect with
-// Composition.Throughput.
+// WithDataPlane sizes the data plane on every node: sources and
+// forwarders coalesce up to cfg.BatchUnits units per destination into one
+// binary wire message (flushed no later than cfg.FlushInterval after the
+// first unit), and each node schedules units across cfg.Shards simulated
+// CPUs keyed by (request, substream) so per-substream ordering is
+// preserved. Read the aggregate effect with Composition.Throughput.
 func WithDataPlane(cfg DataPlaneConfig) Option {
 	return func(o *Options) { o.DataPlane = &cfg }
 }

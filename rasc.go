@@ -113,8 +113,8 @@ type Options struct {
 	// Tenancy, when set, fronts every node's submission path with one
 	// shared admission gate (see WithTenancy).
 	Tenancy *TenancyConfig
-	// DataPlane, when set, enables the batched, sharded data plane on
-	// every node (see WithDataPlane).
+	// DataPlane, when set, sizes every node's data plane: units per wire
+	// message, flush deadline, simulated CPUs (see WithDataPlane).
 	DataPlane *DataPlaneConfig
 	// Federation, when set, shards the deployment into federated
 	// clusters joined by the boundary protocol (see WithFederation).
@@ -228,7 +228,8 @@ func (c *Composition) NumHosts() int { return core.NumHosts(c.Graph) }
 // DeliveryStats. Equivalent to SubmitContext with context.Background().
 //
 // Failures wrap the facade's sentinel errors — ErrUnknownComposer,
-// ErrUnknownService, ErrNoComposition — so callers branch with errors.Is.
+// ErrUnknownService, ErrRequestIDTooLong, ErrNoComposition — so callers
+// branch with errors.Is.
 func (s *System) Submit(origin int, req Request, composer Composer) (*Composition, error) {
 	return s.SubmitContext(context.Background(), origin, req, composer)
 }
@@ -340,16 +341,14 @@ func (c *Composition) Throughput() []Throughput {
 	return out
 }
 
-// Stats reads the composition's current delivery metrics.
-//
-// The emitted counter comes from the origin's live source, so it reads 0
-// after Stop; prefer Throughput for accounting that must survive teardown.
+// Stats reads the composition's current delivery metrics at its origin;
+// Throughput adds forwards and drops across every engine.
 func (c *Composition) Stats() DeliveryStats {
 	eng := c.sys.d.Engines[c.origin]
 	var out DeliveryStats
 	var sumDelay, sumJitter time.Duration
 	for l := range c.Graph.Request.Substreams {
-		out.Emitted += eng.EmittedUnits(c.Graph.Request.ID, l)
+		out.Emitted += eng.Throughput(c.Graph.Request.ID, l).EmittedUnits
 		sink := eng.Sink(c.Graph.Request.ID, l)
 		if sink == nil {
 			continue
