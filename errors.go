@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"rasc.dev/rasc/internal/spec"
+	"rasc.dev/rasc/internal/stream"
 	"rasc.dev/rasc/internal/tenant"
 )
 
@@ -34,6 +35,23 @@ var (
 	// bytes, the most the data-unit wire format can frame — composition
 	// is not attempted. Re-exported from internal/spec.
 	ErrRequestIDTooLong = spec.ErrRequestIDTooLong
+)
+
+// Submit-path sentinels, re-exported from internal/stream; each wraps its
+// cause (a DHT timeout, the failing host's answer), so errors.Is also
+// matches deeper sentinels through them.
+var (
+	// ErrNoDirectory reports a submission from a node that was built
+	// without a discovery directory (a pure worker).
+	ErrNoDirectory = stream.ErrNoDirectory
+
+	// ErrDiscovery reports that looking up the hosts of a requested
+	// service failed; nothing was composed or instantiated.
+	ErrDiscovery = stream.ErrDiscovery
+
+	// ErrInstantiation reports that a host refused or did not acknowledge
+	// a composed component. The partial instantiation was rolled back.
+	ErrInstantiation = stream.ErrInstantiation
 )
 
 // Admission sentinels of deployments built WithTenancy, re-exported from

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rasc.dev/rasc/internal/core"
+	"rasc.dev/rasc/internal/overlay"
 )
 
 // TestNewFunctionalOptions checks that New applies options and that the
@@ -91,6 +92,55 @@ func TestSubmitSentinelErrors(t *testing.T) {
 	if !errors.Is(err, core.ErrNoFeasiblePlacement) {
 		t.Fatalf("err = %v lost the underlying ErrNoFeasiblePlacement chain", err)
 	}
+}
+
+// failingDirectory answers every lookup with its error.
+type failingDirectory struct{ err error }
+
+func (d failingDirectory) Lookup(_ string, _ time.Duration, cb func([]overlay.NodeInfo, error)) {
+	cb(nil, d.err)
+}
+
+// The submit path's own failures surface as sentinels too, one test each,
+// with the cause still matchable through them.
+func TestSubmitErrNoDirectory(t *testing.T) {
+	sys := New(WithNodes(8), WithSeed(4))
+	sys.d.Engines[0].Dir = nil // a pure worker node
+	if _, err := sys.Submit(0, sentinelRequest(), ComposerMinCost); !errors.Is(err, ErrNoDirectory) {
+		t.Fatalf("err = %v, want ErrNoDirectory", err)
+	}
+}
+
+func TestSubmitErrDiscovery(t *testing.T) {
+	sys := New(WithNodes(8), WithSeed(4))
+	cause := errors.New("dht: get timed out")
+	sys.d.Engines[0].Dir = failingDirectory{cause}
+	_, err := sys.Submit(0, sentinelRequest(), ComposerMinCost)
+	if !errors.Is(err, ErrDiscovery) || !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want ErrDiscovery wrapping %v", err, cause)
+	}
+}
+
+func TestSubmitErrInstantiation(t *testing.T) {
+	sys := New(WithNodes(8), WithSeed(4))
+	for _, n := range sys.d.Nodes {
+		n.RegisterRequest("stream-instantiate", func(_ overlay.NodeInfo, _ []byte, respond func([]byte, string)) {
+			respond(nil, "host is draining")
+		})
+	}
+	_, err := sys.Submit(0, sentinelRequest(), ComposerMinCost)
+	if !errors.Is(err, ErrInstantiation) || !strings.Contains(err.Error(), "host is draining") {
+		t.Fatalf("err = %v, want ErrInstantiation carrying the host's answer", err)
+	}
+	for i, e := range sys.d.Engines {
+		if e.Components() != 0 || e.ActiveRequests() != 0 {
+			t.Fatalf("engine %d kept state after the rollback", i)
+		}
+	}
+}
+
+func sentinelRequest() Request {
+	return Request{ID: "sentinel", UnitBytes: 1250, Substreams: []Substream{{Services: []string{"filter"}, Rate: 5}}}
 }
 
 func TestSubmitContextCanceled(t *testing.T) {

@@ -138,7 +138,8 @@ func (d *Directory) Lookup(service string, timeout time.Duration, cb func([]over
 
 // LookupMany resolves several services and calls cb once all lookups have
 // finished. Missing services appear with empty host lists; the first error
-// (if any) is reported.
+// (if any) is reported. The engine no longer calls it (stream.gatherInput
+// acts on each Lookup as it lands); the benchmark suite's probes do.
 func (d *Directory) LookupMany(services []string, timeout time.Duration, cb func(map[string][]overlay.NodeInfo, error)) {
 	results := make(map[string][]overlay.NodeInfo, len(services))
 	remaining := len(services)

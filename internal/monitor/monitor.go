@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -147,7 +148,18 @@ func (m *NodeMonitor) ObserveBusy(now, d time.Duration) { m.busyMeter.Observe(no
 // SetQueueLenFunc installs a callback reporting the scheduler queue length.
 func (m *NodeMonitor) SetQueueLenFunc(f func() int) { m.queueLen = f }
 
-func (m *NodeMonitor) component(key, service string) *componentMonitor {
+// ObserveInbound records size bytes arriving at the node at time now for
+// something that is not a component (a sink): the in-meter is charged and
+// no component row is created.
+func (m *NodeMonitor) ObserveInbound(now time.Duration, size int) {
+	m.inMeter.Observe(now, size)
+}
+
+// ObserveArrival records a data unit of size bytes arriving for the
+// component identified by key at time now. A component's row lives from
+// its first arrival until Forget.
+func (m *NodeMonitor) ObserveArrival(key, service string, now time.Duration, size int) {
+	m.inMeter.Observe(now, size)
 	c, ok := m.components[key]
 	if !ok {
 		c = &componentMonitor{
@@ -158,33 +170,44 @@ func (m *NodeMonitor) component(key, service string) *componentMonitor {
 		}
 		m.components[key] = c
 	}
-	return c
-}
-
-// ObserveArrival records a data unit of size bytes arriving for the
-// component identified by key at time now.
-func (m *NodeMonitor) ObserveArrival(key, service string, now time.Duration, size int) {
-	m.inMeter.Observe(now, size)
-	c := m.component(key, service)
 	c.arrivals.Observe(now)
 	c.arrived++
 }
 
-// ObserveProcessed records a completed execution taking proc time.
-func (m *NodeMonitor) ObserveProcessed(key, service string, proc time.Duration) {
-	c := m.component(key, service)
-	c.proc.Observe(proc)
-	c.processed++
-	c.drops.Observe(false)
+// ObserveProcessed records a completed execution taking proc time. The
+// node-level drop window always sees it; the component's own windows only
+// while the component has a row, so a unit that finishes after Forget
+// (queued when its request was torn down) does not bring the row back.
+// The service name is the row's, set at the first arrival; the parameter
+// stays because the frozen bench/ probes call with it.
+func (m *NodeMonitor) ObserveProcessed(key, _ string, proc time.Duration) {
 	m.nodeDrops.Observe(false)
+	if c, ok := m.components[key]; ok {
+		c.proc.Observe(proc)
+		c.processed++
+		c.drops.Observe(false)
+	}
 }
 
-// ObserveDrop records a dropped data unit for the component.
-func (m *NodeMonitor) ObserveDrop(key, service string) {
-	c := m.component(key, service)
-	c.dropped++
-	c.drops.Observe(true)
+// ObserveDrop records a dropped data unit, under the same row rule as
+// ObserveProcessed. Sources and sinks pass keys that never have a row.
+func (m *NodeMonitor) ObserveDrop(key, _ string) {
 	m.nodeDrops.Observe(true)
+	if c, ok := m.components[key]; ok {
+		c.dropped++
+		c.drops.Observe(true)
+	}
+}
+
+// Forget discards the component rows whose key starts with prefix (a whole
+// key forgets one component, "<request>/" every component of a request).
+// Node-level windows keep what the components contributed.
+func (m *NodeMonitor) Forget(prefix string) {
+	for k := range m.components {
+		if strings.HasPrefix(k, prefix) {
+			delete(m.components, k)
+		}
+	}
 }
 
 // ObserveSend records size bytes leaving the node at time now.

@@ -56,6 +56,7 @@ func TestNodeMonitorReport(t *testing.T) {
 func TestDropRatioTracksWindow(t *testing.T) {
 	m := NewNodeMonitor(1e6, 1e6, 10)
 	for i := 0; i < 5; i++ {
+		m.ObserveArrival("c", "s", time.Duration(i)*time.Millisecond, 100)
 		m.ObserveProcessed("c", "s", time.Millisecond)
 	}
 	for i := 0; i < 5; i++ {
@@ -98,5 +99,50 @@ func TestPerComponentIsolation(t *testing.T) {
 	}
 	if m.ArrivalRate("unknown") != 0 || m.Period("unknown") != 0 || m.MeanProc("unknown") != 0 {
 		t.Fatal("unknown component must report zeros")
+	}
+}
+
+// A component's row lives from its first arrival until Forget: forgetting
+// shrinks the report, zeroes the per-component readings, and a unit that
+// was still queued when its request went away (processed or dropped after
+// Forget) does not bring the row back. Sink arrivals never create one.
+func TestForgetDropsComponentRows(t *testing.T) {
+	m := NewNodeMonitor(1e6, 1e6, 8)
+	for i := 0; i < 10; i++ {
+		now := time.Duration(i) * 10 * time.Millisecond
+		for _, key := range []string{"req-a/0/0", "req-a/0/1", "req-ab/0/0"} {
+			m.ObserveArrival(key, "filter", now, 100)
+			m.ObserveProcessed(key, "filter", time.Millisecond)
+		}
+		m.ObserveInbound(now, 100) // a sink's arrival
+	}
+	if n := len(m.Report(time.Second).Components); n != 3 {
+		t.Fatalf("%d component rows before Forget, want 3 (the sink must not have one)", n)
+	}
+	if m.ArrivalRate("req-a/0/1") == 0 || m.MeanProc("req-a/0/1") == 0 {
+		t.Fatal("a live component reports no arrival rate or processing time")
+	}
+
+	m.Forget("req-a/0/1")
+	if n := len(m.Report(time.Second).Components); n != 2 {
+		t.Fatalf("%d rows after forgetting one key, want 2", n)
+	}
+	m.Forget("req-a/")
+	comps := m.Report(time.Second).Components
+	if _, ok := comps["req-ab/0/0"]; !ok || len(comps) != 1 {
+		t.Fatalf("forgetting request req-a left %v, want only req-ab/0/0", comps)
+	}
+	if m.ArrivalRate("req-a/0/0") != 0 || m.MeanProc("req-a/0/0") != 0 || m.Period("req-a/0/0") != 0 {
+		t.Fatal("a forgotten component still reports an arrival rate or processing time")
+	}
+
+	before := m.DropRatio()
+	m.ObserveProcessed("req-a/0/0", "filter", time.Millisecond)
+	m.ObserveDrop("req-a/0/0", "filter")
+	if n := len(m.Report(time.Second).Components); n != 1 {
+		t.Fatalf("a late observation re-created a forgotten row: %d rows", n)
+	}
+	if m.DropRatio() <= before {
+		t.Fatalf("node-level drop ratio %g did not see the late drop (was %g)", m.DropRatio(), before)
 	}
 }

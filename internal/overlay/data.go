@@ -7,42 +7,35 @@ import (
 )
 
 // msgTypeData is the transport message type of the binary data envelope.
-// The JSON envelope (msgType) carries every control message; the data
+// The JSON envelope (msgType) carries routing and membership; the data
 // envelope carries the stream data plane's units, where per-message JSON
-// marshal cost would dominate. Its layout is:
+// marshal cost would dominate, and the RPC envelope (rpc.go) every
+// request and response. The two binary envelopes name the app and the
+// sender with the same header:
 //
-//	appLen:u8 app srcAddrLen:u8 srcAddr srcID[IDBytes] body
+//	header := appLen:u8 app srcAddrLen:u8 srcAddr srcID[IDBytes]
+//	data   := header body
 const msgTypeData = "overlay-data"
 
-// dataEnvelopeOverhead is the encoded envelope size minus app, source
-// address and body.
-const dataEnvelopeOverhead = 2 + IDBytes
+// headerOverhead is the encoded header size minus app and source address.
+const headerOverhead = 2 + IDBytes
 
-// ErrDataNameTooLong reports an app name or node address that does not fit
-// the data envelope's u8 length prefix.
-var ErrDataNameTooLong = errors.New("overlay: app or address name longer than 255 bytes")
+// ErrDataNameTooLong reports an app name, node address or cluster name
+// that does not fit a binary envelope's u8 length prefix.
+var ErrDataNameTooLong = errors.New("overlay: app, address or cluster name longer than 255 bytes")
 
-// DirectDataPadded is DirectPadded on the binary data envelope: datagram
-// (loss-tolerant) delivery, pad extra bytes charged on the wire, and the
-// returned error reporting local send failures. The payload is built with
-// one exact-size allocation — the transport retains it until delivery, so
-// the buffer cannot be pooled here.
-func (n *Node) DirectDataPadded(to transport.Addr, app string, body []byte, pad int) error {
-	if len(app) > 255 || len(n.info.Addr) > 255 {
-		return ErrDataNameTooLong
-	}
-	buf := make([]byte, 0, dataEnvelopeOverhead+len(app)+len(n.info.Addr)+len(body))
+// appendHeader encodes the header the binary envelopes share. The caller
+// has checked that app and src.Addr fit their u8 length prefixes.
+func appendHeader(buf []byte, app string, src NodeInfo) []byte {
 	buf = append(buf, byte(len(app)))
 	buf = append(buf, app...)
-	buf = append(buf, byte(len(n.info.Addr)))
-	buf = append(buf, n.info.Addr...)
-	buf = append(buf, n.info.ID[:]...)
-	buf = append(buf, body...)
-	return n.ep.Send(to, transport.Message{Type: msgTypeData, Payload: buf, Pad: pad, Datagram: true})
+	buf = append(buf, byte(len(src.Addr)))
+	buf = append(buf, src.Addr...)
+	return append(buf, src.ID[:]...)
 }
 
-// parseDataEnvelope decodes a binary data envelope.
-func parseDataEnvelope(b []byte) (app string, src NodeInfo, body []byte, ok bool) {
+// parseHeader decodes the shared header and returns what follows it.
+func parseHeader(b []byte) (app string, src NodeInfo, rest []byte, ok bool) {
 	if len(b) < 1 {
 		return "", NodeInfo{}, nil, false
 	}
@@ -62,11 +55,26 @@ func parseDataEnvelope(b []byte) (app string, src NodeInfo, body []byte, ok bool
 	return app, src, b[sl+IDBytes:], true
 }
 
+// DirectDataPadded is DirectPadded on the binary data envelope: datagram
+// (loss-tolerant) delivery, pad extra bytes charged on the wire, and the
+// returned error reporting local send failures. The payload is built with
+// one exact-size allocation — the transport retains it until delivery, so
+// the buffer cannot be pooled here.
+func (n *Node) DirectDataPadded(to transport.Addr, app string, body []byte, pad int) error {
+	if len(app) > 255 || len(n.info.Addr) > 255 {
+		return ErrDataNameTooLong
+	}
+	buf := make([]byte, 0, headerOverhead+len(app)+len(n.info.Addr)+len(body))
+	buf = appendHeader(buf, app, n.info)
+	buf = append(buf, body...)
+	return n.ep.Send(to, transport.Message{Type: msgTypeData, Payload: buf, Pad: pad, Datagram: true})
+}
+
 // onDataMessage delivers a binary data envelope to its app handler. Like
 // the JSON direct path it learns the sender, so data traffic keeps
 // refreshing overlay state.
 func (n *Node) onDataMessage(msg transport.Message) {
-	app, src, body, ok := parseDataEnvelope(msg.Payload)
+	app, src, body, ok := parseHeader(msg.Payload)
 	if !ok {
 		return // malformed: drop
 	}
@@ -79,7 +87,7 @@ func (n *Node) onDataMessage(msg transport.Message) {
 // onDataDropped routes a dropped binary data envelope to the app's drop
 // observer, mirroring the JSON direct path in onDropped.
 func (n *Node) onDataDropped(msg transport.Message) {
-	app, src, body, ok := parseDataEnvelope(msg.Payload)
+	app, src, body, ok := parseHeader(msg.Payload)
 	if !ok {
 		return
 	}

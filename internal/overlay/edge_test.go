@@ -103,9 +103,7 @@ func TestEnvelopeJSONStability(t *testing.T) {
 		Src:   NodeInfo{ID: HashID("src"), Addr: "sim://1"},
 		Hops:  3,
 		Body:  []byte("payload"),
-		ReqID: 42,
 		Ack:   7,
-		Err:   "oops",
 		Nodes: []NodeInfo{{ID: HashID("n"), Addr: "sim://2"}},
 	}
 	b, err := json.Marshal(env)
@@ -118,7 +116,7 @@ func TestEnvelopeJSONStability(t *testing.T) {
 	}
 	if back.Kind != env.Kind || back.App != env.App || back.Key != env.Key ||
 		back.Hops != env.Hops || string(back.Body) != "payload" ||
-		back.ReqID != 42 || back.Ack != 7 || back.Err != "oops" ||
+		back.Ack != 7 ||
 		len(back.Nodes) != 1 || back.Nodes[0].ID != env.Nodes[0].ID {
 		t.Fatalf("round trip mangled envelope: %+v", back)
 	}

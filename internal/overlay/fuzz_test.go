@@ -28,14 +28,19 @@ func FuzzParseID(f *testing.F) {
 	})
 }
 
-// FuzzOnMessage delivers arbitrary bytes as an overlay message: malformed
-// frames must be dropped without panicking or corrupting state.
+// FuzzOnMessage delivers arbitrary bytes as an overlay message of every
+// type the node dispatches on (JSON envelope, binary RPC envelope, binary
+// data envelope): malformed frames must be dropped without panicking or
+// corrupting state.
 func FuzzOnMessage(f *testing.F) {
 	f.Add([]byte(`{"k":"route","a":"x"}`))
 	f.Add([]byte(`{"k":"join"}`))
-	f.Add([]byte(`{"k":"resp","r":1}`))
+	f.Add([]byte(`{"k":"route-ack","ack":1}`))
 	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"k":"req","a":"missing","r":9}`))
+	f.Add([]byte(`{"k":"direct","a":"missing"}`))
+	f.Add(rpcFrame(fullRPC()))
+	f.Add(rpcFrame(rpcEnvelope{Kind: rpcRequest, ReqID: 9, App: "missing", Src: NodeInfo{ID: HashID("fuzz-a"), Addr: "sim://0"}}))
+	f.Add(rpcFrame(fullRPC())[:15])
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		sim := netsim.New(1)
 		nw := netsim.NewNetwork(sim, netsim.Config{})
@@ -47,7 +52,9 @@ func FuzzOnMessage(f *testing.F) {
 		b.Join(a.Addr(), nil)
 		sim.Run()
 		// Inject the raw payload directly into b's handler.
-		b.onMessage(a.Addr(), transport.Message{Type: msgType, Payload: payload})
+		for _, typ := range []string{msgType, msgTypeRPC, msgTypeData} {
+			b.onMessage(a.Addr(), transport.Message{Type: typ, Payload: payload})
+		}
 		sim.RunUntil(sim.Now() + 10e9)
 		// The node must still route afterwards.
 		delivered := false
@@ -74,7 +81,7 @@ func FuzzParseDataEnvelope(f *testing.F) {
 	f.Add([]byte{255})
 	f.Add([]byte{3, 'a', 'p', 'p', 200})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		app, from, body, ok := parseDataEnvelope(payload)
+		app, from, body, ok := parseHeader(payload)
 		if ok && !bytes.Equal(dataEnvelope(app, from, body), payload) {
 			t.Fatalf("accepted envelope does not re-encode to its input: app %q from %+v body %x", app, from, body)
 		}

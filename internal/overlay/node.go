@@ -27,8 +27,9 @@ type RequestHandler func(from NodeInfo, body []byte, respond func(body []byte, e
 // time.
 var ErrTimeout = errors.New("overlay: request timed out")
 
-// envelope is the wire format for every overlay message, JSON-encoded into
-// transport.Message.Payload.
+// envelope is the wire format for routing, membership and routed or direct
+// application messages, JSON-encoded into transport.Message.Payload. Data
+// units and RPCs ride the binary envelopes of data.go and rpc.go.
 type envelope struct {
 	Kind   string     `json:"k"`
 	App    string     `json:"a,omitempty"`
@@ -36,9 +37,7 @@ type envelope struct {
 	Src    NodeInfo   `json:"src,omitempty"`
 	Hops   int        `json:"h,omitempty"`
 	Body   []byte     `json:"b,omitempty"`
-	ReqID  uint64     `json:"r,omitempty"`
 	Ack    uint64     `json:"ack,omitempty"` // hop-by-hop route ack id
-	Err    string     `json:"e,omitempty"`
 	Nodes  []NodeInfo `json:"n,omitempty"`
 	Joiner NodeInfo   `json:"j,omitempty"`
 }
@@ -49,8 +48,6 @@ const (
 	kindJoinReply   = "join-reply"
 	kindAnnounce    = "announce"
 	kindAnnounceAck = "announce-ack"
-	kindRequest     = "req"
-	kindResponse    = "resp"
 	kindLeafXchg    = "ls-exchange"
 	kindDirect      = "direct"
 	kindRouteAck    = "route-ack"
@@ -283,22 +280,6 @@ func (n *Node) onDropped(from transport.Addr, msg transport.Message) {
 	}
 }
 
-// Request sends a direct request to a specific node and invokes cb with the
-// response or an error. The callback always runs exactly once.
-func (n *Node) Request(to transport.Addr, app string, body []byte, timeout time.Duration, cb func(body []byte, err error)) {
-	n.nextReq++
-	id := n.nextReq
-	p := &pendingReq{cb: cb}
-	p.cancel = n.clk.After(timeout, func() {
-		if _, ok := n.pending[id]; ok {
-			delete(n.pending, id)
-			cb(nil, ErrTimeout)
-		}
-	})
-	n.pending[id] = p
-	n.send(to, envelope{Kind: kindRequest, App: app, ReqID: id, Src: n.info, Body: body})
-}
-
 // Stabilize exchanges leaf sets with every current leaf-set member,
 // repairing gaps left by joins that raced each other.
 func (n *Node) Stabilize() {
@@ -486,8 +467,12 @@ func (n *Node) deliverLocal(env envelope) {
 }
 
 func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
-	if msg.Type == msgTypeData {
+	switch msg.Type {
+	case msgTypeData:
 		n.onDataMessage(msg)
+		return
+	case msgTypeRPC:
+		n.onRPCMessage(msg)
 		return
 	}
 	if msg.Type != msgType {
@@ -545,34 +530,6 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 		for _, info := range env.Nodes {
 			n.learn(info)
 		}
-	case kindRequest:
-		h, ok := n.rpcs[env.App]
-		if !ok {
-			n.send(env.Src.Addr, envelope{Kind: kindResponse, ReqID: env.ReqID, Src: n.info, Err: "overlay: no handler for app " + env.App})
-			return
-		}
-		reqID := env.ReqID
-		src := env.Src
-		responded := false
-		h(src, env.Body, func(body []byte, errStr string) {
-			if responded {
-				return
-			}
-			responded = true
-			n.send(src.Addr, envelope{Kind: kindResponse, ReqID: reqID, Src: n.info, Body: body, Err: errStr})
-		})
-	case kindResponse:
-		p, ok := n.pending[env.ReqID]
-		if !ok {
-			return // late or duplicate response
-		}
-		delete(n.pending, env.ReqID)
-		p.cancel()
-		if env.Err != "" {
-			p.cb(nil, errors.New(env.Err))
-			return
-		}
-		p.cb(env.Body, nil)
 	}
 }
 

@@ -102,3 +102,66 @@ func TestShardedDeliveryPreservesSubstreamOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestConservationAcrossRecompose tears a streaming application down and
+// recomposes it (the adaptation plane's full-recompose path) while units
+// are in flight. The units that reach a host after its component is gone
+// used to vanish from the books; they are drops (DropsStale, charged to the
+// receiving engine's flow), so emitted = delivered + dropped holds exactly
+// across the reallocation.
+func TestConservationAcrossRecompose(t *testing.T) {
+	const reqID = "cons-realloc"
+	s := deploy.NewSystem(deploy.SystemOptions{Nodes: 16, Seed: 11})
+	origin := s.Engines[0]
+	submit(t, s, 0, simpleRequest(reqID, 80, "filter", "transcode", "analyze"), &core.MinCost{})
+	// Three recomposes, each mid-stream: every one strands the units that
+	// were between hosts, and replaces the sink (Throughput reads only the
+	// live one, so the earlier sinks' deliveries are summed here).
+	var delivered, deliveredBytes int64
+	for round := 0; round < 3; round++ {
+		s.Sim.RunUntil(s.Sim.Now() + 2*time.Second)
+		old := origin.Sink(reqID, 0)
+		done := false
+		var rerr error
+		origin.Recompose(reqID, false, func(err error) { done, rerr = true, err })
+		runUntilDone(t, s, &done)
+		if rerr != nil {
+			t.Fatalf("recompose %d: %v", round, rerr)
+		}
+		if origin.Sink(reqID, 0) == old {
+			t.Fatalf("recompose %d did not install a fresh sink", round)
+		}
+		delivered += old.Received
+		deliveredBytes += old.DeliveredBytes
+	}
+	s.Sim.RunUntil(s.Sim.Now() + 2*time.Second)
+	origin.StopSources(reqID)
+	s.Sim.RunUntil(s.Sim.Now() + 3*time.Second)
+
+	var total stream.Throughput
+	var stale int64
+	for _, e := range s.Engines {
+		total.Accumulate(e.Throughput(reqID, 0))
+		stale += e.DropsStale
+	}
+	if total.DeliveredUnits == 0 {
+		t.Fatal("the last composition delivered nothing")
+	}
+	delivered += total.DeliveredUnits
+	deliveredBytes += total.DeliveredBytes
+	if stale == 0 {
+		t.Fatal("no unit was in flight to a torn-down component; the scenario no longer covers the stale path")
+	}
+	if total.DroppedUnits < stale {
+		t.Fatalf("%d stale units but only %d drops charged to the flow", stale, total.DroppedUnits)
+	}
+	if total.EmittedUnits != delivered+total.DroppedUnits {
+		t.Fatalf("unit conservation violated across the recompose: emitted %d != delivered %d + dropped %d (leak of %d, %d stale)",
+			total.EmittedUnits, delivered, total.DroppedUnits, total.EmittedUnits-delivered-total.DroppedUnits, stale)
+	}
+	if total.EmittedBytes != deliveredBytes+total.DroppedBytes {
+		t.Fatalf("byte conservation violated across the recompose: emitted %d != delivered %d + dropped %d",
+			total.EmittedBytes, deliveredBytes, total.DroppedBytes)
+	}
+	t.Logf("conserved: emitted=%d delivered=%d dropped=%d (stale %d)", total.EmittedUnits, delivered, total.DroppedUnits, stale)
+}

@@ -20,13 +20,17 @@ import (
 // and drop accounting of a fixed scenario. They were captured when the
 // per-unit JSON messages were replaced by the binary batch codec, which
 // moved them once because a unit is smaller on the wire (previously
-// 150cb600d3e9bf1b / 8f344a8bc414479b). A change that is not meant to alter
-// what a unit costs on the wire, when it is sent or how it is scheduled must
-// leave them alone; one that is records the old and new values and the
-// scenario counts below in CHANGES.md.
+// 150cb600d3e9bf1b / 8f344a8bc414479b), and re-pinned once more when the
+// submit path got shorter (binary RPC envelope, stats digest, pipelined
+// gather; previously 0092987421d95a4b / a9421c420c983afd): the scenarios
+// compose 5 ms and 25 ms earlier, so every timestamp after that moves and
+// the congested stream meets the background flows at a different phase. A
+// change that is not meant to alter what a unit costs on the wire, when it
+// is sent or how it is scheduled must leave them alone; one that is records
+// the old and new values and the scenario counts below in CHANGES.md.
 const (
-	goldenSmoothDigest    = "0092987421d95a4b"
-	goldenCongestedDigest = "a9421c420c983afd"
+	goldenSmoothDigest    = "24ba12418100cc5c"
+	goldenCongestedDigest = "ed348adefeea69f1"
 )
 
 // scenarioCounts is what a digest scenario delivered and dropped, summed
@@ -49,7 +53,8 @@ func dataPlaneDigest(t *testing.T, opts deploy.SystemOptions, reqID string, rate
 	}
 	req := simpleRequest(reqID, rate, chain...)
 	submit(t, s, 0, req, &core.MinCost{})
-	s.Sim.RunUntil(s.Sim.Now() + runFor)
+	composedAt := s.Sim.Now()
+	s.Sim.RunUntil(composedAt + runFor)
 
 	h := fnv.New64a()
 	foldEvents(h, buf, s)
@@ -73,7 +78,7 @@ func dataPlaneDigest(t *testing.T, opts deploy.SystemOptions, reqID string, rate
 		c.uplink += e.DropsUplink
 		c.downlink += e.DropsDownlink
 	}
-	t.Logf("%s: %+v", reqID, c)
+	t.Logf("%s: composed at %v, %+v", reqID, composedAt, c)
 	return fmt.Sprintf("%016x", h.Sum64()), c
 }
 
@@ -189,10 +194,11 @@ func TestDataPlaneDigest(t *testing.T) {
 // link congestion, covering uplink and downlink drop accounting order. The
 // counts are pinned beside the digest so a re-pin cannot hide a scenario
 // that delivers less: on the per-unit JSON messages this run delivered 239
-// of 724 and dropped 0/0/2/387.
+// of 724 and dropped 0/0/2/387; composed 25 ms later (JSON RPCs) it
+// delivered 269 of 724 and dropped 0/0/0/375.
 func TestDataPlaneDigestUnderCongestion(t *testing.T) {
 	got, c := congestedDigest(t, congestedOpts())
-	if want := (scenarioCounts{emitted: 724, received: 269, downlink: 375}); c != want {
+	if want := (scenarioCounts{emitted: 725, received: 279, uplink: 1, downlink: 398}); c != want {
 		t.Errorf("congested scenario counts = %+v, want %+v", c, want)
 	}
 	if got != goldenCongestedDigest {

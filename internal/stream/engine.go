@@ -8,7 +8,6 @@ import (
 	"rasc.dev/rasc/internal/clock"
 	"rasc.dev/rasc/internal/control"
 	"rasc.dev/rasc/internal/core"
-	"rasc.dev/rasc/internal/discovery"
 	"rasc.dev/rasc/internal/federation"
 	"rasc.dev/rasc/internal/monitor"
 	"rasc.dev/rasc/internal/overlay"
@@ -83,6 +82,13 @@ type unitTask struct {
 	msg  dataMsg
 }
 
+// Directory is what the engine needs of service discovery
+// (*discovery.Directory in every deployment): the hosts offering one
+// service, sorted by ID, through a callback that runs exactly once.
+type Directory interface {
+	Lookup(service string, timeout time.Duration, cb func([]overlay.NodeInfo, error))
+}
+
 // Engine is one node's stream-processing runtime: it hosts components,
 // runs the node's ready queues on its simulated CPUs (one unless
 // DataPlane.Shards says otherwise), serves the stats and instantiation
@@ -94,7 +100,7 @@ type Engine struct {
 	cfg  Config
 
 	Monitor *monitor.NodeMonitor
-	Dir     *discovery.Directory
+	Dir     Directory
 
 	// shards are the execution contexts (ready queue + simulated core).
 	// batches holds the open per-destination unit batches, batchSeq the
@@ -164,6 +170,7 @@ type Engine struct {
 	DropsLaxity    int64
 	DropsUplink    int64
 	DropsDownlink  int64
+	DropsStale     int64 // addressed to a component already torn down
 
 	// Catalog supplies service definitions for locally hosted services.
 	Catalog map[string]spec.ServiceDef
@@ -171,7 +178,7 @@ type Engine struct {
 
 // NewEngine attaches a stream runtime to an overlay node. dir may be nil
 // for pure worker nodes that never submit requests.
-func NewEngine(node *overlay.Node, clk clock.Clock, dir *discovery.Directory, catalog map[string]spec.ServiceDef, rng *rand.Rand, cfg Config) *Engine {
+func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[string]spec.ServiceDef, rng *rand.Rand, cfg Config) *Engine {
 	cfg.defaults()
 	e := &Engine{
 		node:           node,
@@ -295,20 +302,16 @@ func (e *Engine) Sink(req string, substream int) *Sink {
 
 func sinkKey(req string, substream int) string { return req + "/" + itoa(substream) }
 
-// onStats serves the monitoring report to composing nodes, optionally from
-// a bounded-age cache (the stale-statistics ablation).
+// onStats serves the monitoring report to composing nodes as a fixed-size
+// digest (monitor.AppendDigest), optionally from a bounded-age cache (the
+// stale-statistics ablation).
 func (e *Engine) onStats(_ overlay.NodeInfo, _ []byte, respond func([]byte, string)) {
 	now := e.clk.Now()
 	if e.cfg.StatsMaxAge > 0 && e.statsCache != nil && now-e.statsCacheAt < e.cfg.StatsMaxAge {
 		respond(e.statsCache, "")
 		return
 	}
-	rep := e.Monitor.Report(now)
-	b, err := json.Marshal(rep)
-	if err != nil {
-		respond(nil, "stream: marshal stats: "+err.Error())
-		return
-	}
+	b := monitor.AppendDigest(make([]byte, 0, monitor.DigestSize), e.Monitor.Report(now))
 	if e.cfg.StatsMaxAge > 0 {
 		e.statsCache = b
 		e.statsCacheAt = now
@@ -349,8 +352,9 @@ func (e *Engine) onTeardown(_ overlay.NodeInfo, body []byte, respond func([]byte
 	respond([]byte("ok"), "")
 }
 
-// StopRequest stops local sources and removes local components of req.
-// Sinks (and flow counters) are kept so their statistics remain readable.
+// StopRequest stops local sources and removes local components of req,
+// with their monitor rows. Sinks (and flow counters) are kept so their
+// statistics remain readable.
 func (e *Engine) StopRequest(req string) {
 	e.StopSources(req)
 	for key, c := range e.comps {
@@ -358,6 +362,7 @@ func (e *Engine) StopRequest(req string) {
 			delete(e.comps, key)
 		}
 	}
+	e.Monitor.Forget(req + "/")
 	delete(e.origins, req)
 }
 
@@ -375,26 +380,19 @@ func (e *Engine) StopSources(req string) {
 	e.flushAll()
 }
 
-// dropArrival records a data unit lost at this node's downlink. The drop is
-// attributed to the component or sink the unit was addressed to, feeding
-// the drop-ratio statistic exactly like a queue or deadline drop.
+// dropArrival records a data unit lost at this node's downlink. The drop
+// feeds the node's drop ratio (and its component's, while that has a
+// monitor row) exactly like a queue or deadline drop, and is charged to the
+// unit's flow whether it was addressed to a sink, a component or one
+// already torn down.
 func (e *Engine) dropArrival(m dataMsg) {
 	e.DropsDownlink++
 	telDropDownlink.Inc()
 	e.traceEvent(trace.KindDrop, m, m.Stage, "downlink")
-	if s, ok := e.sinks[sinkKey(m.Req, m.Substream)]; ok && m.Stage == s.Stages {
-		e.Monitor.ObserveDrop("sink:"+sinkKey(m.Req, m.Substream), "sink")
-		f := e.flowFor(m.Req, m.Substream)
-		f.droppedUnits++
-		f.droppedBytes += int64(m.Size)
-		return
-	}
-	key := componentKey(m.Req, m.Substream, m.Stage)
-	if c, ok := e.comps[key]; ok {
-		e.Monitor.ObserveDrop(key, c.msg.Service)
-		c.flow.droppedUnits++
-		c.flow.droppedBytes += int64(m.Size)
-	}
+	e.Monitor.ObserveDrop(componentKey(m.Req, m.Substream, m.Stage), "")
+	f := e.flowFor(m.Req, m.Substream)
+	f.droppedUnits++
+	f.droppedBytes += int64(m.Size)
 }
 
 // handleUnit handles an arriving data unit: sink delivery, or a pooled
@@ -402,7 +400,7 @@ func (e *Engine) dropArrival(m dataMsg) {
 func (e *Engine) handleUnit(m dataMsg) {
 	now := e.clk.Now()
 	if s, ok := e.sinks[sinkKey(m.Req, m.Substream)]; ok && m.Stage == s.Stages {
-		e.Monitor.ObserveArrival("sink:"+sinkKey(m.Req, m.Substream), "sink", now, m.Size)
+		e.Monitor.ObserveInbound(now, m.Size)
 		telDelivered.Inc()
 		telDeliveryDelay.ObserveDuration(now - m.Created)
 		e.traceEvent(trace.KindDeliver, m, m.Stage, "")
@@ -412,7 +410,15 @@ func (e *Engine) handleUnit(m dataMsg) {
 	key := componentKey(m.Req, m.Substream, m.Stage)
 	c, ok := e.comps[key]
 	if !ok {
-		return // stale unit for a torn-down component
+		// A unit in flight when a teardown or reallocation removed its
+		// component is a drop, or emitted = delivered + dropped leaks.
+		e.DropsStale++
+		telDropStale.Inc()
+		e.traceEvent(trace.KindDrop, m, m.Stage, "stale")
+		f := e.flowFor(m.Req, m.Substream)
+		f.droppedUnits++
+		f.droppedBytes += int64(m.Size)
+		return
 	}
 	e.Monitor.ObserveArrival(key, c.msg.Service, now, m.Size)
 	e.traceEvent(trace.KindArrive, m, m.Stage, c.msg.Service)

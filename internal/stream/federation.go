@@ -1,14 +1,11 @@
 package stream
 
 import (
-	"fmt"
 	"sort"
 
 	"rasc.dev/rasc/internal/control"
 	"rasc.dev/rasc/internal/core"
 	"rasc.dev/rasc/internal/federation"
-	"rasc.dev/rasc/internal/monitor"
-	"rasc.dev/rasc/internal/overlay"
 )
 
 // SetFederation joins the engine into a federated deployment. Composition
@@ -61,31 +58,23 @@ func (e *Engine) OnRemoteClusterLost(cluster string) {
 // substream's components are instantiated later by the origin, exactly
 // like locally composed placements.
 func (e *Engine) composeForFederation(h federation.HandoffRequest, done func(*core.ExecutionGraph, error)) {
-	if e.Dir == nil {
-		done(nil, fmt.Errorf("stream: node has no discovery directory"))
-		return
-	}
 	composer, err := core.ByName(h.Composer)
 	if err != nil {
 		done(nil, err)
 		return
 	}
-	timeout := e.adaptConfig().Timeout
-	e.Dir.LookupMany(h.Request.Services(), timeout, func(hosts map[string][]overlay.NodeInfo, err error) {
+	e.gatherInput(h.Request, e.adaptConfig().Timeout, func(in core.Input, err error) {
 		if err != nil {
-			done(nil, fmt.Errorf("stream: federated discovery: %w", err))
+			done(nil, err)
 			return
 		}
-		e.collectStats(hosts, timeout, func(reports map[overlay.ID]monitor.Report) {
-			in := e.buildInput(h.Request, hosts, reports)
-			// The fragment spans the origin's endpoints, not this node's:
-			// flow conservation on the stitched graph needs the real
-			// source and destination on both sides of the boundary.
-			in.Source = h.Source
-			in.Dest = h.Dest
-			in.SourceReport = h.SourceReport
-			in.DestReport = h.DestReport
-			done(composer.Compose(in))
-		})
+		// The fragment spans the origin's endpoints, not this node's:
+		// flow conservation on the stitched graph needs the real
+		// source and destination on both sides of the boundary.
+		in.Source = h.Source
+		in.Dest = h.Dest
+		in.SourceReport = h.SourceReport
+		in.DestReport = h.DestReport
+		done(composer.Compose(in))
 	})
 }

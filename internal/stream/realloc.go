@@ -8,7 +8,6 @@ import (
 
 	"rasc.dev/rasc/internal/control"
 	"rasc.dev/rasc/internal/core"
-	"rasc.dev/rasc/internal/monitor"
 	"rasc.dev/rasc/internal/overlay"
 )
 
@@ -44,10 +43,6 @@ func (e *Engine) Reallocate(app string, degraded map[overlay.ID]bool, substreams
 	st, ok := e.origins[app]
 	if !ok {
 		done(control.ErrUnknownApp)
-		return
-	}
-	if e.Dir == nil {
-		done(fmt.Errorf("stream: engine has no discovery directory"))
 		return
 	}
 	cfg := e.adaptConfig()
@@ -86,32 +81,29 @@ func (e *Engine) Reallocate(app string, degraded map[overlay.ID]bool, substreams
 	// the originally desired one: the delta solve relocates the rate the
 	// application actually carries.
 	req := st.graph.Request
-	e.Dir.LookupMany(req.Services(), cfg.Timeout, func(hosts map[string][]overlay.NodeInfo, err error) {
+	e.gatherInput(req, cfg.Timeout, func(in core.Input, err error) {
 		if err != nil {
-			done(fmt.Errorf("stream: discovery: %w", err))
+			done(err)
 			return
 		}
-		e.collectStats(hosts, cfg.Timeout, func(reports map[overlay.ID]monitor.Report) {
-			if cur, ok := e.origins[app]; !ok || cur != st {
-				// The application was torn down or fully recomposed
-				// while stats were in flight.
-				done(control.ErrUnknownApp)
-				return
-			}
-			in := e.buildInput(req, hosts, reports)
-			in.Stats = &core.ComposeStats{}
-			solveStart := e.clk.Now()
-			g, err := dc.ComposeDelta(in, st.graph, degraded, affected)
-			e.observeSolve(app, in.Stats, solveStart, err)
-			if err != nil {
-				done(err)
-				return
-			}
-			applyStart := e.clk.Now()
-			e.applyDelta(app, st, g, affectedSet, cfg.Timeout, func(err error) {
-				e.observeApply(app, applyStart, err)
-				done(err)
-			})
+		if cur, ok := e.origins[app]; !ok || cur != st {
+			// The application was torn down or fully recomposed
+			// while stats were in flight.
+			done(control.ErrUnknownApp)
+			return
+		}
+		in.Stats = &core.ComposeStats{}
+		solveStart := e.clk.Now()
+		g, err := dc.ComposeDelta(in, st.graph, degraded, affected)
+		e.observeSolve(app, in.Stats, solveStart, err)
+		if err != nil {
+			done(err)
+			return
+		}
+		applyStart := e.clk.Now()
+		e.applyDelta(app, st, g, affectedSet, cfg.Timeout, func(err error) {
+			e.observeApply(app, applyStart, err)
+			done(err)
 		})
 	})
 }

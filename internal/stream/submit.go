@@ -14,6 +14,14 @@ import (
 	"rasc.dev/rasc/internal/spec"
 )
 
+// Sentinel errors of the submit path, wrapped with their cause; the facade
+// re-exports them.
+var (
+	ErrNoDirectory   = errors.New("stream: engine has no discovery directory")
+	ErrDiscovery     = errors.New("stream: discovery failed")
+	ErrInstantiation = errors.New("stream: instantiation failed")
+)
+
 // Submit runs the full RASC composition pipeline for a request originated
 // at this engine (the steps of §3.1): discover the hosts offering each
 // requested service through the DHT, fetch their monitoring reports,
@@ -28,7 +36,7 @@ func (e *Engine) Submit(req spec.Request, composer core.Composer, timeout time.D
 		return
 	}
 	if e.Dir == nil {
-		cb(nil, fmt.Errorf("stream: engine has no discovery directory"))
+		cb(nil, ErrNoDirectory)
 		return
 	}
 	// The admission gate decides before any network work: a rejected or
@@ -40,94 +48,94 @@ func (e *Engine) Submit(req spec.Request, composer core.Composer, timeout time.D
 	if parked {
 		return
 	}
-	services := req.Services()
-	e.Dir.LookupMany(services, timeout, func(hosts map[string][]overlay.NodeInfo, err error) {
+	e.gatherInput(req, timeout, func(in core.Input, err error) {
 		if err != nil {
-			cb(nil, fmt.Errorf("stream: discovery: %w", err))
+			cb(nil, err)
 			return
 		}
-		e.gatherStats(req, desired, composer, timeout, hosts, cb)
+		e.compose(in, desired, composer, timeout, cb)
 	})
 }
 
-// gatherStats fetches monitoring reports from every distinct candidate
-// host, then proceeds to composition.
-func (e *Engine) gatherStats(req, desired spec.Request, composer core.Composer, timeout time.Duration,
-	hosts map[string][]overlay.NodeInfo, cb func(*core.ExecutionGraph, error)) {
-
-	e.collectStats(hosts, timeout, func(reports map[overlay.ID]monitor.Report) {
-		e.compose(req, desired, composer, timeout, hosts, reports, cb)
-	})
-}
-
-// collectStats fetches monitoring reports for every distinct host in the
-// candidate map — from the local monitor, the gossip-fresh stats provider,
-// or a stats RPC, in that order — and calls finish with what it got.
-func (e *Engine) collectStats(hosts map[string][]overlay.NodeInfo, timeout time.Duration,
-	finishWith func(map[overlay.ID]monitor.Report)) {
-
-	// Deterministic ordering: distinct hosts sorted by ID.
-	byID := make(map[overlay.ID]overlay.NodeInfo)
-	for _, list := range hosts {
-		for _, h := range list {
-			byID[h.ID] = h
-		}
-	}
-	var unique []overlay.NodeInfo
-	for _, h := range byID {
-		unique = append(unique, h)
-	}
-	sort.Slice(unique, func(i, j int) bool { return unique[i].ID.Cmp(unique[j].ID) < 0 })
-
-	reports := make(map[overlay.ID]monitor.Report)
-	remaining := len(unique)
-	finish := func() {
-		finishWith(reports)
-	}
-	if remaining == 0 {
-		finish()
+// gatherInput is the discover → fetch-statistics half of §3.1, pipelined:
+// one directory lookup per requested service, and as each lookup lands a
+// stats fetch to every host no earlier lookup already named — from the
+// local monitor, the gossip-fresh stats provider, or a stats RPC, in that
+// order. It finishes when every lookup and every fetch has answered, with
+// the composer input built from what they returned, or with the first
+// lookup error wrapped in ErrDiscovery. A host whose fetch times out is
+// pruned from the overlay state and, like any host whose fetch failed, is
+// not a candidate.
+func (e *Engine) gatherInput(req spec.Request, timeout time.Duration, cb func(core.Input, error)) {
+	if e.Dir == nil {
+		cb(core.Input{}, ErrNoDirectory)
 		return
 	}
-	for _, h := range unique {
-		h := h
+	services := req.Services()
+	hosts := make(map[string][]overlay.NodeInfo, len(services))
+	reports := make(map[overlay.ID]monitor.Report)
+	asked := make(map[overlay.ID]bool)
+	var lookupErr error
+	// pending counts unanswered lookups and stats RPCs, plus one for this
+	// call itself until it has issued every lookup, so a directory that
+	// answers inside Lookup cannot finish the gather early.
+	pending := 1
+	settle := func() {
+		if pending--; pending > 0 {
+			return
+		}
+		if lookupErr != nil {
+			cb(core.Input{}, fmt.Errorf("%w: %w", ErrDiscovery, lookupErr))
+			return
+		}
+		cb(e.buildInput(req, hosts, reports), nil)
+	}
+	fetch := func(h overlay.NodeInfo) {
 		if h.ID == e.node.ID() {
-			// Local host: read the monitor directly.
 			reports[h.ID] = e.Monitor.Report(e.clk.Now())
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-			continue
+			return
 		}
 		if e.statsProvider != nil {
 			if rep, ok := e.statsProvider(h.ID); ok {
-				// Gossip-fresh digest: no fetch round trip.
-				reports[h.ID] = rep
-				remaining--
-				if remaining == 0 {
-					finish()
-				}
-				continue
+				reports[h.ID] = rep // gossip-fresh digest: no round trip
+				return
 			}
 		}
+		pending++
 		e.node.Request(h.Addr, appStats, nil, timeout, func(body []byte, err error) {
 			if err == nil {
-				var rep monitor.Report
-				if json.Unmarshal(body, &rep) == nil {
+				if rep, perr := monitor.ParseDigest(body); perr == nil {
 					reports[h.ID] = rep
 				}
 			} else if errors.Is(err, overlay.ErrTimeout) {
-				// A silent host is treated as failed: prune it from
-				// the local routing state so subsequent lookups and
-				// routes steer around it.
+				// A silent host is treated as failed: prune it from the
+				// local routing state so subsequent lookups and routes
+				// steer around it.
 				e.node.RemovePeer(h.ID)
 			}
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
+			settle()
 		})
 	}
+	for _, svc := range services {
+		svc := svc
+		pending++
+		e.Dir.Lookup(svc, timeout, func(found []overlay.NodeInfo, err error) {
+			if err != nil && lookupErr == nil {
+				lookupErr = err
+			}
+			hosts[svc] = found
+			if lookupErr == nil { // a failed gather asks no one else
+				for _, h := range found {
+					if !asked[h.ID] {
+						asked[h.ID] = true
+						fetch(h)
+					}
+				}
+			}
+			settle()
+		})
+	}
+	settle()
 }
 
 // buildInput assembles the composer input from discovery and monitoring
@@ -172,13 +180,12 @@ func (e *Engine) buildInput(req spec.Request, hosts map[string][]overlay.NodeInf
 	return core.FilterCluster(in, cluster)
 }
 
-// compose builds the composer input and runs composition, then moves on to
+// compose runs composition over the gathered input, then moves on to
 // instantiation.
-func (e *Engine) compose(req, desired spec.Request, composer core.Composer, timeout time.Duration,
-	hosts map[string][]overlay.NodeInfo, reports map[overlay.ID]monitor.Report,
+func (e *Engine) compose(in core.Input, desired spec.Request, composer core.Composer, timeout time.Duration,
 	cb func(*core.ExecutionGraph, error)) {
 
-	in := e.buildInput(req, hosts, reports)
+	req := in.Request
 	st := e.composeCapture[req.ID]
 	if st != nil {
 		in.Stats = st
@@ -230,16 +237,16 @@ func (e *Engine) stageUnitBytes(req spec.Request, substream int) []int {
 func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeout time.Duration, cb func(*core.ExecutionGraph, error)) {
 	byPlacement, sourceOuts := graphOuts(g)
 	remaining := len(g.Placements)
-	failed := false
+	var failed error
 	done := func() {
-		if failed {
+		if failed != nil {
 			// Roll back the partial instantiation: hosts that acked are
 			// holding components that will never see traffic, silently
 			// consuming their capacity. Teardown is idempotent on hosts
 			// that never acked, so blanket-tearing the graph leaves every
 			// host's view exactly as before the attempt.
 			e.teardown(g, timeout)
-			cb(nil, fmt.Errorf("stream: instantiation failed for request %s", g.Request.ID))
+			cb(nil, fmt.Errorf("%w for request %s: %w", ErrInstantiation, g.Request.ID, failed))
 			return
 		}
 		e.activate(g, sourceOuts, desired)
@@ -253,8 +260,8 @@ func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeo
 		p := p
 		body, _ := json.Marshal(e.instantiateMsgFor(g, p, byPlacement))
 		e.node.Request(p.Host.Addr, appInstantiate, body, timeout, func(_ []byte, err error) {
-			if err != nil {
-				failed = true
+			if err != nil && failed == nil {
+				failed = fmt.Errorf("%s@%s: %w", p.Service, p.Host.Addr, err)
 			}
 			remaining--
 			if remaining == 0 {

@@ -43,6 +43,7 @@ var (
 	telDropLaxity    = telStreamDropped.With("laxity")
 	telDropUplink    = telStreamDropped.With("uplink")
 	telDropDownlink  = telStreamDropped.With("downlink")
+	telDropStale     = telStreamDropped.With("stale")
 
 	// Batched data plane (metric catalogue rasc_dataplane_*).
 	telDataplaneFlush = telemetry.Default().CounterVec(

@@ -4,8 +4,8 @@ import "sort"
 
 // flowCounters accumulates one engine's per-substream data-plane counters.
 // Sources charge emissions, components charge forwards, and every drop
-// cause (queue-full, laxity, uplink, downlink — including source uplink
-// drops, which the engine's Drops* diagnostic counters do not count)
+// cause (queue-full, laxity, uplink, downlink, stale — including source
+// uplink drops, which the engine's Drops* diagnostic counters do not count)
 // charges the dropped fields, so emitted = delivered + dropped + in-flight
 // holds per substream across a deployment.
 type flowCounters struct {

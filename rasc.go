@@ -228,8 +228,8 @@ func (c *Composition) NumHosts() int { return core.NumHosts(c.Graph) }
 // DeliveryStats. Equivalent to SubmitContext with context.Background().
 //
 // Failures wrap the facade's sentinel errors — ErrUnknownComposer,
-// ErrUnknownService, ErrRequestIDTooLong, ErrNoComposition — so callers
-// branch with errors.Is.
+// ErrUnknownService, ErrRequestIDTooLong, ErrNoComposition, ErrDiscovery,
+// ErrNoDirectory, ErrInstantiation — so callers branch with errors.Is.
 func (s *System) Submit(origin int, req Request, composer Composer) (*Composition, error) {
 	return s.SubmitContext(context.Background(), origin, req, composer)
 }
