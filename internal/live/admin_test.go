@@ -65,6 +65,7 @@ func TestAdminEndpoint(t *testing.T) {
 		`rasc_sched_scheduled_total{policy="llf"}`,
 		"# TYPE rasc_stream_dropped_total counter",
 		`rasc_stream_dropped_total{cause="laxity"}`,
+		"# TYPE rasc_stream_early_units_total counter",
 		"# TYPE rasc_transport_messages_total counter",
 		`rasc_transport_messages_total{transport="tcp",direction="in"}`,
 		"# TYPE rasc_monitor_reports_total counter",

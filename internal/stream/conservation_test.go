@@ -49,8 +49,11 @@ func TestDataPlaneConservationUnderChaos(t *testing.T) {
 	s.Sim.RunUntil(s.Sim.Now() + 3*time.Second)
 
 	var total stream.Throughput
-	for _, e := range s.Engines {
+	for i, e := range s.Engines {
 		total.Accumulate(e.Throughput(reqID, 0))
+		if held := e.HeldUnits(); held != 0 {
+			t.Errorf("engine %d still holds %d early units after the drain", i, held)
+		}
 	}
 	if total.EmittedUnits == 0 {
 		t.Fatal("scenario emitted nothing")
@@ -140,9 +143,12 @@ func TestConservationAcrossRecompose(t *testing.T) {
 
 	var total stream.Throughput
 	var stale int64
-	for _, e := range s.Engines {
+	for i, e := range s.Engines {
 		total.Accumulate(e.Throughput(reqID, 0))
 		stale += e.DropsStale
+		if held := e.HeldUnits(); held != 0 {
+			t.Errorf("engine %d still holds %d early units after the drain", i, held)
+		}
 	}
 	if total.DeliveredUnits == 0 {
 		t.Fatal("the last composition delivered nothing")

@@ -376,7 +376,7 @@ func (e *Engine) onDataBatch(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 	scratch := decodeScratch.Get().(*[]dataMsg)
 	units := decodeBatchUnits(body, *scratch)
 	for i := range units {
-		e.handleUnit(units[i])
+		e.handleUnit(units[i], false)
 	}
 	*scratch = units[:0]
 	decodeScratch.Put(scratch)

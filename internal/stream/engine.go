@@ -26,7 +26,8 @@ type Config struct {
 	// SpeedFactor scales service processing times on this node
 	// (1 = reference speed; <1 is slower hardware). Default 1.
 	SpeedFactor float64
-	// QueueCapacity bounds the scheduler's ready queue (default 128).
+	// QueueCapacity bounds the scheduler's ready queue, and the buffer of
+	// units that arrived ahead of their component (default 128).
 	QueueCapacity int
 	// Window is the monitoring window size h (default monitor.DefaultWindow).
 	Window int
@@ -115,6 +116,15 @@ type Engine struct {
 	sinks   map[string]*Sink
 	sources map[string]*source
 
+	// early holds, in arrival order, the units that reached this engine
+	// ahead of the instantiate message creating their component (sources
+	// start when that message is sent, and it may take a slower path than
+	// the first units); at most QueueCapacity of them, oldest out first.
+	// stopped names the requests StopRequest ended here and no instantiate
+	// has revived: a unit for one of those is stale, not early.
+	early   []dataMsg
+	stopped map[string]bool
+
 	// origins tracks applications submitted from this engine, for the
 	// adaptation plane.
 	origins        map[string]*originState
@@ -170,7 +180,10 @@ type Engine struct {
 	DropsLaxity    int64
 	DropsUplink    int64
 	DropsDownlink  int64
-	DropsStale     int64 // addressed to a component already torn down
+	// DropsStale counts units with no component to run them: addressed to
+	// one already torn down, held as early when their request was stopped,
+	// or pushed out of the full early-unit buffer.
+	DropsStale int64
 
 	// Catalog supplies service definitions for locally hosted services.
 	Catalog map[string]spec.ServiceDef
@@ -193,6 +206,7 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[s
 		comps:          make(map[string]*component),
 		sinks:          make(map[string]*Sink),
 		sources:        make(map[string]*source),
+		stopped:        make(map[string]bool),
 		origins:        make(map[string]*originState),
 		composeCapture: make(map[string]*core.ComposeStats),
 		availDown:      make(map[string]time.Duration),
@@ -224,6 +238,9 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Components returns the number of live component instances.
 func (e *Engine) Components() int { return len(e.comps) }
+
+// HeldUnits returns the number of early units waiting for their component.
+func (e *Engine) HeldUnits() int { return len(e.early) }
 
 // ActiveRequests returns the number of requests originated at this engine
 // that are still running.
@@ -338,6 +355,8 @@ func (e *Engine) onInstantiate(_ overlay.NodeInfo, body []byte, respond func([]b
 		split: newSplitter(m.Outs),
 		flow:  e.flowFor(m.Req, m.Substream),
 	}
+	delete(e.stopped, m.Req)
+	e.replayEarly(m.Req, m.Substream, m.Stage)
 	respond([]byte("ok"), "")
 }
 
@@ -353,8 +372,8 @@ func (e *Engine) onTeardown(_ overlay.NodeInfo, body []byte, respond func([]byte
 }
 
 // StopRequest stops local sources and removes local components of req,
-// with their monitor rows. Sinks (and flow counters) are kept so their
-// statistics remain readable.
+// with their monitor rows, and drops the early units held for it. Sinks
+// (and flow counters) are kept so their statistics remain readable.
 func (e *Engine) StopRequest(req string) {
 	e.StopSources(req)
 	for key, c := range e.comps {
@@ -362,6 +381,10 @@ func (e *Engine) StopRequest(req string) {
 			delete(e.comps, key)
 		}
 	}
+	for _, m := range e.takeEarly(func(m dataMsg) bool { return m.Req == req }) {
+		e.dropStale(m)
+	}
+	e.stopped[req] = true
 	e.Monitor.Forget(req + "/")
 	delete(e.origins, req)
 }
@@ -395,9 +418,65 @@ func (e *Engine) dropArrival(m dataMsg) {
 	f.droppedBytes += int64(m.Size)
 }
 
+// dropStale records a unit that no component here will ever run, or
+// emitted = delivered + dropped leaks.
+func (e *Engine) dropStale(m dataMsg) {
+	e.DropsStale++
+	telDropStale.Inc()
+	e.traceEvent(trace.KindDrop, m, m.Stage, "stale")
+	f := e.flowFor(m.Req, m.Substream)
+	f.droppedUnits++
+	f.droppedBytes += int64(m.Size)
+}
+
+// earlyNote is appended to the service name in the arrive trace event of a
+// unit replayed from the early-unit buffer.
+const earlyNote = " early"
+
+// holdEarly keeps a unit whose component does not exist yet until
+// onInstantiate creates it (replayEarly), StopRequest stops its request, or
+// newer early units push it out of the full buffer.
+func (e *Engine) holdEarly(m dataMsg) {
+	if n := len(e.early); n > 0 && n >= e.cfg.QueueCapacity {
+		e.dropStale(e.early[0])
+		e.early = append(e.early[:0], e.early[1:]...)
+	}
+	e.early = append(e.early, m)
+}
+
+// takeEarly removes the held units that match from the buffer and returns
+// them, in arrival order.
+func (e *Engine) takeEarly(match func(dataMsg) bool) []dataMsg {
+	var taken []dataMsg
+	kept := e.early[:0]
+	for _, m := range e.early {
+		if match(m) {
+			taken = append(taken, m)
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	e.early = kept
+	return taken
+}
+
+// replayEarly hands the units held for a component just created to
+// handleUnit, in arrival order. Their Created stamp is untouched, so the
+// wait counts toward their delay.
+func (e *Engine) replayEarly(req string, substream, stage int) {
+	held := e.takeEarly(func(m dataMsg) bool {
+		return m.Req == req && m.Substream == substream && m.Stage == stage
+	})
+	for _, m := range held {
+		telEarlyUnits.Inc()
+		e.handleUnit(m, true)
+	}
+}
+
 // handleUnit handles an arriving data unit: sink delivery, or a pooled
-// enqueue onto the unit's shard for a local component.
-func (e *Engine) handleUnit(m dataMsg) {
+// enqueue onto the unit's shard for a local component. replayed marks a
+// unit coming out of the early-unit buffer.
+func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 	now := e.clk.Now()
 	if s, ok := e.sinks[sinkKey(m.Req, m.Substream)]; ok && m.Stage == s.Stages {
 		e.Monitor.ObserveInbound(now, m.Size)
@@ -410,18 +489,21 @@ func (e *Engine) handleUnit(m dataMsg) {
 	key := componentKey(m.Req, m.Substream, m.Stage)
 	c, ok := e.comps[key]
 	if !ok {
-		// A unit in flight when a teardown or reallocation removed its
-		// component is a drop, or emitted = delivered + dropped leaks.
-		e.DropsStale++
-		telDropStale.Inc()
-		e.traceEvent(trace.KindDrop, m, m.Stage, "stale")
-		f := e.flowFor(m.Req, m.Substream)
-		f.droppedUnits++
-		f.droppedBytes += int64(m.Size)
+		// In flight when a teardown removed its component, or ahead of the
+		// instantiate message that will create it.
+		if e.stopped[m.Req] {
+			e.dropStale(m)
+		} else {
+			e.holdEarly(m)
+		}
 		return
 	}
 	e.Monitor.ObserveArrival(key, c.msg.Service, now, m.Size)
-	e.traceEvent(trace.KindArrive, m, m.Stage, c.msg.Service)
+	note := c.msg.Service
+	if replayed {
+		note += earlyNote
+	}
+	e.traceEvent(trace.KindArrive, m, m.Stage, note)
 	period := time.Duration(float64(time.Second) / c.msg.Rate)
 	exec := e.Monitor.MeanProc(key)
 	if exec == 0 {

@@ -63,10 +63,16 @@ func near(got, want time.Duration) bool { return got >= want && got < want+time.
 
 func newGatherRig(t *testing.T, n int) *gatherRig {
 	t.Helper()
+	return newRig(t, n, func(a, b netsim.NodeID) time.Duration { return gatherRTT / 2 }, Config{})
+}
+
+// newRig is newGatherRig with the one-way latency between engines a and b
+// (their indices) and the engines' configuration (link capacities aside)
+// chosen by the test.
+func newRig(t *testing.T, n int, latency func(a, b netsim.NodeID) time.Duration, cfg Config) *gatherRig {
+	t.Helper()
 	sim := netsim.New(1)
-	nw := netsim.NewNetwork(sim, netsim.Config{
-		Latency: func(a, b netsim.NodeID) time.Duration { return gatherRTT / 2 },
-	})
+	nw := netsim.NewNetwork(sim, netsim.Config{Latency: latency})
 	mem := transport.NewMemNetwork(nw)
 	clk := clock.Sim{S: sim}
 	r := &gatherRig{
@@ -75,6 +81,7 @@ func newGatherRig(t *testing.T, n int) *gatherRig {
 		asked:  make([][]time.Duration, n),
 		silent: make(map[int]bool),
 	}
+	cfg.InBps, cfg.OutBps = 1e8, 1e8
 	catalog := map[string]spec.ServiceDef{}
 	for _, svc := range []string{"a", "b", "c"} {
 		catalog[svc] = spec.ServiceDef{Name: svc, ProcPerUnit: time.Millisecond, RateRatio: 1, BytesRatio: 1}
@@ -85,7 +92,7 @@ func newGatherRig(t *testing.T, n int) *gatherRig {
 		if i == 0 {
 			dir = r.dir
 		}
-		e := NewEngine(node, clk, dir, catalog, rand.New(rand.NewSource(int64(i))), Config{InBps: 1e8, OutBps: 1e8})
+		e := NewEngine(node, clk, dir, catalog, rand.New(rand.NewSource(int64(i))), cfg)
 		i := i
 		node.RegisterRequest(appStats, func(from overlay.NodeInfo, body []byte, respond func([]byte, string)) {
 			r.asked[i] = append(r.asked[i], sim.Now())

@@ -232,26 +232,33 @@ func (e *Engine) stageUnitBytes(req spec.Request, substream int) []int {
 	return sizes
 }
 
-// instantiate ships every placement to its host and, once all acks are in,
-// starts the request's sinks and sources.
+// instantiate ships every placement to its host and, in the same instant,
+// creates the request's sinks and starts its sources: the first units
+// travel while the acks do, and a host they reach ahead of its instantiate
+// message holds them (Engine.holdEarly). The acks are the commit: once all
+// are in the application is registered and cb runs; a failed or timed-out
+// one rolls everything back, sources included.
 func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeout time.Duration, cb func(*core.ExecutionGraph, error)) {
 	byPlacement, sourceOuts := graphOuts(g)
 	remaining := len(g.Placements)
 	var failed error
 	done := func() {
 		if failed != nil {
-			// Roll back the partial instantiation: hosts that acked are
-			// holding components that will never see traffic, silently
-			// consuming their capacity. Teardown is idempotent on hosts
-			// that never acked, so blanket-tearing the graph leaves every
-			// host's view exactly as before the attempt.
+			// Roll back the partial instantiation: the sources are running,
+			// and hosts that acked are holding components that will never
+			// see traffic, silently consuming their capacity. Teardown is
+			// idempotent on hosts that never acked, so blanket-tearing the
+			// graph leaves every host's view exactly as before the attempt.
 			e.teardown(g, timeout)
 			cb(nil, fmt.Errorf("%w for request %s: %w", ErrInstantiation, g.Request.ID, failed))
 			return
 		}
-		e.activate(g, sourceOuts, desired)
+		e.commit(g, desired)
 		cb(g, nil)
 	}
+	// Sources first: a request that fails inside Request (an unencodable
+	// name) rolls back at once, and the rollback must find them.
+	e.activate(g, sourceOuts)
 	if remaining == 0 {
 		done()
 		return
@@ -294,10 +301,13 @@ func (e *Engine) instantiateMsgFor(g *core.ExecutionGraph, p core.Placement, byP
 	}
 }
 
-// activate creates the request's sinks and starts its sources, and
-// registers the application for adaptation. desired is the request as
-// originally submitted (its rates may exceed a best-effort admission).
-func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec, desired spec.Request) {
+// activate creates the request's sinks and starts its sources. It is the
+// only place sources are started, and runs when the instantiate messages
+// are sent.
+func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec) {
+	// A recompose stopped the request here a moment ago; its new units are
+	// early at the origin's own components, not stale.
+	delete(e.stopped, g.Request.ID)
 	for l, ss := range g.Request.Substreams {
 		period := time.Duration(float64(time.Second) / float64(ss.Rate))
 		slack := time.Duration(float64(period) * e.cfg.TimelyFactor)
@@ -308,6 +318,13 @@ func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec, 
 		e.sinks[sinkKey(g.Request.ID, l)] = sink
 		e.startSource(g.Request.ID, l, ss, g.Request.UnitBytes, sourceOuts[l])
 	}
+}
+
+// commit registers an application every host has acknowledged: for
+// adaptation, and in the admission gate's per-host ledger. desired is the
+// request as originally submitted (its rates may exceed a best-effort
+// admission).
+func (e *Engine) commit(g *core.ExecutionGraph, desired spec.Request) {
 	e.origins[g.Request.ID] = &originState{
 		graph:         g,
 		desired:       desired,

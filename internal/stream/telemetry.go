@@ -18,6 +18,9 @@ var (
 	telDelivered = telemetry.Default().Counter(
 		"rasc_stream_delivered_total",
 		"Data units delivered to local sinks.")
+	telEarlyUnits = telemetry.Default().Counter(
+		"rasc_stream_early_units_total",
+		"Data units that arrived ahead of their component's instantiation, were held and later replayed.")
 	telStreamDropped = telemetry.Default().CounterVec(
 		"rasc_stream_dropped_total",
 		"Data units dropped by the stream runtime, by cause.",

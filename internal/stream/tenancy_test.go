@@ -9,6 +9,7 @@ import (
 	"rasc.dev/rasc/internal/core"
 	"rasc.dev/rasc/internal/deploy"
 	"rasc.dev/rasc/internal/spec"
+	"rasc.dev/rasc/internal/stream"
 	"rasc.dev/rasc/internal/tenant"
 )
 
@@ -95,7 +96,9 @@ func TestRejectedSubmitLeavesStateUntouched(t *testing.T) {
 // for the instantiation path: when composition places a component on a
 // host that dies before acking, the partial instantiation is rolled back
 // — hosts that acked drop their components, the origin registers
-// nothing, and the tenant's admission is released.
+// nothing, and the tenant's admission is released. The sources started when
+// the instantiate messages were sent, so the rollback also has to stop
+// them, and every unit they emitted meanwhile must be a counted drop.
 func TestFailedInstantiationRollsBack(t *testing.T) {
 	s := deploy.NewSystem(deploy.SystemOptions{
 		Nodes: 12, Seed: 32,
@@ -103,7 +106,7 @@ func TestFailedInstantiationRollsBack(t *testing.T) {
 		// just-killed host's digest until the failure detector catches
 		// up, which is what steers a placement onto it.
 		EnableGossip: true,
-		Tenancy:      &tenant.Config{CapacityBps: 1e6},
+		Tenancy:      &tenant.Config{CapacityBps: 1e6, PerHostLedger: true},
 	})
 	// Let the membership protocol disseminate the initial digests.
 	s.Sim.RunUntil(s.Sim.Now() + 12*time.Second)
@@ -169,5 +172,36 @@ func TestFailedInstantiationRollsBack(t *testing.T) {
 	}
 	if tt := s.Gate.Totals(); tt.Admitted != 0 {
 		t.Errorf("gate reports %d admitted tenants, want 0", tt.Admitted)
+	}
+	if len(s.Gate.Hosts()) == 0 {
+		t.Fatal("the gate keeps no per-host ledger; the charge check below is vacuous")
+	}
+	for _, h := range s.Gate.Hosts() {
+		if h.CommittedBps != 0 {
+			t.Errorf("host %s is still charged %.0f bps in the ledger", h.Host, h.CommittedBps)
+		}
+	}
+
+	// The sources ran from the instantiate send to the rollback: what they
+	// emitted is all dropped (no host could run it), nothing is held, and
+	// they have stopped.
+	totals := func() (tp stream.Throughput, held int) {
+		for _, e := range s.Engines {
+			tp.Accumulate(e.Throughput("ten-roll", 0))
+			held += e.HeldUnits()
+		}
+		return tp, held
+	}
+	tp, held := totals()
+	if tp.EmittedUnits == 0 {
+		t.Error("the request emitted nothing before its rollback; sources did not start at the instantiate send")
+	}
+	if tp.DeliveredUnits != 0 || tp.DroppedUnits != tp.EmittedUnits || held != 0 {
+		t.Errorf("emitted %d, delivered %d, dropped %d, held %d; want every emitted unit dropped",
+			tp.EmittedUnits, tp.DeliveredUnits, tp.DroppedUnits, held)
+	}
+	s.Sim.RunUntil(s.Sim.Now() + 5*time.Second)
+	if later, _ := totals(); later.EmittedUnits != tp.EmittedUnits {
+		t.Errorf("the origin emitted %d more units after the rollback; a source survived it", later.EmittedUnits-tp.EmittedUnits)
 	}
 }

@@ -56,7 +56,7 @@ type Event struct {
 	Substream int
 	Stage     int // -1 source, len(chain) sink
 	Seq       int64
-	Note      string // cause for drops, service name for processing
+	Note      string // cause for drops, service name for arrivals (plus " early" when replayed) and processing
 }
 
 // Buffer is a bounded ring of events. A zero Buffer is unusable; create
