@@ -305,7 +305,10 @@ func NewSystem(opts SystemOptions) *System {
 		}
 		idx := rng.Perm(len(cnames))[:perNode]
 		for _, k := range idx {
-			d.Announce(cnames[k])
+			if err := d.Announce(cnames[k]); err != nil {
+				// Like simnet's N <= 0: options no deployment can be built from.
+				panic("deploy: announce " + cnames[k] + ": " + err.Error())
+			}
 			s.Placement[i] = append(s.Placement[i], cnames[k])
 		}
 	}

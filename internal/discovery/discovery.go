@@ -5,7 +5,6 @@
 package discovery
 
 import (
-	"encoding/json"
 	"sort"
 	"time"
 
@@ -18,10 +17,33 @@ import (
 // component ID).
 func ServiceKey(service string) overlay.ID { return overlay.HashID("svc:" + service) }
 
-// HostRecord is the value published under a service key.
-type HostRecord struct {
-	Node    overlay.NodeInfo `json:"node"`
-	Service string           `json:"service"`
+// appendHostRecord encodes the value published under a service key: the
+// provider and the service it offers.
+//
+//	record := nodeinfo serviceLen:u8 service
+//
+// nodeinfo is overlay.AppendNodeInfo's. A service, address or cluster name
+// longer than 255 bytes is refused with overlay.ErrDataNameTooLong.
+func appendHostRecord(buf []byte, node overlay.NodeInfo, service string) ([]byte, error) {
+	if len(service) > 255 {
+		return nil, overlay.ErrDataNameTooLong
+	}
+	buf, err := overlay.AppendNodeInfo(buf, node)
+	if err != nil {
+		return nil, err
+	}
+	buf = append(buf, byte(len(service)))
+	return append(buf, service...), nil
+}
+
+// parseHostRecord decodes a host record, rejecting a length prefix that
+// runs past the end and trailing bytes.
+func parseHostRecord(b []byte) (node overlay.NodeInfo, service string, ok bool) {
+	node, b, ok = overlay.ParseNodeInfo(b)
+	if !ok || len(b) < 1 || len(b) != 1+int(b[0]) {
+		return overlay.NodeInfo{}, "", false
+	}
+	return node, string(b[1:]), true
 }
 
 // View is a locally converged provider index — in practice the gossip
@@ -56,7 +78,7 @@ func (d *Directory) StartRefresh(interval time.Duration) {
 	var tick func()
 	tick = func() {
 		for svc := range d.local {
-			d.store.Put(ServiceKey(svc), d.record(svc))
+			_ = d.publish(svc) // Announce has published this same record once already
 		}
 		d.refresh = d.clk.After(interval, tick)
 	}
@@ -71,16 +93,32 @@ func (d *Directory) StopRefresh() {
 	}
 }
 
-// Announce publishes this node as a provider of service.
-func (d *Directory) Announce(service string) {
+// Announce publishes this node as a provider of service. A service name
+// (or a node identity) the host record cannot carry is refused with
+// overlay.ErrDataNameTooLong and nothing is announced.
+func (d *Directory) Announce(service string) error {
+	if err := d.publish(service); err != nil {
+		return err
+	}
 	d.local[service] = true
-	d.store.Put(ServiceKey(service), d.record(service))
+	return nil
+}
+
+func (d *Directory) publish(service string) error {
+	rec, err := appendHostRecord(nil, d.node.Info(), service)
+	if err != nil {
+		return err
+	}
+	return d.store.Put(ServiceKey(service), rec)
 }
 
 // Withdraw removes this node from the provider set of service.
 func (d *Directory) Withdraw(service string) {
 	delete(d.local, service)
-	d.store.Remove(ServiceKey(service), d.record(service))
+	// A record Announce could not have published has nothing to remove.
+	if rec, err := appendHostRecord(nil, d.node.Info(), service); err == nil {
+		_ = d.store.Remove(ServiceKey(service), rec)
+	}
 }
 
 // Offers reports whether this node announced the service.
@@ -94,11 +132,6 @@ func (d *Directory) LocalServices() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func (d *Directory) record(service string) []byte {
-	b, _ := json.Marshal(HostRecord{Node: d.node.Info(), Service: service})
-	return b
 }
 
 // SetView installs a converged local view as the primary lookup source.
@@ -125,11 +158,11 @@ func (d *Directory) Lookup(service string, timeout time.Duration, cb func([]over
 		}
 		var hosts []overlay.NodeInfo
 		for _, v := range values {
-			var rec HostRecord
-			if json.Unmarshal(v, &rec) != nil || rec.Service != service {
-				continue
+			// A record that does not parse, or that names another
+			// service, is skipped.
+			if node, svc, ok := parseHostRecord(v); ok && svc == service {
+				hosts = append(hosts, node)
 			}
-			hosts = append(hosts, rec.Node)
 		}
 		sort.Slice(hosts, func(i, j int) bool { return hosts[i].ID.Cmp(hosts[j].ID) < 0 })
 		cb(hosts, nil)

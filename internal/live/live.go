@@ -423,9 +423,13 @@ func Start(cfg Config) (*Node, error) {
 		n.Close()
 		return nil, fmt.Errorf("live: join through %s timed out", cfg.Bootstrap)
 	}
+	var announceErr error
 	n.DoSync(func() {
 		for _, svc := range cfg.Services {
-			n.Dir.Announce(svc)
+			if err := n.Dir.Announce(svc); err != nil {
+				announceErr = fmt.Errorf("live: announce %q: %w", svc, err)
+				return
+			}
 		}
 		// Keep registrations converged as the ring grows.
 		n.Dir.StartRefresh(cfg.RefreshInterval)
@@ -446,6 +450,10 @@ func Start(cfg Config) (*Node, error) {
 			n.Engine.EnableAdaptation(*cfg.Adaptation)
 		}
 	})
+	if announceErr != nil {
+		n.Close()
+		return nil, announceErr
+	}
 	return n, nil
 }
 

@@ -6,14 +6,21 @@ import (
 	"testing"
 )
 
-// dataEnvelope builds the binary data envelope by hand, so the tests do
-// not check DirectDataPadded against itself.
+// nodeInfoBytes builds the wire form of a node reference by hand, so the
+// tests do not check AppendNodeInfo against itself.
+func nodeInfoBytes(info NodeInfo) []byte {
+	b := []byte{byte(len(info.Addr))}
+	b = append(b, info.Addr...)
+	b = append(b, info.ID[:]...)
+	b = append(b, byte(len(info.Cluster)))
+	return append(b, info.Cluster...)
+}
+
+// dataEnvelope builds the data envelope (shared header, then body) by hand.
 func dataEnvelope(app string, src NodeInfo, body []byte) []byte {
 	b := []byte{byte(len(app))}
 	b = append(b, app...)
-	b = append(b, byte(len(src.Addr)))
-	b = append(b, src.Addr...)
-	b = append(b, src.ID[:]...)
+	b = append(b, nodeInfoBytes(src)...)
 	return append(b, body...)
 }
 

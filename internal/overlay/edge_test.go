@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -91,34 +90,6 @@ func TestHandlerRespondTwiceIgnored(t *testing.T) {
 	}
 	if string(got) != "first" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestEnvelopeJSONStability(t *testing.T) {
-	// The wire format must round-trip every populated field.
-	env := envelope{
-		Kind:  kindRoute,
-		App:   "app",
-		Key:   HashID("k"),
-		Src:   NodeInfo{ID: HashID("src"), Addr: "sim://1"},
-		Hops:  3,
-		Body:  []byte("payload"),
-		Ack:   7,
-		Nodes: []NodeInfo{{ID: HashID("n"), Addr: "sim://2"}},
-	}
-	b, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back envelope
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind != env.Kind || back.App != env.App || back.Key != env.Key ||
-		back.Hops != env.Hops || string(back.Body) != "payload" ||
-		back.Ack != 7 ||
-		len(back.Nodes) != 1 || back.Nodes[0].ID != env.Nodes[0].ID {
-		t.Fatalf("round trip mangled envelope: %+v", back)
 	}
 }
 

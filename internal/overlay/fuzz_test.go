@@ -29,18 +29,21 @@ func FuzzParseID(f *testing.F) {
 }
 
 // FuzzOnMessage delivers arbitrary bytes as an overlay message of every
-// type the node dispatches on (JSON envelope, binary RPC envelope, binary
-// data envelope): malformed frames must be dropped without panicking or
-// corrupting state.
+// type the node dispatches on (overlay envelope, RPC envelope, data
+// envelope): malformed frames must be dropped without panicking or
+// corrupting state. The corpus holds a well-formed overlay frame of every
+// kind, so the fuzzer starts past the decoder, in the protocol handlers.
 func FuzzOnMessage(f *testing.F) {
-	f.Add([]byte(`{"k":"route","a":"x"}`))
-	f.Add([]byte(`{"k":"join"}`))
-	f.Add([]byte(`{"k":"route-ack","ack":1}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"k":"direct","a":"missing"}`))
+	for _, env := range everyKind() {
+		f.Add(envelopeFrame(env))
+	}
+	route := envelopeFrame(everyKind()[0])
+	f.Add(route[:len(route)/2])
+	f.Add([]byte(`{"k":"route","a":"x"}`)) // the parent's wire: rejected now
 	f.Add(rpcFrame(fullRPC()))
 	f.Add(rpcFrame(rpcEnvelope{Kind: rpcRequest, ReqID: 9, App: "missing", Src: NodeInfo{ID: HashID("fuzz-a"), Addr: "sim://0"}}))
 	f.Add(rpcFrame(fullRPC())[:15])
+	f.Add(dataEnvelope("missing", NodeInfo{ID: HashID("fuzz-a"), Addr: "sim://0"}, []byte("x")))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		sim := netsim.New(1)
 		nw := netsim.NewNetwork(sim, netsim.Config{})
@@ -59,7 +62,9 @@ func FuzzOnMessage(f *testing.F) {
 		// The node must still route afterwards.
 		delivered := false
 		b.Register("after", func(ID, NodeInfo, []byte) { delivered = true })
-		b.Route(b.ID(), "after", nil)
+		if err := b.Route(b.ID(), "after", nil); err != nil {
+			t.Fatal(err)
+		}
 		sim.RunUntil(sim.Now() + 10e9)
 		if !delivered {
 			t.Fatal("node stopped routing after malformed input")
@@ -67,20 +72,61 @@ func FuzzOnMessage(f *testing.F) {
 	})
 }
 
-// FuzzParseDataEnvelope feeds arbitrary bytes to the binary data envelope
-// decoder, which takes every data unit off the network: it must never
-// panic, whatever it accepts must re-encode to exactly the input, and a
-// node handed the bytes as a message or as a drop must survive them.
+// FuzzParseEnvelope feeds arbitrary bytes to the decoder every routing and
+// membership message comes through: it must never panic, never allocate
+// more nodes than the frame has bytes for, and whatever it accepts must
+// survive encode and decode unchanged.
+func FuzzParseEnvelope(f *testing.F) {
+	for _, env := range everyKind() {
+		f.Add(envelopeFrame(env))
+	}
+	join := envelopeFrame(everyKind()[1])
+	f.Add(join[:len(join)-7]) // node list cut short
+	f.Add([]byte{kindLeafXchg, 0, hasNodes, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff})
+	f.Add([]byte{kindRoute, 0, hasEnd, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		env, ok := parseEnvelope(payload)
+		if !ok {
+			return
+		}
+		if len(env.Nodes)*NodeInfoOverhead > len(payload) {
+			t.Fatalf("%d nodes decoded from a %d-byte frame", len(env.Nodes), len(payload))
+		}
+		frame, err := appendEnvelope(nil, env)
+		if err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		back, ok := parseEnvelope(frame)
+		if !ok || !sameEnvelope(back, env) {
+			t.Fatalf("re-encoded frame decodes differently:\n got %+v\nwant %+v", back, env)
+		}
+	})
+}
+
+// FuzzParseDataEnvelope feeds arbitrary bytes to the decoder of the header
+// every envelope shares, and of the node reference inside it (the data
+// envelope is that header and a body, so this is also the decoder that
+// takes every data unit off the network): it must never panic, whatever it
+// accepts must re-encode to exactly the input, and a node handed the bytes
+// as a message or as a drop must survive them.
 func FuzzParseDataEnvelope(f *testing.F) {
-	src := NodeInfo{ID: HashID("fuzz-src"), Addr: "10.0.0.1:4000"}
+	src := NodeInfo{ID: HashID("fuzz-src"), Addr: "10.0.0.1:4000", Cluster: "c1"}
 	whole := dataEnvelope("stream-data-batch", src, []byte{0, 1, 2, 3})
 	f.Add(whole)
-	f.Add(whole[:len(whole)-5]) // body gone, source ID cut short
+	f.Add(whole[:len(whole)-8]) // body gone, cluster cut short
 	f.Add(dataEnvelope("", NodeInfo{}, nil))
 	f.Add([]byte{})
 	f.Add([]byte{255})
 	f.Add([]byte{3, 'a', 'p', 'p', 200})
+	f.Add(nodeInfoBytes(src))
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		if info, rest, ok := ParseNodeInfo(payload); ok {
+			back, err := AppendNodeInfo(nil, info)
+			if err != nil || !bytes.Equal(append(back, rest...), payload) {
+				t.Fatalf("accepted node reference does not re-encode to its input (%v): %+v", err, info)
+			}
+		}
 		app, from, body, ok := parseHeader(payload)
 		if ok && !bytes.Equal(dataEnvelope(app, from, body), payload) {
 			t.Fatalf("accepted envelope does not re-encode to its input: app %q from %+v body %x", app, from, body)
@@ -90,7 +136,7 @@ func FuzzParseDataEnvelope(f *testing.F) {
 		n.Register(app, func(ID, NodeInfo, []byte) { handled = true })
 		n.RegisterDropObserver(app, func(ID, NodeInfo, []byte) {})
 		n.onDataMessage(transport.Message{Type: msgTypeData, Payload: payload})
-		n.onDataDropped(transport.Message{Type: msgTypeData, Payload: payload})
+		n.onDataDropped("sim://0", transport.Message{Type: msgTypeData, Payload: payload})
 		if handled != ok {
 			t.Fatalf("handler ran = %v for an envelope with ok = %v", handled, ok)
 		}

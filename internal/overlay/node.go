@@ -1,9 +1,7 @@
 package overlay
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"time"
 
 	"rasc.dev/rasc/internal/clock"
@@ -12,9 +10,6 @@ import (
 
 // DefaultLeafSetSize matches Pastry's |L| = 16 (8 per side).
 const DefaultLeafSetSize = 16
-
-// msgType is the transport message type used for all overlay traffic.
-const msgType = "overlay"
 
 // DeliverFunc receives a routed message at the node responsible for key.
 type DeliverFunc func(key ID, src NodeInfo, body []byte)
@@ -26,32 +21,6 @@ type RequestHandler func(from NodeInfo, body []byte, respond func(body []byte, e
 // ErrTimeout is passed to request callbacks whose peer did not answer in
 // time.
 var ErrTimeout = errors.New("overlay: request timed out")
-
-// envelope is the wire format for routing, membership and routed or direct
-// application messages, JSON-encoded into transport.Message.Payload. Data
-// units and RPCs ride the binary envelopes of data.go and rpc.go.
-type envelope struct {
-	Kind   string     `json:"k"`
-	App    string     `json:"a,omitempty"`
-	Key    ID         `json:"key,omitempty"`
-	Src    NodeInfo   `json:"src,omitempty"`
-	Hops   int        `json:"h,omitempty"`
-	Body   []byte     `json:"b,omitempty"`
-	Ack    uint64     `json:"ack,omitempty"` // hop-by-hop route ack id
-	Nodes  []NodeInfo `json:"n,omitempty"`
-	Joiner NodeInfo   `json:"j,omitempty"`
-}
-
-const (
-	kindRoute       = "route"
-	kindJoin        = "join"
-	kindJoinReply   = "join-reply"
-	kindAnnounce    = "announce"
-	kindAnnounceAck = "announce-ack"
-	kindLeafXchg    = "ls-exchange"
-	kindDirect      = "direct"
-	kindRouteAck    = "route-ack"
-)
 
 type pendingReq struct {
 	cb     func(body []byte, err error)
@@ -212,7 +181,7 @@ func (n *Node) Join(bootstrap transport.Addr, onDone func()) {
 	if onDone != nil {
 		n.onJoin = append(n.onJoin, onDone)
 	}
-	n.send(bootstrap, envelope{Kind: kindJoin, Key: n.info.ID, Joiner: n.info, Src: n.info})
+	n.send(envelope{Kind: kindJoin, Key: n.info.ID, Joiner: n.info}, bootstrap)
 }
 
 func (n *Node) fireJoin() {
@@ -224,29 +193,15 @@ func (n *Node) fireJoin() {
 }
 
 // Route sends body toward the node whose ID is closest to key; the app's
-// DeliverFunc runs there.
-func (n *Node) Route(key ID, app string, body []byte) {
+// DeliverFunc runs there. A name no frame can carry is refused with
+// ErrDataNameTooLong wherever the key's root is.
+func (n *Node) Route(key ID, app string, body []byte) error {
+	if len(app) > 255 || !n.info.fits() {
+		return ErrDataNameTooLong // checked here: a key this node roots is never framed
+	}
 	n.RoutedSent++
 	n.routeEnvelope(envelope{Kind: kindRoute, Key: key, App: app, Src: n.info, Body: body})
-}
-
-// Direct sends body straight to a specific node, bypassing key routing.
-// The app's DeliverFunc runs there with the receiver's own ID as the key.
-func (n *Node) Direct(to transport.Addr, app string, body []byte) {
-	n.send(to, envelope{Kind: kindDirect, App: app, Src: n.info, Body: body})
-}
-
-// DirectPadded is Direct with pad extra bytes charged on the wire and
-// datagram (loss-tolerant) delivery — used for stream data units whose
-// simulated size exceeds their encoded header. The returned error reports
-// local send failures (notably a full uplink buffer), which the stream
-// runtime counts as drops.
-func (n *Node) DirectPadded(to transport.Addr, app string, body []byte, pad int) error {
-	b, err := json.Marshal(envelope{Kind: kindDirect, App: app, Src: n.info, Body: body})
-	if err != nil {
-		panic(fmt.Sprintf("overlay: marshal: %v", err))
-	}
-	return n.ep.Send(to, transport.Message{Type: msgType, Payload: b, Pad: pad, Datagram: true})
+	return nil
 }
 
 // RegisterDropObserver installs a callback for datagrams addressed to the
@@ -255,37 +210,16 @@ func (n *Node) DirectPadded(to transport.Addr, app string, body []byte, pad int)
 func (n *Node) RegisterDropObserver(app string, h DeliverFunc) {
 	if n.dropObs == nil {
 		n.dropObs = make(map[string]DeliverFunc)
-		n.ep.SetDropHandler(n.onDropped)
+		n.ep.SetDropHandler(n.onDataDropped)
 	}
 	n.dropObs[app] = h
-}
-
-func (n *Node) onDropped(from transport.Addr, msg transport.Message) {
-	if msg.Type == msgTypeData {
-		n.onDataDropped(msg)
-		return
-	}
-	if msg.Type != msgType {
-		return
-	}
-	var env envelope
-	if err := json.Unmarshal(msg.Payload, &env); err != nil {
-		return
-	}
-	if env.Kind != kindDirect {
-		return
-	}
-	if h, ok := n.dropObs[env.App]; ok {
-		h(n.info.ID, env.Src, env.Body)
-	}
 }
 
 // Stabilize exchanges leaf sets with every current leaf-set member,
 // repairing gaps left by joins that raced each other.
 func (n *Node) Stabilize() {
-	for _, peer := range n.leaf.all() {
-		n.send(peer.Addr, envelope{Kind: kindLeafXchg, Src: n.info, Nodes: n.leaf.all()})
-	}
+	leaf := n.leaf.all()
+	n.send(envelope{Kind: kindLeafXchg, Nodes: leaf}, addrs(leaf)...)
 }
 
 // AddPeer seeds the node's state with a known peer (used by tests and by
@@ -364,13 +298,33 @@ func (n *Node) RTTOf(id ID) (time.Duration, bool) {
 	return d, ok
 }
 
-func (n *Node) send(to transport.Addr, env envelope) {
-	b, err := json.Marshal(env)
+// send frames env once, with this node as the sender, and transmits it to
+// every address in to. Sending is best-effort: a frame that cannot be built
+// (only SetCluster or AddPeer can introduce a name too long for it) is
+// dropped like one sent to a dead peer, and timeouts handle both.
+func (n *Node) send(env envelope, to ...transport.Addr) {
+	env.Src = n.info
+	frame, err := appendEnvelope(nil, env)
 	if err != nil {
-		panic(fmt.Sprintf("overlay: marshal: %v", err)) // envelope is always marshalable
+		return
 	}
+	for _, addr := range to {
+		n.transmit(addr, frame)
+	}
+}
+
+func (n *Node) transmit(to transport.Addr, frame []byte) {
 	// Send errors are best-effort; a dead peer is handled by timeouts.
-	_ = n.ep.Send(to, transport.Message{Type: msgType, Payload: b})
+	_ = n.ep.Send(to, transport.Message{Type: msgType, Payload: frame})
+}
+
+// addrs lists the transport addresses of peers.
+func addrs(peers []NodeInfo) []transport.Addr {
+	out := make([]transport.Addr, len(peers))
+	for i, p := range peers {
+		out[i] = p.Addr
+	}
+	return out
 }
 
 // nextHop picks the Pastry next hop for key, or ok=false when this node is
@@ -427,12 +381,17 @@ func (n *Node) routeEnvelope(env envelope) {
 		return
 	}
 	env.Hops++
-	n.Forwarded++
 	// Ask the hop to acknowledge receipt; a silent hop is pruned and the
 	// message re-routed around it.
 	n.nextAck++
 	ackID := n.nextAck
 	env.Ack = ackID
+	// A routed message keeps its origin as Src from hop to hop.
+	frame, err := appendEnvelope(nil, env)
+	if err != nil {
+		return // unframeable: dropped here rather than retried at every ack timeout
+	}
+	n.Forwarded++
 	p := &pendingAck{env: env, hop: hop.ID}
 	p.cancel = n.clk.After(n.RouteAckTimeout, func() {
 		pa, ok := n.pendingAcks[ackID]
@@ -446,7 +405,7 @@ func (n *Node) routeEnvelope(env envelope) {
 		n.routeEnvelope(retry)
 	})
 	n.pendingAcks[ackID] = p
-	n.send(hop.Addr, env)
+	n.transmit(hop.Addr, frame)
 }
 
 func (n *Node) deliverLocal(env envelope) {
@@ -462,7 +421,7 @@ func (n *Node) deliverLocal(env envelope) {
 		nodes := append(env.Nodes, n.leaf.all()...)
 		nodes = append(nodes, n.info)
 		n.learn(env.Joiner)
-		n.send(env.Joiner.Addr, envelope{Kind: kindJoinReply, Src: n.info, Nodes: nodes})
+		n.send(envelope{Kind: kindJoinReply, Nodes: nodes}, env.Joiner.Addr)
 	}
 }
 
@@ -478,14 +437,14 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 	if msg.Type != msgType {
 		return
 	}
-	var env envelope
-	if err := json.Unmarshal(msg.Payload, &env); err != nil {
+	env, ok := parseEnvelope(msg.Payload)
+	if !ok {
 		return // malformed: drop
 	}
 	n.learn(env.Src)
 	// Acknowledge routed messages hop-by-hop before processing.
 	if env.Ack != 0 && (env.Kind == kindRoute || env.Kind == kindJoin) {
-		n.send(from, envelope{Kind: kindRouteAck, Src: n.info, Ack: env.Ack})
+		n.send(envelope{Kind: kindRouteAck, Ack: env.Ack}, from)
 		env.Ack = 0
 	}
 	switch env.Kind {
@@ -496,10 +455,6 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 		}
 	case kindRoute:
 		n.routeEnvelope(env)
-	case kindDirect:
-		if h, ok := n.apps[env.App]; ok {
-			h(n.info.ID, env.Src, env.Body)
-		}
 	case kindJoin:
 		// Contribute the routing-table row the joiner needs, then
 		// forward toward the joiner's ID.
@@ -516,12 +471,10 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 		}
 		n.joined = true
 		// Announce ourselves to everyone we now know about.
-		for _, peer := range n.allKnown() {
-			n.send(peer.Addr, envelope{Kind: kindAnnounce, Src: n.info})
-		}
+		n.send(envelope{Kind: kindAnnounce}, addrs(n.allKnown())...)
 		n.fireJoin()
 	case kindAnnounce:
-		n.send(env.Src.Addr, envelope{Kind: kindAnnounceAck, Src: n.info, Nodes: n.leaf.all()})
+		n.send(envelope{Kind: kindAnnounceAck, Nodes: n.leaf.all()}, env.Src.Addr)
 	case kindAnnounceAck:
 		for _, info := range env.Nodes {
 			n.learn(info)

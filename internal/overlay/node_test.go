@@ -19,6 +19,13 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, seed int64) *cluster {
 	t.Helper()
+	return newTappedCluster(t, n, seed, nil)
+}
+
+// newTappedCluster is newCluster with every message a node sends shown to
+// tap first (nil for none).
+func newTappedCluster(t *testing.T, n int, seed int64, tap func(transport.Message)) *cluster {
+	t.Helper()
 	sim := netsim.New(seed)
 	nw := netsim.NewNetwork(sim, netsim.Config{
 		Latency: func(a, b netsim.NodeID) time.Duration { return 10 * time.Millisecond },
@@ -28,7 +35,10 @@ func newCluster(t *testing.T, n int, seed int64) *cluster {
 	c := &cluster{sim: sim}
 	for i := 0; i < n; i++ {
 		id := HashID(fmt.Sprintf("node-%d", i))
-		ep := mem.Endpoint(nw.AddNode(1e8, 1e8))
+		var ep transport.Endpoint = mem.Endpoint(nw.AddNode(1e8, 1e8))
+		if tap != nil {
+			ep = tapEndpoint{Endpoint: ep, sent: tap}
+		}
 		c.nodes = append(c.nodes, NewNode(id, ep, clk))
 	}
 	c.nodes[0].Bootstrap()

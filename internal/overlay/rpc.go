@@ -8,15 +8,13 @@ import (
 	"rasc.dev/rasc/internal/transport"
 )
 
-// msgTypeRPC is the transport message type of the binary RPC envelope,
-// which carries every direct request and its response (stats, instantiate,
-// teardown, $ping, federation, gossip sync). The body travels raw: the JSON
-// envelope would base64 it and spend ~190 bytes on an empty request, which
-// on the paper's 150 kbps access links is most of a stats round trip.
+// msgTypeRPC is the transport message type of the RPC envelope, which
+// carries every direct request and its response (stats, instantiate,
+// teardown, $ping, federation, gossip sync). The body travels raw.
 //
-//	rpc := kind:u8 reqID:u64 header clusterLen:u8 cluster errLen:u16 err body
+//	rpc := kind:u8 reqID:u64 header errLen:u16 err body
 //
-// header is the data envelope's (data.go), naming the app and the sender.
+// header (wire.go) names the app and the sender.
 const msgTypeRPC = "overlay-rpc"
 
 const (
@@ -38,17 +36,15 @@ type rpcEnvelope struct {
 // prefix is refused; an error string is cut to what its u16 prefix holds
 // (it is a diagnostic, not an identity).
 func appendRPCEnvelope(buf []byte, env rpcEnvelope) ([]byte, error) {
-	if len(env.App) > 255 || len(env.Src.Addr) > 255 || len(env.Src.Cluster) > 255 {
-		return nil, ErrDataNameTooLong
-	}
 	if len(env.Err) > 0xffff {
 		env.Err = env.Err[:0xffff]
 	}
 	buf = append(buf, env.Kind)
 	buf = binary.BigEndian.AppendUint64(buf, env.ReqID)
-	buf = appendHeader(buf, env.App, env.Src)
-	buf = append(buf, byte(len(env.Src.Cluster)))
-	buf = append(buf, env.Src.Cluster...)
+	buf, err := appendHeader(buf, env.App, env.Src)
+	if err != nil {
+		return nil, err
+	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(env.Err)))
 	buf = append(buf, env.Err...)
 	return append(buf, env.Body...), nil
@@ -63,12 +59,9 @@ func parseRPCEnvelope(b []byte) (env rpcEnvelope, ok bool) {
 	env.Kind = b[0]
 	env.ReqID = binary.BigEndian.Uint64(b[1:])
 	env.App, env.Src, b, ok = parseHeader(b[9:])
-	if !ok || len(b) < 1 || len(b) < 1+int(b[0])+2 {
+	if !ok || len(b) < 2 {
 		return rpcEnvelope{}, false
 	}
-	cl := int(b[0])
-	env.Src.Cluster = string(b[1 : 1+cl])
-	b = b[1+cl:]
 	el := int(binary.BigEndian.Uint16(b))
 	if len(b) < 2+el {
 		return rpcEnvelope{}, false
@@ -81,7 +74,7 @@ func parseRPCEnvelope(b []byte) (env rpcEnvelope, ok bool) {
 // encodeRPC frames env with this node as the sender.
 func (n *Node) encodeRPC(env rpcEnvelope) ([]byte, error) {
 	env.Src = n.info
-	size := 12 + headerOverhead + len(env.App) + len(n.info.Addr) + len(n.info.Cluster) + len(env.Err) + len(env.Body)
+	size := 11 + headerOverhead + len(env.App) + len(n.info.Addr) + len(n.info.Cluster) + len(env.Err) + len(env.Body)
 	return appendRPCEnvelope(make([]byte, 0, size), env)
 }
 

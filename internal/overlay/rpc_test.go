@@ -17,8 +17,6 @@ func rpcFrame(env rpcEnvelope) []byte {
 	b := []byte{env.Kind}
 	b = binary.BigEndian.AppendUint64(b, env.ReqID)
 	b = append(b, dataEnvelope(env.App, env.Src, nil)...)
-	b = append(b, byte(len(env.Src.Cluster)))
-	b = append(b, env.Src.Cluster...)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(env.Err)))
 	b = append(b, env.Err...)
 	return append(b, env.Body...)
@@ -53,10 +51,10 @@ func TestRPCEnvelopeRoundTripsEveryField(t *testing.T) {
 	if !ok || !sameRPC(got, want) {
 		t.Fatalf("round trip: ok=%v\n got %+v\nwant %+v", ok, got, want)
 	}
-	// An empty request costs its names and 12 bytes, not the ~190 the
-	// JSON envelope spent.
+	// An empty request costs its names, the header's three length bytes
+	// and ID, and 11 bytes of its own.
 	empty, _ := appendRPCEnvelope(nil, rpcEnvelope{Kind: rpcRequest, ReqID: 1, App: "stats", Src: NodeInfo{ID: HashID("a"), Addr: "sim://12"}})
-	if want := 12 + headerOverhead + len("stats") + len("sim://12"); len(empty) != want {
+	if want := 11 + headerOverhead + len("stats") + len("sim://12"); len(empty) != want {
 		t.Fatalf("empty request is %d bytes, want %d", len(empty), want)
 	}
 }

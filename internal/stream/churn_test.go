@@ -8,13 +8,17 @@ import (
 	"rasc.dev/rasc/internal/deploy"
 	"rasc.dev/rasc/internal/gossip"
 	"rasc.dev/rasc/internal/netsim"
+	"rasc.dev/rasc/internal/spec"
 	"rasc.dev/rasc/internal/stream"
 )
 
 // churnTopology is upgradeTopology at testbed scale: a well-provisioned
-// origin (node 0), one capable worker (node 1, ~100 units/sec) and thirty
-// small workers (~10 units/sec each — enough headroom that gossip's own
-// control traffic does not starve them).
+// origin (node 0), one capable worker (node 1, ~100 of churnRequest's
+// 12.5 kB units/sec) and thirty small workers (~10 units/sec each). The
+// units are large so that the links are: a small worker's 1 Mbps leaves
+// gossip's ~130 kbps of control traffic headroom even with the worker's
+// stream capacity taken, where a 100 kbps link carrying 1250-byte units
+// was starved by gossip alone.
 func churnTopology() *netsim.Topology {
 	const n = 32
 	topo := &netsim.Topology{
@@ -32,14 +36,21 @@ func churnTopology() *netsim.Topology {
 		}
 		switch i {
 		case 0:
-			topo.UpBps[i], topo.DownBps[i] = 3e6, 3e6
+			topo.UpBps[i], topo.DownBps[i] = 3e7, 3e7
 		case 1:
-			topo.UpBps[i], topo.DownBps[i] = 1e6, 1e6
+			topo.UpBps[i], topo.DownBps[i] = 1e7, 1e7
 		default:
-			topo.UpBps[i], topo.DownBps[i] = 1e5, 1e5
+			topo.UpBps[i], topo.DownBps[i] = 1e6, 1e6
 		}
 	}
 	return topo
+}
+
+// churnRequest asks for one substream of "filter" in 12.5 kB units.
+func churnRequest(id string, rate int) spec.Request {
+	req := simpleRequest(id, rate, "filter")
+	req.UnitBytes = 12500
+	return req
 }
 
 // TestUpgradeChurnNoDuplicateAttempts runs the upgrade scenario on the
@@ -72,7 +83,7 @@ func TestUpgradeChurnNoDuplicateAttempts(t *testing.T) {
 	s.Sim.RunUntil(s.Sim.Now() + 20*time.Second)
 
 	// The competitor occupies most of the big worker.
-	comp := simpleRequest("competitor", 85, "filter")
+	comp := churnRequest("competitor", 85)
 	var compGraph *core.ExecutionGraph
 	done := false
 	s.Engines[1].Submit(comp, &core.MinCost{BestEffortFraction: 0.3}, 10*time.Second, func(g *core.ExecutionGraph, err error) {
@@ -85,10 +96,22 @@ func TestUpgradeChurnNoDuplicateAttempts(t *testing.T) {
 	if compGraph == nil {
 		t.Fatal("competitor not admitted")
 	}
-	s.Sim.RunUntil(s.Sim.Now() + 10*time.Second)
+	admittedAt := s.Sim.Now()
+	// Three anti-entropy rounds: the origin composes from its gossip view,
+	// and the big worker's digest must be one taken under the competitor.
+	s.Sim.RunUntil(s.Sim.Now() + 30*time.Second)
 
+	// Preconditions, so that a failure below is the controller's and not
+	// gossip's (ROADMAP finding (d): on links gossip's own traffic fills,
+	// live members are declared dead and the providers can be among them).
+	if sum := s.Gossip[0].Summary(); sum.Dead != 0 {
+		t.Fatalf("precondition: every node is alive, but the origin's gossip view is %+v", sum)
+	}
+	if r, ok := s.Gossip[0].ReportFor(s.Nodes[1].ID()); !ok || r.At < admittedAt {
+		t.Fatalf("precondition: the origin's view of the big worker (taken at %v, held: %v) predates the competitor (%v)", r.At, ok, admittedAt)
+	}
 	const desiredRate = 40
-	req := simpleRequest("upgrade-me", desiredRate, "filter")
+	req := churnRequest("upgrade-me", desiredRate)
 	done = false
 	var g *core.ExecutionGraph
 	var subErr error

@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"strings"
@@ -416,15 +415,12 @@ func TestLongRequestIDRejected(t *testing.T) {
 		t.Fatalf("Submit error = %v, want ErrRequestIDTooLong", got)
 	}
 
-	body, err := json.Marshal(instantiateMsg{Req: long, Service: "filter", Rate: 10})
-	if err != nil {
-		t.Fatal(err)
+	// No instantiate or teardown frame can carry the ID to a host either.
+	if _, err := appendInstantiate(nil, instantiateMsg{Req: long, Service: "filter", Rate: 10}); !errors.Is(err, spec.ErrRequestIDTooLong) {
+		t.Fatalf("appendInstantiate error = %v, want ErrRequestIDTooLong", err)
 	}
-	var refusal string
-	e.onInstantiate(stubPeer, body, func(_ []byte, errStr string) { refusal = errStr })
-	if refusal == "" || len(e.comps) != 0 {
-		t.Fatalf("instantiate with a %d-byte request ID: refusal %q, %d components; want a refusal and none",
-			len(long), refusal, len(e.comps))
+	if _, err := appendRequestID(nil, long); !errors.Is(err, spec.ErrRequestIDTooLong) {
+		t.Fatalf("appendRequestID error = %v, want ErrRequestIDTooLong", err)
 	}
 }
 
@@ -459,19 +455,16 @@ func TestShardForPinsSubstreams(t *testing.T) {
 	}
 }
 
-// decodeWireBatch strips the overlay's binary data envelope
-// (appLen app addrLen addr srcID body) and decodes the batch payload.
+// decodeWireBatch strips the overlay's data envelope (appLen app nodeinfo
+// body) and decodes the batch payload.
 func decodeWireBatch(t *testing.T, msg transport.Message) []dataMsg {
 	t.Helper()
 	b := msg.Payload
 	appLen := int(b[0])
 	app := string(b[1 : 1+appLen])
-	b = b[1+appLen:]
-	addrLen := int(b[0])
-	b = b[1+addrLen:]
-	b = b[overlay.IDBytes:]
-	if app != appDataBatch {
-		t.Fatalf("wire app = %q, want %q", app, appDataBatch)
+	_, b, ok := overlay.ParseNodeInfo(b[1+appLen:])
+	if !ok || app != appDataBatch {
+		t.Fatalf("wire app = %q (sender parsed: %v), want %q", app, ok, appDataBatch)
 	}
 	units := decodeBatchUnits(b, nil)
 	if units == nil {

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"math/rand"
 	"time"
 
@@ -338,14 +337,9 @@ func (e *Engine) onStats(_ overlay.NodeInfo, _ []byte, respond func([]byte, stri
 
 // onInstantiate creates one component instance.
 func (e *Engine) onInstantiate(_ overlay.NodeInfo, body []byte, respond func([]byte, string)) {
-	var m instantiateMsg
-	if err := json.Unmarshal(body, &m); err != nil {
-		respond(nil, "stream: bad instantiate: "+err.Error())
-		return
-	}
-	if len(m.Req) > spec.MaxRequestIDBytes {
-		// The unit codec frames the request ID with a u8 length.
-		respond(nil, "stream: bad instantiate: "+spec.ErrRequestIDTooLong.Error())
+	m, ok := parseInstantiate(body)
+	if !ok {
+		respond(nil, "stream: bad instantiate")
 		return
 	}
 	key := componentKey(m.Req, m.Substream, m.Stage)
@@ -362,12 +356,12 @@ func (e *Engine) onInstantiate(_ overlay.NodeInfo, body []byte, respond func([]b
 
 // onTeardown removes a request's components and stops its sources.
 func (e *Engine) onTeardown(_ overlay.NodeInfo, body []byte, respond func([]byte, string)) {
-	var m teardownMsg
-	if err := json.Unmarshal(body, &m); err != nil {
-		respond(nil, "stream: bad teardown: "+err.Error())
+	req, ok := parseTeardown(body)
+	if !ok {
+		respond(nil, "stream: bad teardown")
 		return
 	}
-	e.StopRequest(m.Req)
+	e.StopRequest(req)
 	respond([]byte("ok"), "")
 }
 

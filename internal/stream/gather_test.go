@@ -48,6 +48,7 @@ func (d *stubDir) Lookup(service string, _ time.Duration, cb func([]overlay.Node
 // engine i served a stats request.
 type gatherRig struct {
 	sim     *netsim.Simulator
+	nw      *netsim.Network
 	engines []*Engine
 	infos   []overlay.NodeInfo
 	dir     *stubDir
@@ -63,13 +64,13 @@ func near(got, want time.Duration) bool { return got >= want && got < want+time.
 
 func newGatherRig(t *testing.T, n int) *gatherRig {
 	t.Helper()
-	return newRig(t, n, func(a, b netsim.NodeID) time.Duration { return gatherRTT / 2 }, Config{})
+	return newRig(t, n, func(a, b netsim.NodeID) time.Duration { return gatherRTT / 2 }, 1e8, Config{})
 }
 
 // newRig is newGatherRig with the one-way latency between engines a and b
-// (their indices) and the engines' configuration (link capacities aside)
-// chosen by the test.
-func newRig(t *testing.T, n int, latency func(a, b netsim.NodeID) time.Duration, cfg Config) *gatherRig {
+// (their indices), the origin's downlink capacity and the engines'
+// configuration (link capacities aside) chosen by the test.
+func newRig(t *testing.T, n int, latency func(a, b netsim.NodeID) time.Duration, originDownBps float64, cfg Config) *gatherRig {
 	t.Helper()
 	sim := netsim.New(1)
 	nw := netsim.NewNetwork(sim, netsim.Config{Latency: latency})
@@ -77,17 +78,22 @@ func newRig(t *testing.T, n int, latency func(a, b netsim.NodeID) time.Duration,
 	clk := clock.Sim{S: sim}
 	r := &gatherRig{
 		sim:    sim,
+		nw:     nw,
 		dir:    &stubDir{clk: clk, answers: make(map[string]stubLookup), lookups: make(map[string]int)},
 		asked:  make([][]time.Duration, n),
 		silent: make(map[int]bool),
 	}
 	cfg.InBps, cfg.OutBps = 1e8, 1e8
 	catalog := map[string]spec.ServiceDef{}
-	for _, svc := range []string{"a", "b", "c"} {
+	for _, svc := range []string{"a", "b", "c", "d", "e"} {
 		catalog[svc] = spec.ServiceDef{Name: svc, ProcPerUnit: time.Millisecond, RateRatio: 1, BytesRatio: 1}
 	}
 	for i := 0; i < n; i++ {
-		node := overlay.NewNode(overlay.HashID(fmt.Sprintf("gather-%d", i)), mem.Endpoint(nw.AddNode(1e8, 1e8)), clk)
+		down := 1e8
+		if i == 0 {
+			down = originDownBps
+		}
+		node := overlay.NewNode(overlay.HashID(fmt.Sprintf("gather-%d", i)), mem.Endpoint(nw.AddNode(1e8, down)), clk)
 		var dir Directory
 		if i == 0 {
 			dir = r.dir

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -151,8 +150,7 @@ func (e *Engine) applyDelta(app string, st *originState, g *core.ExecutionGraph,
 	}
 	for _, p := range targets {
 		p := p
-		body, _ := json.Marshal(e.instantiateMsgFor(g, p, byPlacement))
-		e.node.Request(p.Host.Addr, appInstantiate, body, timeout, func(_ []byte, err error) {
+		e.requestInstantiate(g, p, byPlacement, timeout, func(err error) {
 			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("stream: re-instantiate %s@%s: %w", p.Service, p.Host.Addr, err)
 			}

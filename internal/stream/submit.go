@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -265,8 +264,7 @@ func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeo
 	}
 	for _, p := range g.Placements {
 		p := p
-		body, _ := json.Marshal(e.instantiateMsgFor(g, p, byPlacement))
-		e.node.Request(p.Host.Addr, appInstantiate, body, timeout, func(_ []byte, err error) {
+		e.requestInstantiate(g, p, byPlacement, timeout, func(err error) {
 			if err != nil && failed == nil {
 				failed = fmt.Errorf("%s@%s: %w", p.Service, p.Host.Addr, err)
 			}
@@ -276,6 +274,18 @@ func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeo
 			}
 		})
 	}
+}
+
+// requestInstantiate sends one placement's instantiate RPC. cb runs exactly
+// once; a message that cannot be framed fails before the call returns, as
+// in overlay.Node.Request.
+func (e *Engine) requestInstantiate(g *core.ExecutionGraph, p core.Placement, byPlacement map[string][]outSpec, timeout time.Duration, cb func(error)) {
+	body, err := appendInstantiate(nil, e.instantiateMsgFor(g, p, byPlacement))
+	if err != nil {
+		cb(err)
+		return
+	}
+	e.node.Request(p.Host.Addr, appInstantiate, body, timeout, func(_ []byte, err error) { cb(err) })
 }
 
 // instantiateMsgFor builds the instantiation message for one placement of
@@ -358,7 +368,10 @@ func (e *Engine) teardown(g *core.ExecutionGraph, timeout time.Duration) {
 		e.fed.ReleaseApp(g.Request.ID)
 	}
 	e.StopRequest(g.Request.ID)
-	body, _ := json.Marshal(teardownMsg{Req: g.Request.ID})
+	body, err := appendRequestID(nil, g.Request.ID)
+	if err != nil {
+		return // no host was ever sent a component under an ID no frame carries
+	}
 	sent := make(map[overlay.ID]bool)
 	for _, p := range g.Placements {
 		if sent[p.Host.ID] || p.Host.ID == e.node.ID() {

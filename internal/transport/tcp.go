@@ -47,6 +47,8 @@ type TCPEndpoint struct {
 	listener net.Listener
 	addr     Addr
 	cfg      TCPConfig
+	// dial opens outbound connections (net.Dial; a test parks it).
+	dial func(network, address string) (net.Conn, error)
 
 	mu          sync.Mutex
 	conns       map[Addr]net.Conn
@@ -79,6 +81,7 @@ func NewTCPWithConfig(listenAddr string, cfg TCPConfig) (*TCPEndpoint, error) {
 		listener: ln,
 		addr:     Addr(ln.Addr().String()),
 		cfg:      cfg,
+		dial:     net.Dial,
 		conns:    make(map[Addr]net.Conn),
 		lastUse:  make(map[Addr]time.Time),
 		allConns: make(map[net.Conn]bool),
@@ -122,12 +125,19 @@ func (e *TCPEndpoint) Send(to Addr, msg Message) error {
 	conn, ok := e.conns[to]
 	e.mu.Unlock()
 	if !ok {
-		c, err := net.Dial("tcp", string(to))
+		c, err := e.dial("tcp", string(to))
 		if err != nil {
 			telTCPConnErr.Inc()
 			return fmt.Errorf("%w: %s: %v", ErrUnknownAddr, to, err)
 		}
 		e.mu.Lock()
+		if e.closed {
+			// Close swept the tables during the dial: registering c now
+			// would leave it open and Close waiting on its read loop.
+			e.mu.Unlock()
+			c.Close()
+			return ErrClosed
+		}
 		if existing, ok := e.conns[to]; ok {
 			e.mu.Unlock()
 			c.Close()
@@ -135,10 +145,12 @@ func (e *TCPEndpoint) Send(to Addr, msg Message) error {
 		} else {
 			e.conns[to] = c
 			e.allConns[c] = true
+			// Frames may also arrive on this outbound connection. Counted
+			// under the lock, so Close either sees the connection or has
+			// already been seen above.
+			e.wg.Add(1)
 			e.mu.Unlock()
 			conn = c
-			// Frames may also arrive on this outbound connection.
-			e.wg.Add(1)
 			go e.readLoop(c)
 		}
 	}

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -157,4 +159,64 @@ func TestTCPLargePayload(t *testing.T) {
 		defer mu.Unlock()
 		return got == 1<<20
 	})
+}
+
+// A Close that lands while Send is dialing must not hang: the connection
+// the dial returns after Close has swept the tables is closed on the spot,
+// not registered with a read loop nobody will ever stop. The dial is parked
+// across the Close; a handler still running keeps Close inside its wait
+// while the dial completes, which is the window the old code hung in.
+func TestTCPCloseDuringDialReturns(t *testing.T) {
+	a, b := newTCPPair(t)
+	late, err := NewTCP("127.0.0.1:0") // the peer a is dialing when Close lands
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+
+	inHandler, releaseHandler := make(chan struct{}), make(chan struct{})
+	a.SetHandler(func(Addr, Message) {
+		close(inHandler)
+		<-releaseHandler
+	})
+	if err := b.Send(a.Addr(), Message{Type: "hold"}); err != nil {
+		t.Fatal(err)
+	}
+	<-inHandler
+
+	dialing, releaseDial := make(chan struct{}), make(chan struct{})
+	a.dial = func(network, address string) (net.Conn, error) {
+		close(dialing)
+		<-releaseDial
+		return net.Dial(network, address)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(late.Addr(), Message{Type: "ping"}) }()
+	<-dialing
+
+	closed := make(chan struct{})
+	go func() {
+		a.Close()
+		close(closed)
+	}()
+	waitFor(t, func() bool { // Close has swept the tables and is waiting on the handler's read loop
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.closed
+	})
+	close(releaseDial)
+	if err := <-sent; !errors.Is(err, ErrClosed) {
+		t.Errorf("Send across a Close: err = %v, want ErrClosed", err)
+	}
+	close(releaseHandler)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return: a connection dialed across it is still being read")
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.allConns) != 0 {
+		t.Fatalf("%d connections registered on a closed endpoint", len(a.allConns))
+	}
 }
