@@ -35,6 +35,14 @@ var (
 	// bytes, the most the data-unit wire format can frame — composition
 	// is not attempted. Re-exported from internal/spec.
 	ErrRequestIDTooLong = spec.ErrRequestIDTooLong
+
+	// ErrOriginOutOfRange reports a Submit from a node index outside the
+	// deployment — composition is not attempted.
+	ErrOriginOutOfRange = errors.New("rasc: origin outside the deployment")
+
+	// ErrSubmitTimeout reports a submission that had not completed after
+	// 60 s of virtual time. Streams it started may keep running.
+	ErrSubmitTimeout = errors.New("rasc: submission did not complete")
 )
 
 // Submit-path sentinels, re-exported from internal/stream; each wraps its

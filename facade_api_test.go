@@ -139,6 +139,36 @@ func TestSubmitErrInstantiation(t *testing.T) {
 	}
 }
 
+// silentDirectory never answers a lookup.
+type silentDirectory struct{}
+
+func (silentDirectory) Lookup(string, time.Duration, func([]overlay.NodeInfo, error)) {}
+
+func TestSubmitErrOriginOutOfRange(t *testing.T) {
+	sys := New(WithNodes(8), WithSeed(4))
+	start := sys.Now()
+	for _, origin := range []int{-1, 8} {
+		if _, err := sys.Submit(origin, sentinelRequest(), ComposerMinCost); !errors.Is(err, ErrOriginOutOfRange) {
+			t.Fatalf("origin %d: err = %v, want ErrOriginOutOfRange", origin, err)
+		}
+	}
+	if sys.Now() != start {
+		t.Fatalf("a refused origin advanced the clock by %v", sys.Now()-start)
+	}
+}
+
+func TestSubmitErrSubmitTimeout(t *testing.T) {
+	sys := New(WithNodes(8), WithSeed(4))
+	sys.d.Engines[0].Dir = silentDirectory{}
+	start := sys.Now()
+	if _, err := sys.Submit(0, sentinelRequest(), ComposerMinCost); !errors.Is(err, ErrSubmitTimeout) {
+		t.Fatalf("err = %v, want ErrSubmitTimeout", err)
+	}
+	if waited := sys.Now() - start; waited < submitTimeout {
+		t.Fatalf("gave up after %v of virtual time, want %v", waited, submitTimeout)
+	}
+}
+
 func sentinelRequest() Request {
 	return Request{ID: "sentinel", UnitBytes: 1250, Substreams: []Substream{{Services: []string{"filter"}, Rate: 5}}}
 }
@@ -152,8 +182,9 @@ func TestSubmitContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sys.SubmitContext(ctx, 0, req, ComposerMinCost); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	_, err := sys.SubmitContext(ctx, 0, req, ComposerMinCost)
+	if !errors.Is(err, context.Canceled) || err == context.Canceled || !strings.Contains(err.Error(), "ctx") {
+		t.Fatalf("err = %v, want context.Canceled wrapped with the request ID", err)
 	}
 	// An unconstrained context behaves exactly like Submit.
 	if _, err := sys.SubmitContext(context.Background(), 0, req, ComposerMinCost); err != nil {

@@ -29,15 +29,7 @@ type Sim struct {
 func (c Sim) Now() time.Duration { return c.S.Now() }
 
 // After schedules fn on the simulator after d of virtual time.
-func (c Sim) After(d time.Duration, fn func()) func() {
-	cancelled := false
-	c.S.Schedule(d, func() {
-		if !cancelled {
-			fn()
-		}
-	})
-	return func() { cancelled = true }
-}
+func (c Sim) After(d time.Duration, fn func()) func() { return c.S.Timer(d, fn) }
 
 // Real is a wall-clock implementation backed by the time package.
 // It is safe for concurrent use.

@@ -45,6 +45,22 @@ func TestSimClockCancel(t *testing.T) {
 	cancel()
 }
 
+// A simulator timer costs at most its cancellation flag and the cancel
+// function: After adds no closure around the callback.
+func TestSimClockAfterAllocations(t *testing.T) {
+	s := netsim.New(1)
+	c := Sim{S: s}
+	fn := func() {}
+	c.After(0, fn)
+	s.Run() // the queue has room from here on
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.After(time.Millisecond, fn)
+		s.Run()
+	}); allocs > 2 {
+		t.Fatalf("After allocates %v times per timer, want ≤ 2", allocs)
+	}
+}
+
 func TestRealClockMonotonic(t *testing.T) {
 	r := NewReal()
 	a := r.Now()

@@ -52,7 +52,7 @@ func (n *Node) DirectPadded(to transport.Addr, app string, body []byte, pad int)
 // overlay message it teaches the node its sender, so data traffic keeps
 // refreshing overlay state.
 func (n *Node) onDataMessage(msg transport.Message) {
-	app, src, body, ok := parseHeader(msg.Payload)
+	app, src, body, ok := parseHeader(msg.Payload, n)
 	if !ok {
 		return // malformed: drop
 	}
@@ -68,7 +68,7 @@ func (n *Node) onDataDropped(_ transport.Addr, msg transport.Message) {
 	if msg.Type != msgTypeData {
 		return
 	}
-	app, src, body, ok := parseHeader(msg.Payload)
+	app, src, body, ok := parseHeader(msg.Payload, n)
 	if !ok {
 		return
 	}

@@ -86,7 +86,7 @@ func FuzzParseEnvelope(f *testing.F) {
 	f.Add([]byte{kindRoute, 0, hasEnd, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		env, ok := parseEnvelope(payload)
+		env, ok := parseEnvelope(payload, nil)
 		if !ok {
 			return
 		}
@@ -97,7 +97,7 @@ func FuzzParseEnvelope(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
 		}
-		back, ok := parseEnvelope(frame)
+		back, ok := parseEnvelope(frame, nil)
 		if !ok || !sameEnvelope(back, env) {
 			t.Fatalf("re-encoded frame decodes differently:\n got %+v\nwant %+v", back, env)
 		}
@@ -127,7 +127,7 @@ func FuzzParseDataEnvelope(f *testing.F) {
 				t.Fatalf("accepted node reference does not re-encode to its input (%v): %+v", err, info)
 			}
 		}
-		app, from, body, ok := parseHeader(payload)
+		app, from, body, ok := parseHeader(payload, nil)
 		if ok && !bytes.Equal(dataEnvelope(app, from, body), payload) {
 			t.Fatalf("accepted envelope does not re-encode to its input: app %q from %+v body %x", app, from, body)
 		}

@@ -6,8 +6,10 @@ package overlay
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -75,15 +77,25 @@ func (a *ID) UnmarshalText(b []byte) error {
 	return nil
 }
 
+// words splits the ID into its high and low 64-bit halves.
+func (a ID) words() (hi, lo uint64) {
+	return binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
+}
+
 // Cmp compares a and b as unsigned integers: -1, 0 or +1.
 func (a ID) Cmp(b ID) int {
-	for i := 0; i < IDBytes; i++ {
-		switch {
-		case a[i] < b[i]:
+	ahi, alo := a.words()
+	bhi, blo := b.words()
+	switch {
+	case ahi != bhi:
+		if ahi < bhi {
 			return -1
-		case a[i] > b[i]:
-			return 1
 		}
+		return 1
+	case alo < blo:
+		return -1
+	case alo > blo:
+		return 1
 	}
 	return 0
 }
@@ -113,18 +125,13 @@ func (a ID) CommonPrefixLen(b ID) int {
 
 // sub returns a-b mod 2^128.
 func sub(a, b ID) ID {
+	ahi, alo := a.words()
+	bhi, blo := b.words()
+	lo, borrow := bits.Sub64(alo, blo, 0)
+	hi, _ := bits.Sub64(ahi, bhi, borrow)
 	var out ID
-	var borrow int
-	for i := IDBytes - 1; i >= 0; i-- {
-		d := int(a[i]) - int(b[i]) - borrow
-		if d < 0 {
-			d += 256
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-		out[i] = byte(d)
-	}
+	binary.BigEndian.PutUint64(out[:8], hi)
+	binary.BigEndian.PutUint64(out[8:], lo)
 	return out
 }
 

@@ -45,6 +45,9 @@ type Node struct {
 	apps    map[string]DeliverFunc
 	rpcs    map[string]RequestHandler
 	dropObs map[string]DeliverFunc
+	// names holds every registered app name, so a frame's name resolves
+	// to the node's own string (appName).
+	names   map[string]string
 	pending map[uint64]*pendingReq
 	nextReq uint64
 
@@ -84,6 +87,7 @@ func NewNode(id ID, ep transport.Endpoint, clk clock.Clock) *Node {
 		leaf:            newLeafSet(id, DefaultLeafSetSize),
 		apps:            make(map[string]DeliverFunc),
 		rpcs:            make(map[string]RequestHandler),
+		names:           make(map[string]string),
 		pending:         make(map[uint64]*pendingReq),
 		pendingAcks:     make(map[uint64]*pendingAck),
 		rtts:            make(map[ID]time.Duration),
@@ -92,9 +96,9 @@ func NewNode(id ID, ep transport.Endpoint, clk clock.Clock) *Node {
 		RouteAckTimeout: 3 * time.Second,
 	}
 	ep.SetHandler(n.onMessage)
-	n.rpcs[pingApp] = func(_ NodeInfo, _ []byte, respond func([]byte, string)) {
+	n.RegisterRequest(pingApp, func(_ NodeInfo, _ []byte, respond func([]byte, string)) {
 		respond(nil, "")
-	}
+	})
 	return n
 }
 
@@ -163,10 +167,43 @@ func (n *Node) Leafset() []NodeInfo { return n.leaf.all() }
 
 // Register installs the deliver handler for a named application. Routed
 // messages addressed to the application are delivered at the key's root.
-func (n *Node) Register(app string, h DeliverFunc) { n.apps[app] = h }
+func (n *Node) Register(app string, h DeliverFunc) {
+	n.names[app] = app
+	n.apps[app] = h
+}
 
 // RegisterRequest installs a direct request handler for a named application.
-func (n *Node) RegisterRequest(app string, h RequestHandler) { n.rpcs[app] = h }
+func (n *Node) RegisterRequest(app string, h RequestHandler) {
+	n.names[app] = app
+	n.rpcs[app] = h
+}
+
+// appName returns the node's own copy of a registered app name, or a copy
+// of name taken out of the frame. n may be nil.
+func (n *Node) appName(name []byte) string {
+	if n != nil {
+		if s, ok := n.names[string(name)]; ok {
+			return s
+		}
+	}
+	return string(name)
+}
+
+// peer returns the node's own reference to id when its state holds it (the
+// node itself, a routing-table entry or a leaf-set member), or nil. n may
+// be nil.
+func (n *Node) peer(id ID) *NodeInfo {
+	if n == nil {
+		return nil
+	}
+	if id == n.info.ID {
+		return &n.info
+	}
+	if e := n.rt.lookup(n.rt.slotFor(id)); e != nil && e.ID == id {
+		return e
+	}
+	return n.leaf.get(id)
+}
 
 // Bootstrap marks this node as the first member of a new overlay.
 func (n *Node) Bootstrap() {
@@ -212,6 +249,7 @@ func (n *Node) RegisterDropObserver(app string, h DeliverFunc) {
 		n.dropObs = make(map[string]DeliverFunc)
 		n.ep.SetDropHandler(n.onDataDropped)
 	}
+	n.names[app] = app
 	n.dropObs[app] = h
 }
 
@@ -233,15 +271,17 @@ func (n *Node) RemovePeer(id ID) {
 }
 
 // learn incorporates a peer reference into the routing table and leaf set.
+// It runs for every message received, so a peer already held or already
+// turned away costs no allocation.
 func (n *Node) learn(info NodeInfo) {
 	if info.ID == n.info.ID || info.Addr == "" {
 		return
 	}
 	if !n.rt.add(info) && n.ProximityAware {
 		// Slot contested: keep the closer of the incumbent and the
-		// candidate once both RTTs are known.
-		row, col := n.rt.slotFor(info.ID)
-		if cur := n.rt.lookup(row, col); cur != nil && cur.ID != info.ID {
+		// candidate, at once when both RTTs are cached, else once the
+		// probes are in.
+		if cur := n.rt.lookup(n.rt.slotFor(info.ID)); cur != nil && cur.ID != info.ID && !n.settleSlot(*cur, info) {
 			n.contest(*cur, info)
 		}
 	}
@@ -256,16 +296,18 @@ func (n *Node) contest(incumbent, candidate NodeInfo) {
 	n.probeRTT(candidate, func() { n.settleSlot(incumbent, candidate) })
 }
 
-// settleSlot applies the proximity decision once both RTTs are cached.
-func (n *Node) settleSlot(incumbent, candidate NodeInfo) {
+// settleSlot applies the proximity decision if both RTTs are cached, and
+// reports whether they were.
+func (n *Node) settleSlot(incumbent, candidate NodeInfo) bool {
 	ri, okI := n.rtts[incumbent.ID]
 	rc, okC := n.rtts[candidate.ID]
 	if !okI || !okC {
-		return // the other probe has not finished yet
+		return false // a probe has not finished yet
 	}
 	if rc < ri {
 		n.rt.replace(candidate)
 	}
+	return true
 }
 
 // probeRTT measures the round-trip time to a peer (once) and then runs
@@ -437,7 +479,7 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 	if msg.Type != msgType {
 		return
 	}
-	env, ok := parseEnvelope(msg.Payload)
+	env, ok := parseEnvelope(msg.Payload, n)
 	if !ok {
 		return // malformed: drop
 	}

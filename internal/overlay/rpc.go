@@ -50,15 +50,16 @@ func appendRPCEnvelope(buf []byte, env rpcEnvelope) ([]byte, error) {
 	return append(buf, env.Body...), nil
 }
 
-// parseRPCEnvelope decodes an RPC frame, rejecting unknown kinds and any
-// length prefix that runs past the end of the frame.
-func parseRPCEnvelope(b []byte) (env rpcEnvelope, ok bool) {
+// parseRPCEnvelope decodes an RPC frame on behalf of n (see parseHeader; n
+// may be nil), rejecting unknown kinds and any length prefix that runs past
+// the end of the frame.
+func parseRPCEnvelope(b []byte, n *Node) (env rpcEnvelope, ok bool) {
 	if len(b) < 9 || (b[0] != rpcRequest && b[0] != rpcResponse) {
 		return rpcEnvelope{}, false
 	}
 	env.Kind = b[0]
 	env.ReqID = binary.BigEndian.Uint64(b[1:])
-	env.App, env.Src, b, ok = parseHeader(b[9:])
+	env.App, env.Src, b, ok = parseHeader(b[9:], n)
 	if !ok || len(b) < 2 {
 		return rpcEnvelope{}, false
 	}
@@ -105,7 +106,7 @@ func (n *Node) Request(to transport.Addr, app string, body []byte, timeout time.
 // completes the pending request a response answers. Like every overlay
 // message it teaches the node its sender.
 func (n *Node) onRPCMessage(msg transport.Message) {
-	env, ok := parseRPCEnvelope(msg.Payload)
+	env, ok := parseRPCEnvelope(msg.Payload, n)
 	if !ok {
 		return // malformed: drop
 	}

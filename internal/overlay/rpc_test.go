@@ -47,7 +47,7 @@ func TestRPCEnvelopeRoundTripsEveryField(t *testing.T) {
 	if !bytes.Equal(frame, rpcFrame(want)) {
 		t.Fatalf("encoder departs from the documented layout:\n got %x\nwant %x", frame, rpcFrame(want))
 	}
-	got, ok := parseRPCEnvelope(frame)
+	got, ok := parseRPCEnvelope(frame, nil)
 	if !ok || !sameRPC(got, want) {
 		t.Fatalf("round trip: ok=%v\n got %+v\nwant %+v", ok, got, want)
 	}
@@ -65,21 +65,21 @@ func TestParseRPCEnvelopeRejectsTruncatedAndUnknown(t *testing.T) {
 	env := fullRPC()
 	frame := rpcFrame(env)
 	for cut := 0; cut < len(frame)-len(env.Body); cut++ {
-		if _, ok := parseRPCEnvelope(frame[:cut]); ok {
+		if _, ok := parseRPCEnvelope(frame[:cut], nil); ok {
 			t.Fatalf("accepted a frame cut to %d of %d bytes", cut, len(frame))
 		}
 	}
 	for _, kind := range []byte{0, 3, 'r', '{'} {
 		bad := append([]byte(nil), frame...)
 		bad[0] = kind
-		if _, ok := parseRPCEnvelope(bad); ok {
+		if _, ok := parseRPCEnvelope(bad, nil); ok {
 			t.Fatalf("accepted kind %d", kind)
 		}
 	}
 	// An error-length prefix larger than what is left.
 	short := rpcFrame(rpcEnvelope{Kind: rpcResponse, ReqID: 1, Src: env.Src})
 	binary.BigEndian.PutUint16(short[len(short)-2:], 0xffff)
-	if _, ok := parseRPCEnvelope(short); ok {
+	if _, ok := parseRPCEnvelope(short, nil); ok {
 		t.Fatal("accepted an error length running past the frame")
 	}
 }
@@ -174,7 +174,7 @@ func FuzzParseRPCEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{rpcResponse, 0, 0, 0, 0, 0, 0, 0, 1, 255})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		env, ok := parseRPCEnvelope(payload)
+		env, ok := parseRPCEnvelope(payload, nil)
 		if ok {
 			back, err := appendRPCEnvelope(nil, env)
 			if err != nil || !bytes.Equal(back, payload) {

@@ -1,10 +1,6 @@
 package overlay
 
-import (
-	"sort"
-
-	"rasc.dev/rasc/internal/transport"
-)
+import "rasc.dev/rasc/internal/transport"
 
 // NodeInfo is a reference to a remote overlay node.
 type NodeInfo struct {
@@ -126,43 +122,51 @@ func newLeafSet(owner ID, size int) *leafSet {
 	return &leafSet{owner: owner, half: size / 2}
 }
 
+// dist is a node's distance from the owner in one side's direction.
+func (l *leafSet) dist(x ID, ccw bool) ID {
+	if ccw {
+		return CWDist(x, l.owner)
+	}
+	return CWDist(l.owner, x)
+}
+
 // add inserts info into the appropriate side if it is among the closest
 // `half` nodes on that side. Returns true if the set changed.
 func (l *leafSet) add(info NodeInfo) bool {
 	if info.ID == l.owner {
 		return false
 	}
-	changed := false
-	if l.insert(&l.cw, info, func(x ID) ID { return CWDist(l.owner, x) }) {
-		changed = true
-	}
-	if l.insert(&l.ccw, info, func(x ID) ID { return CWDist(x, l.owner) }) {
-		changed = true
-	}
-	return changed
+	cw := l.insert(&l.cw, info, false)
+	ccw := l.insert(&l.ccw, info, true)
+	return cw || ccw
 }
 
-func (l *leafSet) insert(side *[]NodeInfo, info NodeInfo, dist func(ID) ID) bool {
-	for _, e := range *side {
-		if e.ID == info.ID {
+// insert places info at its sorted position on one side (ccw selects the
+// side) and drops the side's furthest member if it overflows. A member, or
+// a candidate no closer than the furthest member of a full side, leaves the
+// side untouched; the other members are only measured when info goes in.
+func (l *leafSet) insert(side *[]NodeInfo, info NodeInfo, ccw bool) bool {
+	s := *side
+	d := l.dist(info.ID, ccw)
+	if l.half <= 0 || len(s) == l.half && l.dist(s[len(s)-1].ID, ccw).Cmp(d) <= 0 {
+		return false
+	}
+	for i := range s {
+		if s[i].ID == info.ID {
 			return false
 		}
 	}
-	s := append(*side, info)
-	sort.Slice(s, func(i, j int) bool {
-		return dist(s[i].ID).Cmp(dist(s[j].ID)) < 0
-	})
-	if len(s) > l.half {
-		s = s[:l.half]
+	i := 0
+	for i < len(s) && l.dist(s[i].ID, ccw).Cmp(d) < 0 {
+		i++
 	}
+	if len(s) < l.half {
+		s = append(s, NodeInfo{})
+	}
+	copy(s[i+1:], s[i:])
+	s[i] = info
 	*side = s
-	// Report change only if info survived the trim.
-	for _, e := range *side {
-		if e.ID == info.ID {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // remove deletes id from both sides; returns true if present.
@@ -184,20 +188,35 @@ func (l *leafSet) remove(id ID) bool {
 	return removed
 }
 
+// shared counts the nodes on both sides. cw ascends in clockwise distance
+// and ccw descends in it (a node's counter-clockwise distance is the ring
+// size minus its clockwise one), so one merge pass finds them; distinct
+// nodes have distinct distances.
+func (l *leafSet) shared() int {
+	n := 0
+	i, j := 0, len(l.ccw)-1
+	for i < len(l.cw) && j >= 0 {
+		switch c := l.dist(l.cw[i].ID, false).Cmp(l.dist(l.ccw[j].ID, false)); {
+		case c < 0:
+			i++
+		case c > 0:
+			j--
+		default:
+			n++
+			i++
+			j--
+		}
+	}
+	return n
+}
+
 // covers reports whether key falls inside the leaf set's ring segment
 // [furthest ccw, furthest cw]. When the two sides overlap (the same node
 // appears on both), the known nodes span the whole ring and every key is
 // covered.
 func (l *leafSet) covers(key ID) bool {
-	if len(l.cw) == 0 && len(l.ccw) == 0 {
+	if len(l.cw) == 0 && len(l.ccw) == 0 || l.shared() > 0 {
 		return true
-	}
-	for _, a := range l.cw {
-		for _, b := range l.ccw {
-			if a.ID == b.ID {
-				return true
-			}
-		}
 	}
 	lo := l.owner
 	if len(l.ccw) > 0 {
@@ -211,17 +230,32 @@ func (l *leafSet) covers(key ID) bool {
 }
 
 // closest returns the member (or the owner, flagged by ok=false) closest to
-// key among owner ∪ leafset.
+// key among owner ∪ leafset. Closer is a strict total order, so a node seen
+// on both sides cannot change the answer.
 func (l *leafSet) closest(key ID) (best NodeInfo, ok bool) {
 	bestID := l.owner
-	for _, e := range l.all() {
-		if Closer(key, e.ID, bestID) {
-			bestID = e.ID
-			best = e
-			ok = true
+	for _, side := range [2][]NodeInfo{l.cw, l.ccw} {
+		for _, e := range side {
+			if Closer(key, e.ID, bestID) {
+				bestID = e.ID
+				best = e
+				ok = true
+			}
 		}
 	}
 	return best, ok
+}
+
+// get returns the member with the given ID, or nil.
+func (l *leafSet) get(id ID) *NodeInfo {
+	for _, side := range [2][]NodeInfo{l.cw, l.ccw} {
+		for i := range side {
+			if side[i].ID == id {
+				return &side[i]
+			}
+		}
+	}
+	return nil
 }
 
 // all returns the members of both sides, deduplicated.
@@ -243,4 +277,4 @@ func (l *leafSet) all() []NodeInfo {
 	return out
 }
 
-func (l *leafSet) size() int { return len(l.all()) }
+func (l *leafSet) size() int { return len(l.cw) + len(l.ccw) - l.shared() }

@@ -45,20 +45,29 @@ func AppendNodeInfo(buf []byte, info NodeInfo) ([]byte, error) {
 
 // ParseNodeInfo decodes a node reference from the front of b and returns
 // what follows it; ok is false when a length prefix runs past the end.
-func ParseNodeInfo(b []byte) (info NodeInfo, rest []byte, ok bool) {
+func ParseNodeInfo(b []byte) (info NodeInfo, rest []byte, ok bool) { return parseNodeInfo(b, nil) }
+
+// parseNodeInfo is ParseNodeInfo on behalf of the receiving node n: a
+// reference to a node n holds comes back as n's own copy, so decoding it
+// allocates nothing. A nil n copies the names out of the frame.
+func parseNodeInfo(b []byte, n *Node) (info NodeInfo, rest []byte, ok bool) {
 	if len(b) < 1 || len(b) < 1+int(b[0])+IDBytes+1 {
 		return NodeInfo{}, nil, false
 	}
-	al := int(b[0])
-	info.Addr = transport.Addr(b[1 : 1+al])
-	b = b[1+al:]
+	addr := b[1 : 1+int(b[0])]
+	b = b[1+len(addr):]
 	copy(info.ID[:], b)
 	cl := int(b[IDBytes])
 	b = b[IDBytes+1:]
 	if len(b) < cl {
 		return NodeInfo{}, nil, false
 	}
-	info.Cluster = string(b[:cl])
+	cluster := b[:cl]
+	if p := n.peer(info.ID); p != nil && string(p.Addr) == string(addr) && p.Cluster == string(cluster) {
+		return *p, b[cl:], true
+	}
+	info.Addr = transport.Addr(addr)
+	info.Cluster = string(cluster)
 	return info, b[cl:], true
 }
 
@@ -73,17 +82,20 @@ func appendHeader(buf []byte, app string, src NodeInfo) ([]byte, error) {
 	return AppendNodeInfo(buf, src)
 }
 
-// parseHeader decodes the shared header and returns what follows it.
-func parseHeader(b []byte) (app string, src NodeInfo, rest []byte, ok bool) {
+// parseHeader decodes the shared header on behalf of the receiving node n
+// and returns what follows it. An app n registered and a sender n holds come
+// back as n's own strings, so the header of a message from a known peer to
+// a known app decodes without allocating. A nil n copies both out.
+func parseHeader(b []byte, n *Node) (app string, src NodeInfo, rest []byte, ok bool) {
 	if len(b) < 1 || len(b) < 1+int(b[0]) {
 		return "", NodeInfo{}, nil, false
 	}
 	al := int(b[0])
-	src, rest, ok = ParseNodeInfo(b[1+al:])
+	src, rest, ok = parseNodeInfo(b[1+al:], n)
 	if !ok {
 		return "", NodeInfo{}, nil, false
 	}
-	return string(b[1 : 1+al]), src, rest, true
+	return n.appName(b[1 : 1+al]), src, rest, true
 }
 
 // msgType is the transport message type of the overlay envelope, which
@@ -175,16 +187,17 @@ func appendEnvelope(buf []byte, env envelope) ([]byte, error) {
 	return append(buf, env.Body...), nil
 }
 
-// parseEnvelope decodes an overlay frame. It rejects unknown kinds and
+// parseEnvelope decodes an overlay frame on behalf of n (see parseHeader;
+// n may be nil). It rejects unknown kinds and
 // presence bits and any length prefix that runs past the end, and checks a
 // node count against the bytes that remain before allocating for it.
-func parseEnvelope(b []byte) (env envelope, ok bool) {
+func parseEnvelope(b []byte, n *Node) (env envelope, ok bool) {
 	if len(b) < 3 || b[0] < kindRoute || b[0] >= kindEnd || b[2] >= hasEnd {
 		return envelope{}, false
 	}
 	env.Kind, env.Hops = b[0], int(b[1])
 	present := b[2]
-	if env.App, env.Src, b, ok = parseHeader(b[3:]); !ok {
+	if env.App, env.Src, b, ok = parseHeader(b[3:], n); !ok {
 		return envelope{}, false
 	}
 	if present&hasKey != 0 {
@@ -202,7 +215,7 @@ func parseEnvelope(b []byte) (env envelope, ok bool) {
 		b = b[8:]
 	}
 	if present&hasJoiner != 0 {
-		if env.Joiner, b, ok = ParseNodeInfo(b); !ok {
+		if env.Joiner, b, ok = parseNodeInfo(b, n); !ok {
 			return envelope{}, false
 		}
 	}
@@ -217,7 +230,7 @@ func parseEnvelope(b []byte) (env envelope, ok bool) {
 		}
 		env.Nodes = make([]NodeInfo, count)
 		for i := range env.Nodes {
-			if env.Nodes[i], b, ok = ParseNodeInfo(b); !ok {
+			if env.Nodes[i], b, ok = parseNodeInfo(b, n); !ok {
 				return envelope{}, false
 			}
 		}

@@ -76,7 +76,7 @@ func TestEnvelopeRoundTripsEveryKindAndField(t *testing.T) {
 		if !bytes.Equal(frame, envelopeFrame(want)) {
 			t.Fatalf("encoder departs from the documented layout for %+v:\n got %x\nwant %x", want, frame, envelopeFrame(want))
 		}
-		got, ok := parseEnvelope(frame)
+		got, ok := parseEnvelope(frame, nil)
 		if !ok || !sameEnvelope(got, want) {
 			t.Fatalf("round trip: ok=%v\n got %+v\nwant %+v", ok, got, want)
 		}
@@ -120,7 +120,7 @@ func TestEnvelopeNameLengths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d-byte names refused: %v", len(env.App), err)
 		}
-		if got, parsed := parseEnvelope(frame); !parsed || !sameEnvelope(got, env) {
+		if got, parsed := parseEnvelope(frame, nil); !parsed || !sameEnvelope(got, env) {
 			t.Fatalf("%d-byte names do not round-trip", len(env.App))
 		}
 	}
@@ -198,30 +198,30 @@ func TestParseEnvelopeRejectsMalformed(t *testing.T) {
 	}
 	huge := append([]byte(nil), small...)
 	binary.BigEndian.PutUint16(huge[len(huge)-NodeInfoOverhead-2:], 0xffff)
-	if _, ok := parseEnvelope(huge); ok {
+	if _, ok := parseEnvelope(huge, nil); ok {
 		t.Fatal("accepted a node count of 65535 in a 49-byte frame")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { parseEnvelope(huge) }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(100, func() { parseEnvelope(huge, nil) }); allocs > 1 {
 		t.Fatalf("rejecting an oversized node count allocated %v times", allocs)
 	}
 	full := everyKind()[1]
 	full.App, full.Body = "app", []byte("payload")
 	frame := envelopeFrame(full)
 	for cut := 0; cut < len(frame)-len(full.Body); cut++ {
-		if _, ok := parseEnvelope(frame[:cut]); ok {
+		if _, ok := parseEnvelope(frame[:cut], nil); ok {
 			t.Fatalf("accepted a frame cut to %d of %d bytes", cut, len(frame))
 		}
 	}
 	for _, kind := range []byte{0, kindEnd, 'r', '{'} {
 		bad := append([]byte(nil), frame...)
 		bad[0] = kind
-		if _, ok := parseEnvelope(bad); ok {
+		if _, ok := parseEnvelope(bad, nil); ok {
 			t.Fatalf("accepted kind %d", kind)
 		}
 	}
 	bad := append([]byte(nil), frame...)
 	bad[2] |= hasEnd
-	if _, ok := parseEnvelope(bad); ok {
+	if _, ok := parseEnvelope(bad, nil); ok {
 		t.Fatal("accepted an unknown presence bit")
 	}
 }
@@ -279,7 +279,7 @@ func TestJoinAnnounceExchangeRouteReply(t *testing.T) {
 		if msg.Type != msgType {
 			return
 		}
-		env, ok := parseEnvelope(msg.Payload)
+		env, ok := parseEnvelope(msg.Payload, nil)
 		if !ok {
 			t.Errorf("a node sent an overlay frame that does not decode: %x", msg.Payload)
 		}

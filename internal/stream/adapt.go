@@ -249,7 +249,7 @@ func (e *Engine) checkAdaptation(cfg AdaptationConfig) {
 		}
 		var degraded []int
 		for l, ss := range st.graph.Request.Substreams {
-			sink := e.sinks[sinkKey(reqID, l)]
+			sink := e.sinks[flowKey{reqID, l}]
 			if sink == nil {
 				continue
 			}
@@ -324,7 +324,7 @@ func (e *Engine) sampleAvailability(cfg AdaptationConfig) {
 		}
 		for l := range st.graph.Request.Substreams {
 			want += int64(wantSubs[l].Rate)
-			sink := e.sinks[sinkKey(app, l)]
+			sink := e.sinks[flowKey{app, l}]
 			if sink == nil {
 				continue
 			}

@@ -99,8 +99,10 @@ func appendUnit(b []byte, m *dataMsg) []byte {
 	return b
 }
 
-// readUnit decodes one unit, returning the remaining buffer.
-func readUnit(b []byte, m *dataMsg) ([]byte, bool) {
+// readUnit decodes one unit, returning the remaining buffer. A request ID
+// found in reqs comes back as reqs' own string, so a unit of a request live
+// on the receiving engine decodes without allocating.
+func readUnit(b []byte, m *dataMsg, reqs map[string]string) ([]byte, bool) {
 	if len(b) < 1 {
 		return nil, false
 	}
@@ -109,7 +111,11 @@ func readUnit(b []byte, m *dataMsg) ([]byte, bool) {
 	if len(b) < rl+unitWireOverhead-1 {
 		return nil, false
 	}
-	m.Req = string(b[:rl])
+	if req, ok := reqs[string(b[:rl])]; ok {
+		m.Req = req
+	} else {
+		m.Req = string(b[:rl])
+	}
 	b = b[rl:]
 	m.Substream = int(binary.BigEndian.Uint32(b))
 	m.Stage = int(binary.BigEndian.Uint32(b[4:]))
@@ -129,9 +135,10 @@ func appendBatchUnits(b []byte, units []pendingUnit) []byte {
 }
 
 // decodeBatchUnits decodes a batch payload into dst (reused between
-// calls); it returns nil on any framing error, bytes left over after the
-// last unit included.
-func decodeBatchUnits(b []byte, dst []dataMsg) []dataMsg {
+// calls), interning request IDs against reqs (see readUnit; may be nil); it
+// returns nil on any framing error, bytes left over after the last unit
+// included.
+func decodeBatchUnits(b []byte, dst []dataMsg, reqs map[string]string) []dataMsg {
 	if len(b) < 2 {
 		return nil
 	}
@@ -141,7 +148,7 @@ func decodeBatchUnits(b []byte, dst []dataMsg) []dataMsg {
 	for i := 0; i < n; i++ {
 		var m dataMsg
 		var ok bool
-		b, ok = readUnit(b, &m)
+		b, ok = readUnit(b, &m, reqs)
 		if !ok {
 			return nil
 		}
@@ -205,7 +212,9 @@ type pendingUnit struct {
 	flow     *flowCounters
 }
 
-// unitBatch is an open per-destination batch.
+// unitBatch is an open per-destination batch. Flushed batches go back to
+// the engine's spare list with their unit slice, so a steady stream opens
+// batches without allocating.
 type unitBatch struct {
 	to    overlay.NodeInfo
 	units []pendingUnit
@@ -215,6 +224,11 @@ type unitBatch struct {
 	// seq orders open batches by when they were opened, for flushAll.
 	seq    uint64
 	cancel func() // pending flush-deadline timer, nil until armed
+	// deadline is the flush-deadline timer's callback, built once per
+	// batch object. Flushing cancels the timer; a callback the live clock
+	// could no longer cancel at worst flushes this object's next batch
+	// early.
+	deadline func()
 }
 
 // engineShard is one execution context: a ready queue plus the busy flag
@@ -226,6 +240,8 @@ type engineShard struct {
 	runs []*sched.Unit
 	// procs mirrors runs with each unit's jittered processing time.
 	procs []time.Duration
+	// done ends a processing span (Engine.finish); built once per shard.
+	done func()
 }
 
 // shardFor routes a unit to its execution context. Substreams are pinned
@@ -267,9 +283,7 @@ func (e *Engine) queueLen() int {
 func (e *Engine) batchUnit(to overlay.NodeInfo, pu pendingUnit) {
 	b := e.batches[to.Addr]
 	if b == nil {
-		e.batchSeq++
-		b = &unitBatch{to: to, seq: e.batchSeq}
-		e.batches[to.Addr] = b
+		b = e.openBatch(to)
 	}
 	b.units = append(b.units, pu)
 	b.simBytes += pu.msg.Size
@@ -278,11 +292,25 @@ func (e *Engine) batchUnit(to overlay.NodeInfo, pu pendingUnit) {
 		return
 	}
 	if b.cancel == nil {
-		addr := to.Addr
-		b.cancel = e.clk.After(e.cfg.DataPlane.FlushInterval, func() {
-			e.flushDest(addr, "deadline")
-		})
+		b.cancel = e.clk.After(e.cfg.DataPlane.FlushInterval, b.deadline)
 	}
+}
+
+// openBatch opens the batch for a destination, on a spare batch object
+// when one is free.
+func (e *Engine) openBatch(to overlay.NodeInfo) *unitBatch {
+	var b *unitBatch
+	if n := len(e.spareBatches); n > 0 {
+		b = e.spareBatches[n-1]
+		e.spareBatches = e.spareBatches[:n-1]
+	} else {
+		b = &unitBatch{}
+		b.deadline = func() { e.flushDest(b.to.Addr, "deadline") }
+	}
+	e.batchSeq++
+	b.to, b.seq = to, e.batchSeq
+	e.batches[to.Addr] = b
+	return b
 }
 
 // flushDest encodes and sends the open batch for addr, then settles every
@@ -317,6 +345,9 @@ func (e *Engine) flushDest(addr transport.Addr, cause string) {
 	for i := range b.units {
 		e.settleUnit(&b.units[i], err)
 	}
+	clear(b.units) // a spare batch holds no request, flow or peer
+	b.units, b.simBytes, b.cancel, b.to = b.units[:0], 0, nil, overlay.NodeInfo{}
+	e.spareBatches = append(e.spareBatches, b)
 }
 
 // flushAll flushes every open batch, oldest first (used when a request
@@ -374,7 +405,7 @@ func (e *Engine) settleUnit(pu *pendingUnit, err error) {
 // onDataBatch receives a binary batch and hands each unit to handleUnit.
 func (e *Engine) onDataBatch(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 	scratch := decodeScratch.Get().(*[]dataMsg)
-	units := decodeBatchUnits(body, *scratch)
+	units := decodeBatchUnits(body, *scratch, e.reqs)
 	for i := range units {
 		e.handleUnit(units[i], false)
 	}
@@ -387,7 +418,7 @@ func (e *Engine) onDataBatch(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 // or sink it was addressed to.
 func (e *Engine) onDataBatchDropped(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
 	scratch := decodeScratch.Get().(*[]dataMsg)
-	units := decodeBatchUnits(body, *scratch)
+	units := decodeBatchUnits(body, *scratch, e.reqs)
 	for i := range units {
 		e.dropArrival(units[i])
 	}

@@ -40,7 +40,7 @@ func BenchmarkBatchDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if scratch = decodeBatchUnits(payload, scratch[:0]); scratch == nil {
+		if scratch = decodeBatchUnits(payload, scratch[:0], nil); scratch == nil {
 			b.Fatal("decode failed")
 		}
 	}

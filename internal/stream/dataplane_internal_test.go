@@ -219,7 +219,7 @@ func TestUnitCodecRoundTrip(t *testing.T) {
 	if len(b) != wantLen {
 		t.Fatalf("encoded %d bytes, want %d", len(b), wantLen)
 	}
-	got := decodeBatchUnits(b, nil)
+	got := decodeBatchUnits(b, nil, nil)
 	if len(got) != len(units) {
 		t.Fatalf("decoded %d units, want %d", len(got), len(units))
 	}
@@ -239,14 +239,14 @@ func TestDecodeBatchRejectsTruncation(t *testing.T) {
 	}
 	b := appendBatchUnits(nil, units)
 	for cut := 0; cut < len(b); cut++ {
-		if got := decodeBatchUnits(b[:cut], nil); got != nil {
+		if got := decodeBatchUnits(b[:cut], nil, nil); got != nil {
 			t.Fatalf("decode of %d/%d bytes = %d units, want rejection", cut, len(b), len(got))
 		}
 	}
-	if decodeBatchUnits(nil, nil) != nil {
+	if decodeBatchUnits(nil, nil, nil) != nil {
 		t.Fatal("decode of empty buffer must be rejected")
 	}
-	if decodeBatchUnits(append(b, 0), nil) != nil {
+	if decodeBatchUnits(append(b, 0), nil, nil) != nil {
 		t.Fatal("decode of a batch with a trailing byte must be rejected")
 	}
 }
@@ -268,7 +268,7 @@ func FuzzDecodeBatchUnits(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		units := decodeBatchUnits(b, nil)
+		units := decodeBatchUnits(b, nil, nil)
 		if units == nil {
 			return
 		}
@@ -466,7 +466,7 @@ func decodeWireBatch(t *testing.T, msg transport.Message) []dataMsg {
 	if !ok || app != appDataBatch {
 		t.Fatalf("wire app = %q (sender parsed: %v), want %q", app, ok, appDataBatch)
 	}
-	units := decodeBatchUnits(b, nil)
+	units := decodeBatchUnits(b, nil, nil)
 	if units == nil {
 		t.Fatal("wire batch payload failed to decode")
 	}

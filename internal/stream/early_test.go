@@ -35,7 +35,7 @@ func newEarlyRig(t *testing.T, cfg Config) *earlyRig {
 // sink installs, at engine 0, the sink of a one-service request.
 func (r *earlyRig) sink(req string) *Sink {
 	s := newSink(req, 0, 1, 100*time.Millisecond, 100*time.Millisecond, 0)
-	r.engines[0].sinks[sinkKey(req, 0)] = s
+	r.engines[0].sinks[flowKey{req, 0}] = s
 	return s
 }
 
@@ -445,7 +445,7 @@ func TestPromotedReplayStartsSourcesAtInstantiateSend(t *testing.T) {
 	origin.Teardown(first, time.Second)
 	promotedAt := r.sim.Now()
 	r.sim.RunUntil(promotedAt + time.Millisecond)
-	if src := origin.sources[sinkKey("second", 0)]; src == nil || origin.ActiveRequests() != 0 {
+	if src := origin.sources[flowKey{"second", 0}]; src == nil || origin.ActiveRequests() != 0 {
 		t.Fatalf("1 ms after the promotion: source %v, %d registered applications; want a running source and no registration before the acks",
 			src, origin.ActiveRequests())
 	}

@@ -103,17 +103,23 @@ type Engine struct {
 	Dir     Directory
 
 	// shards are the execution contexts (ready queue + simulated core).
-	// batches holds the open per-destination unit batches, batchSeq the
-	// count of batches opened so far (it stamps their age), and flows the
-	// per-substream throughput counters behind Throughput().
-	shards   []*engineShard
-	batches  map[transport.Addr]*unitBatch
-	batchSeq uint64
-	flows    map[string]*flowCounters
+	// batches holds the open per-destination unit batches, spareBatches
+	// the flushed ones kept for reuse, batchSeq the count of batches opened
+	// so far (it stamps their age), and flows the per-substream throughput
+	// counters behind Throughput().
+	shards       []*engineShard
+	batches      map[transport.Addr]*unitBatch
+	spareBatches []*unitBatch
+	batchSeq     uint64
+	flows        map[flowKey]*flowCounters
 
-	comps   map[string]*component
-	sinks   map[string]*Sink
-	sources map[string]*source
+	comps   map[compKey]*component
+	sinks   map[flowKey]*Sink
+	sources map[flowKey]*source
+	// reqs holds the ID of every request with a component, sink or source
+	// here that StopRequest has not ended, keyed by itself: arriving units
+	// take their request ID from it instead of copying it off the wire.
+	reqs map[string]string
 
 	// early holds, in arrival order, the units that reached this engine
 	// ahead of the instantiate message creating their component (sources
@@ -201,10 +207,11 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[s
 		Dir:            dir,
 		shards:         make([]*engineShard, cfg.DataPlane.Shards),
 		batches:        make(map[transport.Addr]*unitBatch),
-		flows:          make(map[string]*flowCounters),
-		comps:          make(map[string]*component),
-		sinks:          make(map[string]*Sink),
-		sources:        make(map[string]*source),
+		flows:          make(map[flowKey]*flowCounters),
+		comps:          make(map[compKey]*component),
+		sinks:          make(map[flowKey]*Sink),
+		sources:        make(map[flowKey]*source),
+		reqs:           make(map[string]string),
 		stopped:        make(map[string]bool),
 		origins:        make(map[string]*originState),
 		composeCapture: make(map[string]*core.ComposeStats),
@@ -212,7 +219,9 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[s
 		Catalog:        catalog,
 	}
 	for i := range e.shards {
-		e.shards[i] = &engineShard{queue: sched.NewPolicy(cfg.SchedPolicy, cfg.QueueCapacity)}
+		sh := &engineShard{queue: sched.NewPolicy(cfg.SchedPolicy, cfg.QueueCapacity)}
+		sh.done = func() { e.finish(sh) }
+		e.shards[i] = sh
 	}
 	e.Monitor.SetQueueLenFunc(e.queueLen)
 	e.Monitor.SetCPU(cfg.SpeedFactor)
@@ -313,10 +322,8 @@ func (e *Engine) SetStatsProvider(fn func(overlay.ID) (monitor.Report, bool)) {
 // nil. It is the accessor for delivery detail (delay, jitter, ordering,
 // timeliness, stalls); unit and byte counts are in Throughput.
 func (e *Engine) Sink(req string, substream int) *Sink {
-	return e.sinks[sinkKey(req, substream)]
+	return e.sinks[flowKey{req, substream}]
 }
-
-func sinkKey(req string, substream int) string { return req + "/" + itoa(substream) }
 
 // onStats serves the monitoring report to composing nodes as a fixed-size
 // digest (monitor.AppendDigest), optionally from a bounded-age cache (the
@@ -342,13 +349,13 @@ func (e *Engine) onInstantiate(_ overlay.NodeInfo, body []byte, respond func([]b
 		respond(nil, "stream: bad instantiate")
 		return
 	}
-	key := componentKey(m.Req, m.Substream, m.Stage)
-	e.comps[key] = &component{
-		key:   key,
+	e.comps[compKey{m.Req, m.Substream, m.Stage}] = &component{
+		key:   componentKey(m.Req, m.Substream, m.Stage),
 		msg:   m,
 		split: newSplitter(m.Outs),
 		flow:  e.flowFor(m.Req, m.Substream),
 	}
+	e.reqs[m.Req] = m.Req
 	delete(e.stopped, m.Req)
 	e.replayEarly(m.Req, m.Substream, m.Stage)
 	respond([]byte("ok"), "")
@@ -379,6 +386,7 @@ func (e *Engine) StopRequest(req string) {
 		e.dropStale(m)
 	}
 	e.stopped[req] = true
+	delete(e.reqs, req)
 	e.Monitor.Forget(req + "/")
 	delete(e.origins, req)
 }
@@ -472,7 +480,7 @@ func (e *Engine) replayEarly(req string, substream, stage int) {
 // unit coming out of the early-unit buffer.
 func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 	now := e.clk.Now()
-	if s, ok := e.sinks[sinkKey(m.Req, m.Substream)]; ok && m.Stage == s.Stages {
+	if s, ok := e.sinks[flowKey{m.Req, m.Substream}]; ok && m.Stage == s.Stages {
 		e.Monitor.ObserveInbound(now, m.Size)
 		telDelivered.Inc()
 		telDeliveryDelay.ObserveDuration(now - m.Created)
@@ -480,8 +488,7 @@ func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 		s.observe(m, now)
 		return
 	}
-	key := componentKey(m.Req, m.Substream, m.Stage)
-	c, ok := e.comps[key]
+	c, ok := e.comps[compKey{m.Req, m.Substream, m.Stage}]
 	if !ok {
 		// In flight when a teardown removed its component, or ahead of the
 		// instantiate message that will create it.
@@ -492,19 +499,19 @@ func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 		}
 		return
 	}
-	e.Monitor.ObserveArrival(key, c.msg.Service, now, m.Size)
+	e.Monitor.ObserveArrival(c.key, c.msg.Service, now, m.Size)
 	note := c.msg.Service
 	if replayed {
 		note += earlyNote
 	}
 	e.traceEvent(trace.KindArrive, m, m.Stage, note)
 	period := time.Duration(float64(time.Second) / c.msg.Rate)
-	exec := e.Monitor.MeanProc(key)
+	exec := e.Monitor.MeanProc(c.key)
 	if exec == 0 {
 		exec = e.scaledProc(c)
 	}
 	u, task := getUnit()
-	u.ComponentKey = key
+	u.ComponentKey = c.key
 	u.Deadline = now + period
 	u.ExecTime = exec
 	u.Enqueued = now
@@ -515,7 +522,7 @@ func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 		e.DropsQueueFull++
 		telDropQueueFull.Inc()
 		e.traceEvent(trace.KindDrop, m, m.Stage, "queue-full")
-		e.Monitor.ObserveDrop(key, c.msg.Service) // queue overflow
+		e.Monitor.ObserveDrop(c.key, c.msg.Service) // queue overflow
 		c.flow.droppedUnits++
 		c.flow.droppedBytes += int64(m.Size)
 		putUnit(u)
@@ -566,22 +573,26 @@ func (e *Engine) kick(sh *engineShard) {
 		sh.procs = append(sh.procs, proc)
 	}
 	sh.busy = true
-	e.clk.After(total, func() {
-		// busy stays set until the drain scratch is fully consumed so a
-		// re-entrant kick cannot clobber sh.runs mid-iteration.
-		now := e.clk.Now()
-		for i, u := range sh.runs {
-			task := u.Payload.(*unitTask)
-			telProcessed.Inc()
-			e.Monitor.ObserveProcessed(u.ComponentKey, task.comp.msg.Service, sh.procs[i])
-			e.Monitor.ObserveBusy(now, sh.procs[i])
-			e.traceEvent(trace.KindProcess, task.msg, task.msg.Stage, task.comp.msg.Service)
-			e.forward(task.comp, task.msg)
-			putUnit(u)
-		}
-		sh.busy = false
-		e.kick(sh)
-	})
+	e.clk.After(total, sh.done)
+}
+
+// finish ends a shard's processing span: the drained units are forwarded
+// and the shard takes its next round.
+func (e *Engine) finish(sh *engineShard) {
+	// busy stays set until the drain scratch is fully consumed so a
+	// re-entrant kick cannot clobber sh.runs mid-iteration.
+	now := e.clk.Now()
+	for i, u := range sh.runs {
+		task := u.Payload.(*unitTask)
+		telProcessed.Inc()
+		e.Monitor.ObserveProcessed(u.ComponentKey, task.comp.msg.Service, sh.procs[i])
+		e.Monitor.ObserveBusy(now, sh.procs[i])
+		e.traceEvent(trace.KindProcess, task.msg, task.msg.Stage, task.comp.msg.Service)
+		e.forward(task.comp, task.msg)
+		putUnit(u)
+	}
+	sh.busy = false
+	e.kick(sh)
 }
 
 // creditEpsilon absorbs float rounding in the unit credits of forward and

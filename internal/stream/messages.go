@@ -169,7 +169,20 @@ type dataMsg struct {
 	Size      int
 }
 
-// componentKey identifies a component instance within an engine.
+// flowKey names a request substream and compKey a component instance: the
+// keys of the engine's tables, so a lookup builds no string.
+type flowKey struct {
+	req       string
+	substream int
+}
+
+type compKey struct {
+	req              string
+	substream, stage int
+}
+
+// componentKey names a component instance in the node monitor and in
+// execution-graph placement lookups.
 func componentKey(req string, substream, stage int) string {
 	return req + "/" + itoa(substream) + "/" + itoa(stage)
 }

@@ -138,7 +138,7 @@ func (e *Engine) applyDelta(app string, st *originState, g *core.ExecutionGraph,
 		st.graph = g
 		e.chargePlacements(g)
 		for l := range affected {
-			if src := e.sources[sinkKey(app, l)]; src != nil {
+			if src := e.sources[flowKey{app, l}]; src != nil {
 				src.retarget(sourceOuts[l])
 			}
 		}

@@ -56,13 +56,13 @@ func (e *Engine) startSource(req string, substream int, ss spec.Substream, unitB
 		split:      newSplitter(outs),
 		flow:       e.flowFor(req, substream),
 	}
-	e.sources[sinkKey(req, substream)] = s
+	e.sources[flowKey{req, substream}] = s
 	period := time.Duration(float64(time.Second) / float64(ss.Rate))
 	tickEvery := period
 	if fi := e.cfg.DataPlane.FlushInterval; tickEvery < fi {
 		tickEvery = fi
 	}
-	key := "source:" + sinkKey(req, substream)
+	key := "source:" + req + "/" + itoa(substream)
 	// Desynchronize sources slightly so simultaneous requests do not beat
 	// in lockstep. The first tick is owed one full tick of credit.
 	offset := time.Duration(e.rng.Int63n(int64(tickEvery)))

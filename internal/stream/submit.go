@@ -318,6 +318,7 @@ func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec) 
 	// A recompose stopped the request here a moment ago; its new units are
 	// early at the origin's own components, not stale.
 	delete(e.stopped, g.Request.ID)
+	e.reqs[g.Request.ID] = g.Request.ID
 	for l, ss := range g.Request.Substreams {
 		period := time.Duration(float64(time.Second) / float64(ss.Rate))
 		slack := time.Duration(float64(period) * e.cfg.TimelyFactor)
@@ -325,7 +326,7 @@ func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec) 
 		if e.cfg.KeepDelaySamples {
 			sink.Delays = &metrics.Histogram{}
 		}
-		e.sinks[sinkKey(g.Request.ID, l)] = sink
+		e.sinks[flowKey{g.Request.ID, l}] = sink
 		e.startSource(g.Request.ID, l, ss, g.Request.UnitBytes, sourceOuts[l])
 	}
 }

@@ -21,7 +21,7 @@ type flowCounters struct {
 // them on first use. Counters survive StopRequest (like sinks) so the
 // statistics of a finished application remain readable.
 func (e *Engine) flowFor(req string, substream int) *flowCounters {
-	key := sinkKey(req, substream)
+	key := flowKey{req, substream}
 	f, ok := e.flows[key]
 	if !ok {
 		f = &flowCounters{}
@@ -67,7 +67,7 @@ func (t *Throughput) Accumulate(o Throughput) {
 // contribute forwards and drops.
 func (e *Engine) Throughput(req string, substream int) Throughput {
 	t := Throughput{Req: req, Substream: substream}
-	if f, ok := e.flows[sinkKey(req, substream)]; ok {
+	if f, ok := e.flows[flowKey{req, substream}]; ok {
 		t.EmittedUnits = f.emittedUnits
 		t.EmittedBytes = f.emittedBytes
 		t.ForwardedUnits = f.forwardedUnits
@@ -75,7 +75,7 @@ func (e *Engine) Throughput(req string, substream int) Throughput {
 		t.DroppedUnits = f.droppedUnits
 		t.DroppedBytes = f.droppedBytes
 	}
-	if s := e.sinks[sinkKey(req, substream)]; s != nil {
+	if s := e.sinks[flowKey{req, substream}]; s != nil {
 		t.DeliveredUnits = s.Received
 		t.DeliveredBytes = s.DeliveredBytes
 	}
@@ -85,9 +85,9 @@ func (e *Engine) Throughput(req string, substream int) Throughput {
 // Throughputs returns a snapshot for every substream this engine has
 // touched (source, component or sink), sorted by request then substream.
 func (e *Engine) Throughputs() []Throughput {
-	seen := make(map[string]Throughput, len(e.flows)+len(e.sinks))
+	seen := make(map[flowKey]Throughput, len(e.flows)+len(e.sinks))
 	add := func(req string, substream int) {
-		k := sinkKey(req, substream)
+		k := flowKey{req, substream}
 		if _, ok := seen[k]; !ok {
 			seen[k] = e.Throughput(req, substream)
 		}

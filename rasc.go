@@ -227,20 +227,26 @@ func (c *Composition) NumHosts() int { return core.NumHosts(c.Graph) }
 // On success the application is streaming; observe it with Run and
 // DeliveryStats. Equivalent to SubmitContext with context.Background().
 //
-// Failures wrap the facade's sentinel errors — ErrUnknownComposer,
-// ErrUnknownService, ErrRequestIDTooLong, ErrNoComposition, ErrDiscovery,
-// ErrNoDirectory, ErrInstantiation — so callers branch with errors.Is.
+// Failures wrap the facade's sentinel errors — ErrOriginOutOfRange,
+// ErrUnknownComposer, ErrUnknownService, ErrRequestIDTooLong,
+// ErrNoComposition, ErrDiscovery, ErrNoDirectory, ErrInstantiation,
+// ErrSubmitTimeout — so callers branch with errors.Is.
 func (s *System) Submit(origin int, req Request, composer Composer) (*Composition, error) {
 	return s.SubmitContext(context.Background(), origin, req, composer)
 }
 
+// submitTimeout bounds, in virtual time, how long Submit waits for a
+// composition to complete (ErrSubmitTimeout).
+const submitTimeout = 60 * time.Second
+
 // SubmitContext is Submit with cancellation: the loop that advances
 // virtual time while waiting for composition checks ctx between steps and
-// returns ctx.Err() (wrapped) as soon as it is done. Virtual time already
+// returns ctx.Err() (wrapped, so errors.Is matches context.Canceled or
+// context.DeadlineExceeded) as soon as it is done. Virtual time already
 // spent is not rolled back.
 func (s *System) SubmitContext(ctx context.Context, origin int, req Request, composer Composer) (*Composition, error) {
 	if origin < 0 || origin >= len(s.d.Engines) {
-		return nil, fmt.Errorf("rasc: origin %d outside deployment of %d nodes", origin, len(s.d.Engines))
+		return nil, fmt.Errorf("%w: origin %d, %d nodes", ErrOriginOutOfRange, origin, len(s.d.Engines))
 	}
 	if _, err := ParseComposer(string(composer)); err != nil {
 		return nil, err
@@ -262,7 +268,7 @@ func (s *System) SubmitContext(ctx context.Context, origin int, req Request, com
 	s.d.Engines[origin].Submit(req, comp, 10*time.Second, func(g *core.ExecutionGraph, err error) {
 		graph, submitErr, done = g, err, true
 	})
-	deadline := s.d.Sim.Now() + 60*time.Second
+	deadline := s.d.Sim.Now() + submitTimeout
 	for !done && s.d.Sim.Now() < deadline {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("rasc: submission of %s: %w", req.ID, err)
@@ -270,7 +276,7 @@ func (s *System) SubmitContext(ctx context.Context, origin int, req Request, com
 		s.d.Sim.RunUntil(s.d.Sim.Now() + 100*time.Millisecond)
 	}
 	if !done {
-		return nil, fmt.Errorf("rasc: submission of %s did not complete", req.ID)
+		return nil, fmt.Errorf("%w: %s within %v of virtual time", ErrSubmitTimeout, req.ID, submitTimeout)
 	}
 	if submitErr != nil {
 		if errors.Is(submitErr, core.ErrNoFeasiblePlacement) {
