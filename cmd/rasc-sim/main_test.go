@@ -8,10 +8,13 @@ import (
 	"testing"
 )
 
-// The report of a seeded run is deterministic. The goldens were written by
-// the commit before the simulator's hot-path rewrite (typed event queue,
-// sorted leaf-set insertion, allocation-light unit hop), so they are also
-// the end-to-end proof that the rewrite changed no simulated outcome. Re-pin
+// The report of a seeded run is deterministic. The goldens were first
+// written by the commit before the simulator's hot-path rewrite (typed
+// event queue, sorted leaf-set insertion, allocation-light unit hop), so
+// they were also the end-to-end proof that the rewrite changed no simulated
+// outcome. They were re-pinned once since, when a source began to send its
+// head unit at activation: both runs deliver 49 of 54 units (90.7 %), where
+// the plain one delivered 48 of 53 and the admission run 38 of 48. Re-pin
 // one only for a change meant to move outcomes: run rasc-sim with the
 // test's arguments and write its stdout over the file.
 func TestRunMatchesGolden(t *testing.T) {

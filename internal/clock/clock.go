@@ -17,6 +17,11 @@ type Clock interface {
 	// After runs fn once d has elapsed and returns a cancel function.
 	// Cancelling after the timer fired is a no-op.
 	After(d time.Duration, fn func()) (cancel func())
+	// Resolution is the shortest wait the clock's timers keep: a timer
+	// asked for less may still fire that late. Code that models time
+	// finer than this (a processing span, a source tick) keeps the
+	// modelled instant itself instead of arming a timer for it.
+	Resolution() time.Duration
 }
 
 // Sim adapts a netsim.Simulator to the Clock interface. It must only be
@@ -30,6 +35,9 @@ func (c Sim) Now() time.Duration { return c.S.Now() }
 
 // After schedules fn on the simulator after d of virtual time.
 func (c Sim) After(d time.Duration, fn func()) func() { return c.S.Timer(d, fn) }
+
+// Resolution is 0: a virtual timer fires at exactly the instant asked for.
+func (c Sim) Resolution() time.Duration { return 0 }
 
 // Real is a wall-clock implementation backed by the time package.
 // It is safe for concurrent use.
@@ -60,3 +68,12 @@ func (r *Real) After(d time.Duration, fn func()) func() {
 	t := time.AfterFunc(d, fn)
 	return func() { t.Stop() }
 }
+
+// Resolution is one millisecond. An idle Go process sleeps in the network
+// poller, whose wait is counted in whole milliseconds, so a timer shorter
+// than that fires on the next millisecond tick. Measured on three live
+// nodes over loopback TCP (2 cores, Linux): a 20 µs processing span slept
+// on a timer took ≈ 0.7 ms per hop, a shard ran about one span per
+// millisecond, and at 2000 units/s per substream the relays dropped units
+// for laxity until attainment was 0.44–0.55.
+func (r *Real) Resolution() time.Duration { return time.Millisecond }

@@ -99,6 +99,16 @@ func TestRealClockCancel(t *testing.T) {
 	}
 }
 
+// The simulator's timers are exact; the wall clock's keep a millisecond.
+func TestResolution(t *testing.T) {
+	if got := (Sim{S: netsim.New(1)}).Resolution(); got != 0 {
+		t.Errorf("Sim resolution = %v, want 0", got)
+	}
+	if got := NewReal().Resolution(); got != time.Millisecond {
+		t.Errorf("Real resolution = %v, want 1ms", got)
+	}
+}
+
 func TestRealZeroValueUsable(t *testing.T) {
 	var r Real
 	if r.Now() < 0 {

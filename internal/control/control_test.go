@@ -30,6 +30,8 @@ func (c *fakeClock) After(d time.Duration, fn func()) func() {
 	return func() { t.stopped = true }
 }
 
+func (c *fakeClock) Resolution() time.Duration { return 0 }
+
 // advance runs due timers in time order (FIFO on ties) up to now+d.
 func (c *fakeClock) advance(d time.Duration) {
 	target := c.now + d

@@ -188,6 +188,7 @@ func (c loopClock) Now() time.Duration { return c.base.Now() }
 func (c loopClock) After(d time.Duration, fn func()) func() {
 	return c.base.After(d, func() { c.post(fn) })
 }
+func (c loopClock) Resolution() time.Duration { return c.base.Resolution() }
 
 // Start boots a live node: binds the listener, builds the protocol stack,
 // joins (or bootstraps) the overlay and announces services. It blocks

@@ -27,6 +27,8 @@ func (c scaledClock) After(d time.Duration, fn func()) func() {
 	return c.base.After(real, fn)
 }
 
+func (c scaledClock) Resolution() time.Duration { return 0 }
+
 func TestLiveJoinTimeoutRunsOnInjectedClock(t *testing.T) {
 	// A 30-second join timeout against an unreachable bootstrap. Under the
 	// old time.After implementation this test would block for the full 30

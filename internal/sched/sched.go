@@ -15,7 +15,6 @@
 package sched
 
 import (
-	"container/heap"
 	"time"
 )
 
@@ -33,7 +32,7 @@ type Unit struct {
 	// Payload carries the caller's data through the queue.
 	Payload interface{}
 
-	index int // heap bookkeeping
+	key time.Duration // heap order, set by the policy at Push
 }
 
 // laxityKey is the time-independent part of the laxity: L = key − now, so
@@ -58,127 +57,106 @@ type Policy interface {
 	Name() string
 }
 
-// unitHeap orders units by an arbitrary key function.
-type unitHeap struct {
-	units []*Unit
-	less  func(a, b *Unit) bool
+// unitHeap is a binary min-heap of units ordered by (key, Enqueued). Its
+// sift steps make container/heap's choices (the lesser child, the left one
+// on a tie, moves up only when strictly less), so units that tie on both
+// pop in the same order as they did through that package.
+type unitHeap []*Unit
+
+// before orders two units by key, then by arrival.
+func before(a, b *Unit) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.Enqueued < b.Enqueued
 }
 
-func (h *unitHeap) Len() int           { return len(h.units) }
-func (h *unitHeap) Less(i, j int) bool { return h.less(h.units[i], h.units[j]) }
-func (h *unitHeap) Swap(i, j int) {
-	h.units[i], h.units[j] = h.units[j], h.units[i]
-	h.units[i].index = i
-	h.units[j].index = j
-}
-func (h *unitHeap) Push(x interface{}) {
-	u := x.(*Unit)
-	u.index = len(h.units)
-	h.units = append(h.units, u)
-}
-func (h *unitHeap) Pop() interface{} {
-	old := h.units
-	n := len(old)
-	u := old[n-1]
-	old[n-1] = nil
-	h.units = old[:n-1]
-	return u
+func (h *unitHeap) push(u *Unit) {
+	q := append(*h, u)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !before(q[i], q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
 }
 
-// llf is the paper's least-laxity-first policy.
-type llf struct {
+// pop removes and returns the least unit. The heap must not be empty.
+func (h *unitHeap) pop() *Unit {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = nil // release the unit
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && before(q[l], q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && before(q[r], q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
+
+// heapPolicy is a bounded priority queue that drops units whose laxity went
+// negative as they reach its head. LLF and EDF differ only in the key the
+// heap orders by.
+type heapPolicy struct {
+	name     string
 	heap     unitHeap
 	capacity int
+	key      func(*Unit) time.Duration
 	m        policyMetrics
 }
 
-// NewLLF creates a least-laxity-first queue holding at most capacity units
-// (capacity <= 0 means unbounded).
+// NewLLF creates a least-laxity-first queue (the paper's policy) holding
+// at most capacity units (capacity <= 0 means unbounded).
 func NewLLF(capacity int) Policy {
-	q := &llf{capacity: capacity, m: newPolicyMetrics("llf")}
-	q.heap.less = func(a, b *Unit) bool {
-		if a.laxityKey() != b.laxityKey() {
-			return a.laxityKey() < b.laxityKey()
-		}
-		return a.Enqueued < b.Enqueued
-	}
-	return q
+	return &heapPolicy{name: "llf", capacity: capacity, key: (*Unit).laxityKey, m: newPolicyMetrics("llf")}
 }
 
-func (q *llf) Name() string { return "llf" }
-func (q *llf) Len() int     { return q.heap.Len() }
-
-func (q *llf) Push(u *Unit) bool {
-	if q.capacity > 0 && q.heap.Len() >= q.capacity {
-		q.m.onReject()
-		return false
-	}
-	heap.Push(&q.heap, u)
-	q.m.onPush()
-	return true
-}
-
-func (q *llf) Next(now time.Duration) (*Unit, []*Unit) {
-	var dropped []*Unit
-	for q.heap.Len() > 0 {
-		u := q.heap.units[0]
-		if u.Laxity(now) < 0 {
-			heap.Pop(&q.heap)
-			q.m.onDrop(u, now)
-			dropped = append(dropped, u)
-			continue
-		}
-		heap.Pop(&q.heap)
-		q.m.onRun(u, now)
-		return u, dropped
-	}
-	return nil, dropped
-}
-
-// edf orders by absolute deadline (earliest-deadline-first), an ablation
-// against LLF.
-type edf struct {
-	heap     unitHeap
-	capacity int
-	m        policyMetrics
-}
-
-// NewEDF creates an earliest-deadline-first queue.
+// NewEDF creates an earliest-deadline-first queue, an ablation against LLF.
 func NewEDF(capacity int) Policy {
-	q := &edf{capacity: capacity, m: newPolicyMetrics("edf")}
-	q.heap.less = func(a, b *Unit) bool {
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-		return a.Enqueued < b.Enqueued
-	}
-	return q
+	return &heapPolicy{name: "edf", capacity: capacity, key: deadline, m: newPolicyMetrics("edf")}
 }
 
-func (q *edf) Name() string { return "edf" }
-func (q *edf) Len() int     { return q.heap.Len() }
+func deadline(u *Unit) time.Duration { return u.Deadline }
 
-func (q *edf) Push(u *Unit) bool {
-	if q.capacity > 0 && q.heap.Len() >= q.capacity {
+func (q *heapPolicy) Name() string { return q.name }
+func (q *heapPolicy) Len() int     { return len(q.heap) }
+
+func (q *heapPolicy) Push(u *Unit) bool {
+	if q.capacity > 0 && len(q.heap) >= q.capacity {
 		q.m.onReject()
 		return false
 	}
-	heap.Push(&q.heap, u)
+	u.key = q.key(u)
+	q.heap.push(u)
 	q.m.onPush()
 	return true
 }
 
-func (q *edf) Next(now time.Duration) (*Unit, []*Unit) {
+func (q *heapPolicy) Next(now time.Duration) (*Unit, []*Unit) {
 	var dropped []*Unit
-	for q.heap.Len() > 0 {
-		u := q.heap.units[0]
+	for len(q.heap) > 0 {
+		u := q.heap.pop()
 		if u.Laxity(now) < 0 {
-			heap.Pop(&q.heap)
 			q.m.onDrop(u, now)
 			dropped = append(dropped, u)
 			continue
 		}
-		heap.Pop(&q.heap)
 		q.m.onRun(u, now)
 		return u, dropped
 	}

@@ -232,10 +232,13 @@ type unitBatch struct {
 }
 
 // engineShard is one execution context: a ready queue plus the busy flag
-// of its simulated core.
+// and CPU clock of its simulated core.
 type engineShard struct {
 	queue sched.Policy
 	busy  bool
+	// free is the modelled end of the shard's last processing span; it
+	// runs ahead of the clock while spans complete without a timer.
+	free time.Duration
 	// runs is drain scratch reused between processing rounds.
 	runs []*sched.Unit
 	// procs mirrors runs with each unit's jittered processing time.

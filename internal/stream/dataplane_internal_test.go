@@ -16,13 +16,20 @@ import (
 )
 
 // testClock is a manually advanced clock.Clock for exercising the batcher's
-// flush-deadline timers and the source loop without a simulator.
+// flush-deadline timers, the source loop and the shards without a
+// simulator.
 type testClock struct {
 	now    time.Duration
 	timers []*testTimer
+	// asked records the wait of every timer armed, in arming order.
+	asked []time.Duration
 	// lag makes every timer fire this much later than asked, the way a
 	// wall clock's timers do under load.
 	lag time.Duration
+	// res is the clock's resolution: a timer asked for a positive wait
+	// shorter than res fires res after it was armed, the way a wall clock's
+	// timers wait for the next tick (a zero wait fires at once).
+	res time.Duration
 }
 
 type testTimer struct {
@@ -33,25 +40,37 @@ type testTimer struct {
 
 func (c *testClock) Now() time.Duration { return c.now }
 
+func (c *testClock) Resolution() time.Duration { return c.res }
+
 func (c *testClock) After(d time.Duration, fn func()) (cancel func()) {
-	t := &testTimer{at: c.now + d + c.lag, fn: fn}
+	c.asked = append(c.asked, d)
+	wait := d
+	if wait > 0 && wait < c.res {
+		wait = c.res
+	}
+	t := &testTimer{at: c.now + wait + c.lag, fn: fn}
 	c.timers = append(c.timers, t)
 	return func() { t.stopped = true }
 }
 
-// advance moves the clock forward by d, firing due timers in time order.
+// advance moves the clock forward by d, firing due timers in time order
+// (in arming order at one instant).
 func (c *testClock) advance(d time.Duration) {
 	target := c.now + d
 	for {
 		best := -1
-		for i, t := range c.timers {
-			if t.stopped || t.at > target {
+		live := c.timers[:0]
+		for _, t := range c.timers {
+			if t.stopped {
 				continue
 			}
-			if best < 0 || t.at < c.timers[best].at {
-				best = i
+			live = append(live, t)
+			if t.at <= target && (best < 0 || t.at < live[best].at) {
+				best = len(live) - 1
 			}
 		}
+		clear(c.timers[len(live):])
+		c.timers = live
 		if best < 0 {
 			break
 		}
@@ -155,10 +174,11 @@ func startStubSource(e *Engine, rate int) *flowCounters {
 	return e.flowFor("app", 0)
 }
 
-// A source with no flush interval emits exactly one unit per period, also
-// at rates whose period is not a whole number of nanoseconds (there
-// rate·period falls just short of one unit, and a credit kept in
-// rate·seconds would slip an emission).
+// A source with no flush interval sends its head unit in the instant it is
+// started and then one unit per period, so it is never more than a unit
+// behind rate·t nor two ahead of it, also at rates whose period is not a
+// whole number of nanoseconds (there rate·period falls just short of one
+// unit, and a credit kept in rate·seconds would slip an emission).
 func TestSourceEmitsOneUnitPerPeriod(t *testing.T) {
 	for _, rate := range []int{3, 7, 30} {
 		clk := &testClock{}
@@ -167,17 +187,40 @@ func TestSourceEmitsOneUnitPerPeriod(t *testing.T) {
 		flow := startStubSource(e, rate)
 		period := time.Duration(float64(time.Second) / float64(rate))
 
-		clk.advance(period)
-		if flow.emittedUnits != 1 {
-			t.Fatalf("rate %d: %d units in the first period, want 1", rate, flow.emittedUnits)
+		clk.advance(0)
+		if flow.emittedUnits != 1 || decodeWireBatch(t, ep.sent[0])[0].Created != 0 {
+			t.Fatalf("rate %d: %d units at activation, want the head unit created then", rate, flow.emittedUnits)
 		}
-		first := decodeWireBatch(t, ep.sent[0])[0].Created
-		clk.advance(first + 10*time.Second - clk.now)
-		if want := int64(10*rate + 1); flow.emittedUnits != want {
-			t.Errorf("rate %d: %d units in the 10 s after the first, want %d", rate, flow.emittedUnits, want)
+		for clk.now < 10*time.Second {
+			clk.advance(period / 7)
+			due := float64(rate) * clk.now.Seconds()
+			if got := float64(flow.emittedUnits); got < due-1 || got > due+2 {
+				t.Fatalf("rate %d: %d units emitted by %v, want within [%.2f, %.2f]", rate, flow.emittedUnits, clk.now, due-1, due+2)
+			}
 		}
 		if len(ep.sent) != int(flow.emittedUnits) {
 			t.Errorf("rate %d: %d wire messages for %d units, want one each", rate, len(ep.sent), flow.emittedUnits)
+		}
+	}
+}
+
+// On a clock whose timers keep a millisecond and fire 0.3 ms late, a source
+// at 2000 units/s ticks once per millisecond and emits what each tick owes
+// (two units and a bit). Ticking every period instead, each tick would be
+// 1.3 ms late against a catch-up cap of two periods and lose a quarter of
+// the rate.
+func TestSourceHoldsRateOnCoarseClock(t *testing.T) {
+	const rate, seconds = 2000, 4
+	clk := &testClock{res: time.Millisecond, lag: 300 * time.Microsecond}
+	e := newStubEngine(clk, &stubEndpoint{addr: "stub"}, DataPlaneConfig{})
+	flow := startStubSource(e, rate)
+	clk.advance(seconds * time.Second)
+	if got := float64(flow.emittedUnits) / (rate * seconds); got < 0.99 {
+		t.Fatalf("attainment at %d units/s on a 1 ms clock = %.3f (%d units), want ≥ 0.99", rate, got, flow.emittedUnits)
+	}
+	for _, d := range clk.asked[2:] { // after the head unit and the phase
+		if d != clk.res {
+			t.Fatalf("the source armed a %v tick on a %v clock, want %v", d, clk.res, clk.res)
 		}
 	}
 }

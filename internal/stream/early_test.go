@@ -277,7 +277,8 @@ func (r *gatherRig) flowTotals(req string) (tp Throughput, held int) {
 }
 
 // Sources start when the instantiate messages are sent, not when the last
-// ack is in; the callback and the application's registration still wait for
+// ack is in, and their head unit leaves in that instant, behind the
+// messages; the callback and the application's registration still wait for
 // every ack; and the units that overtake the stage-1 host's instantiate
 // message (its path from the origin is the slow one) wait there for it, so
 // nothing is lost.
@@ -285,7 +286,6 @@ func TestSubmitStartsSourcesAtInstantiateSend(t *testing.T) {
 	const (
 		hop     = 10 * time.Millisecond
 		slowHop = 150 * time.Millisecond // origin ↔ stage-1 host
-		period  = 100 * time.Millisecond
 	)
 	r, buf := newSubmitRig(t, func(a, b netsim.NodeID) time.Duration {
 		if a+b == 2 && a != b { // engines 0 and 2
@@ -321,8 +321,18 @@ func TestSubmitStartsSourcesAtInstantiateSend(t *testing.T) {
 			emits = append(emits, ev)
 		}
 	}
-	if len(emits) == 0 || emits[0].At >= period {
-		t.Fatalf("emit events by %v: %+v; want the first within one period (the desync offset) of the instantiate send at 0", r.sim.Now(), emits)
+	if len(emits) == 0 || emits[0].At != 0 || emits[0].Seq != 0 {
+		t.Fatalf("emit events by %v: %+v; want the head unit in the instantiate-send instant, 0", r.sim.Now(), emits)
+	}
+	// It left the origin's uplink behind the instantiate messages: the
+	// stage-0 host, at the same distance, had its component when it came.
+	for _, ev := range buf.Events() {
+		if ev.Kind == trace.KindArrive && ev.Node == string(r.infos[1].Addr) {
+			if ev.Seq != 0 || ev.Note != "a" {
+				t.Fatalf("first arrival at the stage-0 host = %+v; want the head unit, not early", ev)
+			}
+			break
+		}
 	}
 	if stage1.HeldUnits() == 0 || stage1.Components() != 0 {
 		t.Fatalf("stage-1 host holds %d units and %d components before its instantiate; want ≥ 1 and 0", stage1.HeldUnits(), stage1.Components())

@@ -539,7 +539,17 @@ func (e *Engine) scaledProc(c *component) time.Duration {
 
 // kick runs one shard's CPU loop: if the shard is idle, drain up to
 // BatchUnits ready units (dropping ones whose laxity went negative) and
-// simulate their combined processing time in one timer span.
+// simulate their combined processing time in one span.
+//
+// The span starts when the shard's CPU is free (sh.free, the modelled end
+// of its previous span) or now, whichever is later, and the completion
+// timer is armed for the span's end. An end closer than the clock's
+// resolution completes at once instead, and sh.free carries the modelled
+// time forward: a timer that short would fire late, charging an idle hop
+// a whole resolution, while under a backlog the ends run past the
+// resolution and the span timers hold the shard to its modelled capacity.
+// On the simulator (resolution 0) every span is a timer of exactly its
+// processing time.
 func (e *Engine) kick(sh *engineShard) {
 	if sh.busy {
 		return
@@ -573,7 +583,13 @@ func (e *Engine) kick(sh *engineShard) {
 		sh.procs = append(sh.procs, proc)
 	}
 	sh.busy = true
-	e.clk.After(total, sh.done)
+	now := e.clk.Now()
+	sh.free = max(now, sh.free) + total
+	wait := sh.free - now
+	if wait < e.clk.Resolution() {
+		wait = 0
+	}
+	e.clk.After(wait, sh.done)
 }
 
 // finish ends a shard's processing span: the drained units are forwarded

@@ -40,13 +40,21 @@ func (s *source) retarget(outs []outSpec) { s.split = newSplitter(outs) }
 const sourceCatchUpTicks = 2
 
 // startSource installs and starts a source for one substream of a request
-// originated at this engine. The source ticks once per period, or once per
-// flush interval when that is longer (a faster tick could only add timer
-// events, its units would wait in the batch anyway), and on each tick
-// emits the units owed for the clock time elapsed since the previous tick.
-// Counting elapsed time rather than ticks holds the requested rate on a
-// clock whose timers fire late; on the simulator's clock the two are the
-// same number.
+// originated at this engine.
+//
+// The source's head unit leaves at activation: it is emitted through a
+// zero-delay timer, so whatever the caller sends in the same instant (the
+// instantiate messages) is ahead of it on the uplink. The source then ticks
+// at a random phase within one tick, and on each tick emits the units owed
+// for the clock time elapsed since the previous tick, the first tick being
+// owed one whole tick. It is therefore one unit ahead of its schedule at
+// most, a token bucket that starts full.
+//
+// A tick comes once per period, or less often when the flush interval or
+// the clock's resolution is longer: a faster tick could only add timer
+// events (its units would wait in the batch anyway) or fire late. Counting
+// elapsed time rather than ticks holds the requested rate on a clock whose
+// timers fire late; on the simulator's clock the two are the same number.
 func (e *Engine) startSource(req string, substream int, ss spec.Substream, unitBytes int, outs []outSpec) *source {
 	s := &source{
 		req:        req,
@@ -58,13 +66,26 @@ func (e *Engine) startSource(req string, substream int, ss spec.Substream, unitB
 	}
 	e.sources[flowKey{req, substream}] = s
 	period := time.Duration(float64(time.Second) / float64(ss.Rate))
-	tickEvery := period
-	if fi := e.cfg.DataPlane.FlushInterval; tickEvery < fi {
-		tickEvery = fi
-	}
+	tickEvery := max(period, e.cfg.DataPlane.FlushInterval, e.clk.Resolution())
 	key := "source:" + req + "/" + itoa(substream)
+	emit := func() {
+		for ; s.credit >= 1-creditEpsilon; s.credit-- {
+			out := s.split.next()
+			if out == nil {
+				continue
+			}
+			e.batchUnit(out.To, pendingUnit{
+				msg:       e.emitUnit(s, out),
+				fromStage: -1,
+				key:       key,
+				service:   "source",
+				isSource:  true,
+				flow:      s.flow,
+			})
+		}
+	}
 	// Desynchronize sources slightly so simultaneous requests do not beat
-	// in lockstep. The first tick is owed one full tick of credit.
+	// in lockstep.
 	offset := time.Duration(e.rng.Int63n(int64(tickEvery)))
 	last := e.clk.Now() + offset - tickEvery
 	var tick func()
@@ -82,22 +103,15 @@ func (e *Engine) startSource(req string, substream int, ss spec.Substream, unitB
 		// rounded to whole nanoseconds, and a tick of exactly one period
 		// must be worth exactly one unit.
 		s.credit += float64(elapsed) / float64(period)
-		for ; s.credit >= 1-creditEpsilon; s.credit-- {
-			out := s.split.next()
-			if out == nil {
-				continue
-			}
-			e.batchUnit(out.To, pendingUnit{
-				msg:       e.emitUnit(s, out),
-				fromStage: -1,
-				key:       key,
-				service:   "source",
-				isSource:  true,
-				flow:      s.flow,
-			})
-		}
+		emit()
 		e.clk.After(tickEvery, tick)
 	}
+	e.clk.After(0, func() {
+		if !s.stopped {
+			s.credit++
+			emit()
+		}
+	})
 	e.clk.After(offset, tick)
 	return s
 }

@@ -30,6 +30,8 @@ func (c *stepClock) After(d time.Duration, fn func()) func() {
 	return func() {}
 }
 
+func (c *stepClock) Resolution() time.Duration { return 0 }
+
 // fire runs every pending timer once.
 func (c *stepClock) fire() {
 	c.mu.Lock()

@@ -53,6 +53,102 @@ func TestWireTruncatedFrameRejected(t *testing.T) {
 	}
 }
 
+// wireSeeds are encoder output for the fuzz targets: empty and full
+// fields, a datagram, a padded message.
+var wireSeeds = []Message{
+	{},
+	{Type: "overlay-rpc", Payload: []byte{1, 2, 3}},
+	{Type: "overlay-data", Payload: bytes.Repeat([]byte{0xAB}, 300), Pad: 1250, Datagram: true},
+}
+
+// sameMessage compares two decoded messages field by field (a nil and an
+// empty payload are the same payload).
+func sameMessage(a, b Message) bool {
+	return a.Type == b.Type && bytes.Equal(a.Payload, b.Payload) && a.Pad == b.Pad && a.Datagram == b.Datagram
+}
+
+// canonical returns the bytes of msgs as b holds them from offset off on,
+// with the flag bits no encoder writes cleared: what the encoder must
+// reproduce from the decoded messages.
+func canonical(b []byte, off int, msgs []Message) []byte {
+	out := append([]byte(nil), b...)
+	for _, m := range msgs {
+		off += 2 + len(m.Type) + 4 + len(m.Payload) + 4 + 1
+		out[off-1] &= flagDatagram
+	}
+	return out[:off]
+}
+
+// FuzzReadTCPFrame feeds arbitrary bytes to the decoder of every frame a
+// TCP peer sends. It must not panic; what it returns must fit in the input
+// (nothing is sized from a length before the length is checked: the payload
+// aliases the input and only the two names are copied); and a frame it
+// accepts must re-encode to exactly its input, reserved flag bits aside, so
+// whatever appendTCPFrame produces round-trips.
+func FuzzReadTCPFrame(f *testing.F) {
+	for _, m := range wireSeeds {
+		b := appendTCPFrame(nil, "127.0.0.1:4000", m)
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		from, msg, err := readTCPFrame(b)
+		if err != nil {
+			return
+		}
+		if n := len(from) + len(msg.Type) + len(msg.Payload); n > len(b) {
+			t.Fatalf("decoded %d bytes of names and payload from a %d-byte frame", n, len(b))
+		}
+		re := appendTCPFrame(nil, from, msg)
+		if want := canonical(b, 2+len(from), []Message{msg}); !bytes.Equal(re, want) {
+			t.Fatalf("accepted frame does not re-encode to its input:\n in  %x\n out %x", want, re)
+		}
+		from2, msg2, err := readTCPFrame(re)
+		if err != nil || from2 != from || !sameMessage(msg2, msg) {
+			t.Fatalf("re-encoded frame decodes to %q %+v (%v), want %q %+v", from2, msg2, err, from, msg)
+		}
+	})
+}
+
+// FuzzReadBatch feeds arbitrary bytes to the unpacker of the resilient
+// pipeline's batch envelope. It must not panic, must deliver no more than
+// the input holds, and the messages it delivers (the intact prefix) must
+// re-encode to exactly that prefix, reserved flag bits aside.
+func FuzzReadBatch(f *testing.F) {
+	var ctrl []queuedMsg
+	for _, m := range wireSeeds {
+		ctrl = append(ctrl, queuedMsg{msg: m})
+	}
+	whole := appendBatch(nil, ctrl)
+	f.Add(whole)
+	f.Add(whole[:len(whole)/2])
+	f.Add(append(whole[:len(whole):len(whole)], 0))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var got []Message
+		size := 0
+		readBatch(b, func(m Message) {
+			got = append(got, m)
+			size += len(m.Type) + len(m.Payload)
+		})
+		if size > len(b) {
+			t.Fatalf("delivered %d bytes of types and payloads from a %d-byte envelope", size, len(b))
+		}
+		var again []queuedMsg
+		for _, m := range got {
+			again = append(again, queuedMsg{msg: m})
+		}
+		re := appendBatch(nil, again)
+		if want := canonical(b, 0, got); !bytes.Equal(re, want) {
+			t.Fatalf("delivered messages do not re-encode to the prefix they came from:\n in  %x\n out %x", want, re)
+		}
+	})
+}
+
 func TestWireBatchRoundTrip(t *testing.T) {
 	ctrl := []queuedMsg{
 		{msg: Message{Type: "a", Payload: []byte("1")}},
