@@ -1,7 +1,8 @@
 // Command rasc-bench regenerates the RASC paper's evaluation (Figures
 // 6–11): for every requested rate it submits a randomized workload with
 // each composition algorithm on a simulated 32-node deployment and prints
-// the measured series, optionally writing CSV files.
+// the measured series, optionally writing CSV files. With -scalability it
+// runs the deployment-size sweep instead.
 //
 // Example:
 //
@@ -11,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -22,96 +25,90 @@ import (
 	"rasc.dev/rasc/internal/experiment"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes tables to stdout and
+// diagnostics to stderr, and returns the exit code (2 for a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rasc-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		figure    = flag.Int("figure", 0, "figure to regenerate (6-11); 0 = all")
-		seeds     = flag.Int("seeds", 5, "number of seeded runs to average")
-		requests  = flag.Int("requests", 0, "requests per run (0 = calibrated default)")
-		nodes     = flag.Int("nodes", 32, "deployment size")
-		rates     = flag.String("rates", "5,10,15,20", "per-request rates in units/sec (10 Kbps each)")
-		composers = flag.String("composers", "mincost,greedy,random", "composers to compare")
-		measure   = flag.Duration("measure", 0, "virtual measurement window (0 = default)")
-		csvDir    = flag.String("csv", "", "directory to write per-figure CSV files")
-		quiet     = flag.Bool("quiet", false, "suppress per-run progress")
-		scal      = flag.Bool("scalability", false, "run the deployment-size sweep instead of the figures")
-		p95       = flag.Bool("p95", false, "also print the p95 end-to-end delay table")
-		stale     = flag.Duration("stale-stats", 0, "serve monitoring reports cached up to this age (ablation)")
-		poisson   = flag.Bool("poisson", false, "Poisson request arrivals instead of a fixed gap")
-		bg        = flag.Int("background", 0, "number of cross-traffic background flows")
-		parallel  = flag.Int("parallel", 0, "sweep worker-pool size (0 = NumCPU, 1 = serial)")
-		jsonPath  = flag.String("json", "", "write compose benchmark results as JSON to this path and exit")
-		admJSON   = flag.String("admission-json", "", "write admission-control benchmark results (decision latency at 1k tenants) as JSON to this path and exit")
-
-		tsJSON    = flag.String("tenancy-scale-json", "", "write the incremental-vs-full-recompute tenancy scale comparison (5k tenants, churn + host storms) as JSON to this path and exit")
-		tsSpeedup = flag.Float64("tenancy-min-speedup", 0, "with -tenancy-scale-json: fail unless the incremental admit p50 is at least this many times faster")
-
-		fedJSON    = flag.String("federation-json", "", "write the federated-vs-flat multi-cluster composition comparison (3 clusters, partitioned catalog, boundary hand-offs) as JSON to this path and exit")
-		fedSuccess = flag.Float64("federation-min-handoff", 0, "with -federation-json: fail unless the hand-off success rate is at least this fraction")
+		figure    = fs.Int("figure", 0, "figure to regenerate (6-11); 0 = all")
+		seeds     = fs.Int("seeds", 5, "number of seeded runs to average")
+		requests  = fs.Int("requests", 0, "requests per run (0 = calibrated default)")
+		nodes     = fs.Int("nodes", 32, "deployment size")
+		rates     = fs.String("rates", "5,10,15,20", "per-request rates in units/sec (10 Kbps each)")
+		composers = fs.String("composers", "mincost,greedy,random", "composers to compare")
+		measure   = fs.Duration("measure", 0, "virtual measurement window (0 = default)")
+		csvDir    = fs.String("csv", "", "directory to write per-figure CSV files")
+		quiet     = fs.Bool("quiet", false, "suppress per-run progress")
+		scal      = fs.Bool("scalability", false, "run the deployment-size sweep instead of the figures")
+		p95       = fs.Bool("p95", false, "also print the p95 end-to-end delay table")
+		stale     = fs.Duration("stale-stats", 0, "serve monitoring reports cached up to this age (ablation)")
+		poisson   = fs.Bool("poisson", false, "Poisson request arrivals instead of a fixed gap")
+		bg        = fs.Int("background", 0, "number of cross-traffic background flows")
+		parallel  = fs.Int("parallel", 0, "sweep worker-pool size (0 = NumCPU, 1 = serial)")
 	)
-	flag.Parse()
-
-	if *jsonPath != "" {
-		if err := runBenchJSON(*jsonPath, *parallel); err != nil {
-			fmt.Fprintf(os.Stderr, "bench json: %v\n", err)
-			os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-		return
+		return 2
 	}
-	if *tsJSON != "" {
-		if err := runTenancyScaleBenchJSON(*tsJSON, *tsSpeedup); err != nil {
-			fmt.Fprintf(os.Stderr, "tenancy scale bench json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *tsJSON)
-		return
+	progress := func(s string) { fmt.Fprintln(stdout, s) }
+	if *quiet {
+		progress = nil
 	}
-	if *fedJSON != "" {
-		if err := runFederationBenchJSON(*fedJSON, *fedSuccess); err != nil {
-			fmt.Fprintf(os.Stderr, "federation bench json: %v\n", err)
-			os.Exit(1)
+	// writeCSV writes one table under -csv; a failure is the run's failure.
+	writeCSV := func(name, body string) bool {
+		if *csvDir == "" {
+			return true
 		}
-		fmt.Printf("wrote %s\n", *fedJSON)
-		return
-	}
-	if *admJSON != "" {
-		if err := runAdmissionBenchJSON(*admJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "admission bench json: %v\n", err)
-			os.Exit(1)
+		path := filepath.Join(*csvDir, name)
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fmt.Fprintln(stderr, err)
+			return false
 		}
-		fmt.Printf("wrote %s\n", *admJSON)
-		return
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			fmt.Fprintln(stderr, err)
+			return false
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
+		return true
 	}
 
 	if *scal {
-		cfg := experiment.ScalabilityConfig{Parallelism: *parallel}
-		if !*quiet {
-			cfg.Progress = func(s string) { fmt.Println(s) }
-		}
-		t, err := experiment.RunScalability(cfg)
+		t, err := experiment.RunScalability(experiment.ScalabilityConfig{Parallelism: *parallel, Progress: progress})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "scalability: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "scalability: %v\n", err)
+			return 1
 		}
-		fmt.Println()
-		fmt.Println(t)
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err == nil {
-				path := filepath.Join(*csvDir, "scalability.csv")
-				if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err == nil {
-					fmt.Printf("wrote %s\n", path)
-				}
-			}
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, t)
+		if !writeCSV("scalability.csv", t.CSV()) {
+			return 1
 		}
-		return
+		return 0
 	}
 
+	if *seeds < 1 {
+		fmt.Fprintf(stderr, "-seeds %d: need at least one seed\n", *seeds)
+		return 2
+	}
+	figures := []int{6, 7, 8, 9, 10, 11}
+	if *figure != 0 {
+		if *figure < 6 || *figure > 11 {
+			fmt.Fprintf(stderr, "-figure %d: the paper's figures are 6-11\n", *figure)
+			return 2
+		}
+		figures = []int{*figure}
+	}
 	var rateList []int
 	for _, r := range strings.Split(*rates, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(r))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad rate %q: %v\n", r, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad rate %q: %v\n", r, err)
+			return 2
 		}
 		rateList = append(rateList, v)
 	}
@@ -119,7 +116,8 @@ func main() {
 	for i := range seedList {
 		seedList[i] = int64(i + 1)
 	}
-	cfg := experiment.Config{
+	start := time.Now()
+	res, err := experiment.Run(experiment.Config{
 		Nodes:           *nodes,
 		Seeds:           seedList,
 		Rates:           rateList,
@@ -130,44 +128,28 @@ func main() {
 		PoissonArrivals: *poisson,
 		BackgroundFlows: *bg,
 		Parallelism:     *parallel,
-	}
-	if !*quiet {
-		cfg.Progress = func(s string) { fmt.Println(s) }
-	}
-	start := time.Now()
-	res, err := experiment.Run(cfg)
+		Progress:        progress,
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiment: %v\n", err)
-		os.Exit(1)
-	}
-	figures := []int{6, 7, 8, 9, 10, 11}
-	if *figure != 0 {
-		figures = []int{*figure}
+		fmt.Fprintf(stderr, "experiment: %v\n", err)
+		return 1
 	}
 	for _, n := range figures {
 		t, err := res.Figure(n)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Println()
-		fmt.Println(t)
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*csvDir, fmt.Sprintf("figure%d.csv", n))
-			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", path)
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, t)
+		if !writeCSV(fmt.Sprintf("figure%d.csv", n), t.CSV()) {
+			return 1
 		}
 	}
 	if *p95 {
-		fmt.Println()
-		fmt.Println(res.DelayP95Table())
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, res.DelayP95Table())
 	}
-	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }

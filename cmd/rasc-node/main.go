@@ -74,8 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		chaosJitter  = fs.Duration("chaos-delay-jitter", 0, "fault injection: uniform extra delay in [0, jitter)")
 		chaosSeed    = fs.Int64("chaos-seed", 0, "fault injection: seed for reproducible fault sequences (0: wall clock)")
 
-		adaptIvl  = fs.Duration("adapt-interval", 0, "enable the adaptation control plane with this delivery-rate check period (0: disabled)")
-		adaptFull = fs.Bool("adapt-full-only", false, "disable incremental reallocation: every adaptation action tears down and re-composes in full")
+		adaptIvl = fs.Duration("adapt-interval", 0, "enable the adaptation control plane with this delivery-rate check period (0: disabled)")
 
 		admission    = fs.Bool("admission", false, "front submissions with the multi-tenant admission gate (priority classes, fair-share caps, admission queue), served at /debug/rasc/tenants")
 		admissionBps = fs.Float64("admission-bps", 0, "admission gate capacity budget in bits/sec (0: derive from the node's link capacity)")
@@ -106,9 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	var adaptation *stream.AdaptationConfig
 	if *adaptIvl > 0 {
-		cfg := stream.AdaptationConfig{Interval: *adaptIvl}
-		cfg.Control.DisableIncremental = *adaptFull
-		adaptation = &cfg
+		adaptation = &stream.AdaptationConfig{Interval: *adaptIvl}
 	}
 	pri, err := spec.ParsePriority(*priority)
 	if err != nil {

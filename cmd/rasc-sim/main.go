@@ -86,8 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dotOut   = fs.String("dot", "", "write the execution graph in Graphviz dot format to this file")
 		gossipOn = fs.Bool("gossip", false, "run the gossip membership protocol: view-backed lookups, gossip-fresh stats, failure-triggered recomposition")
 
-		adaptIvl  = fs.Duration("adapt-interval", 0, "enable the adaptation control plane with this delivery-rate check period (0: disabled; pair with -gossip for failure triggers)")
-		adaptFull = fs.Bool("adapt-full-only", false, "disable incremental reallocation: every adaptation action tears down and re-composes in full")
+		adaptIvl = fs.Duration("adapt-interval", 0, "enable the adaptation control plane with this delivery-rate check period (0: disabled; pair with -gossip for failure triggers)")
 
 		priority     = fs.String("priority", "", "tenancy class of the submitted request: critical, standard or best-effort")
 		admission    = fs.Bool("admission", false, "front submissions with the multi-tenant admission gate (priority classes, fair-share caps, admission queue)")
@@ -147,9 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			o = append(o, rasc.WithChaos(chaos))
 		}
 		if *adaptIvl > 0 {
-			cfg := rasc.AdaptationConfig{Interval: *adaptIvl}
-			cfg.Control.DisableIncremental = *adaptFull
-			o = append(o, rasc.WithAdaptation(cfg))
+			o = append(o, rasc.WithAdaptation(rasc.AdaptationConfig{Interval: *adaptIvl}))
 		}
 		if tenancyOn {
 			o = append(o, rasc.WithTenancy(rasc.TenancyConfig{

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	sys := rasc.NewSimulated(rasc.Options{Nodes: 24, Seed: 11})
+	sys := rasc.New(rasc.WithNodes(24), rasc.WithSeed(11))
 
 	req := rasc.Request{
 		ID:        "sensornet",

@@ -76,10 +76,6 @@ type Config struct {
 	// MaxConcurrent bounds reallocations in flight across all
 	// applications (default 4). Excess work queues FIFO.
 	MaxConcurrent int
-	// DisableIncremental forces every action through the full
-	// teardown-and-recompose path — the pre-control-plane baseline, kept
-	// for comparison experiments.
-	DisableIncremental bool
 	// Observer, when set, receives decision-plane callbacks (event gate
 	// verdicts, launches, outcomes) for the tracing layer.
 	Observer Observer
@@ -559,9 +555,6 @@ func (c *Controller) launch(app string, st *appState, w *work) {
 	st.rateStrikes = 0
 	c.inTotal++
 	telInflight.Set(float64(c.inTotal))
-	if c.cfg.DisableIncremental {
-		w.full = true
-	}
 	mode := "incremental"
 	if w.full {
 		mode = "full"

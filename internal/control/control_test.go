@@ -302,16 +302,6 @@ func TestGlobalConcurrencyLimit(t *testing.T) {
 	}
 }
 
-func TestDisableIncrementalForcesFullRecompose(t *testing.T) {
-	c, clk, act := newTestController(t, Config{DisableIncremental: true})
-	c.Publish(Event{Kind: MemberDead, App: "a", Host: host(1)})
-	clk.advance(0)
-	if len(act.calls) != 1 || !act.calls[0].full {
-		t.Fatalf("calls = %+v, want full recompose", act.calls)
-	}
-	_ = c
-}
-
 func TestUpgradeEventsDoNotRaceInFlightUpgrade(t *testing.T) {
 	c, clk, act := newTestController(t, Config{})
 	for i := 0; i < 3; i++ {

@@ -38,7 +38,9 @@ func appTimeBelow(app string) float64 {
 func decisionFailover(t *testing.T, fullOnly bool, appID string) ([]trace.Decision, float64, *System) {
 	t.Helper()
 	adapt := stream.AdaptationConfig{Interval: 10 * time.Minute, MinRateFraction: 0.3}
-	adapt.Control.DisableIncremental = fullOnly
+	if fullOnly {
+		adapt.Composer = recomposeOnly{&core.MinCost{}}
+	}
 	s := NewSystem(SystemOptions{
 		Nodes:        16,
 		Seed:         7,
@@ -173,15 +175,16 @@ func TestFailoverDecisionJournal(t *testing.T) {
 			dec.TriggeredAt, dec.CompletedAt, dec.ConvergedAt)
 	}
 
-	// The full-only run must have gone through the teardown path.
+	// The recompose-only run must have fallen back to the teardown path.
 	modeFull := false
 	for _, d := range fullDs {
-		if d.Trigger == "member_dead" && d.Mode == "full" && d.Outcome == "success" {
+		fellBack, _ := d.Spans[0].Attr("fell_back")
+		if d.Trigger == "member_dead" && d.Mode == "full" && fellBack == "true" && d.Outcome == "success" {
 			modeFull = true
 		}
 	}
 	if !modeFull {
-		t.Fatalf("no successful full-mode member_dead decision: %+v", fullDs)
+		t.Fatalf("no successful member_dead decision that fell back to full: %+v", fullDs)
 	}
 
 	// --- availability: incremental strictly beats teardown-recompose ---

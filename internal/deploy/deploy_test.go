@@ -172,6 +172,11 @@ func failoverRecompositionDelay(t *testing.T, withGossip bool) time.Duration {
 	return s.Sim.Now() - killedAt
 }
 
+// recomposeOnly hides every method of the wrapped composer but Compose
+// and Name: a composer without core.DeltaComposer makes each adaptation
+// action fall back to teardown and full recompose.
+type recomposeOnly struct{ core.Composer }
+
 // failoverDipDuration builds a gossip-enabled deployment with the
 // adaptation control plane armed, submits a two-substream application
 // whose substreams land on disjoint remote hosts, kills the host carrying
@@ -186,7 +191,9 @@ func failoverRecompositionDelay(t *testing.T, withGossip bool) time.Duration {
 func failoverDipDuration(t *testing.T, fullOnly bool) time.Duration {
 	t.Helper()
 	adapt := stream.AdaptationConfig{Interval: 10 * time.Minute}
-	adapt.Control.DisableIncremental = fullOnly
+	if fullOnly {
+		adapt.Composer = recomposeOnly{&core.MinCost{}}
+	}
 	s := NewSystem(SystemOptions{
 		Nodes:        16,
 		Seed:         7,

@@ -21,7 +21,7 @@ import (
 // clusters, 12 requests per seed over 3 seeds.
 type FederationConfig struct {
 	Nodes    int
-	Clusters int // 2..4 in the committed benchmark
+	Clusters int // at least 2
 	// BorderPeers is how many nodes per cluster run the summary exchange
 	// (0: deploy's default of 1).
 	BorderPeers int
@@ -42,8 +42,7 @@ type FederationConfig struct {
 	// submission, letting border summaries and digests converge. The flat
 	// baseline gets the same warmup so delivery windows align.
 	Warmup time.Duration
-	// Parallelism bounds concurrent seeds (0: serial — the committed
-	// benchmark is small enough that fan-out buys little).
+	// Parallelism bounds concurrent seeds (0: serial).
 	Parallelism int
 	Progress    func(string)
 }
@@ -104,31 +103,6 @@ type FederationCell struct {
 	MaxBoundaryUtilization float64
 	SumComposeLatency      time.Duration
 	Emitted, Received      int64
-}
-
-// ComposedFraction is Composed/Submitted.
-func (c FederationCell) ComposedFraction() float64 {
-	if c.Submitted == 0 {
-		return 0
-	}
-	return float64(c.Composed) / float64(c.Submitted)
-}
-
-// DeliveredFraction is Received/Emitted over the measurement window.
-func (c FederationCell) DeliveredFraction() float64 {
-	if c.Emitted == 0 {
-		return 0
-	}
-	return float64(c.Received) / float64(c.Emitted)
-}
-
-// MeanComposeLatencyMs is the average submission-to-composition virtual
-// latency over the composed requests.
-func (c FederationCell) MeanComposeLatencyMs() float64 {
-	if c.Composed == 0 {
-		return 0
-	}
-	return float64(c.SumComposeLatency) / float64(c.Composed) / float64(time.Millisecond)
 }
 
 // HandoffSuccessRate is committed hand-offs over attempts (1 when no

@@ -2,8 +2,8 @@ package experiment
 
 import "testing"
 
-// TestRunFederation drives the committed benchmark's scenario at smoke
-// size: a two-cluster federation with a partitioned catalog must complete
+// TestRunFederation drives the federation scenario at smoke size: a
+// two-cluster federation with a partitioned catalog must complete
 // cross-boundary hand-offs without losing requests the flat baseline
 // composes, and must never oversubscribe a boundary link.
 func TestRunFederation(t *testing.T) {

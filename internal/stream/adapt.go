@@ -46,9 +46,9 @@ type AdaptationConfig struct {
 	// host's digest publishes DropRatioSpike (0 disables the trigger).
 	DropSpikeRatio float64
 	// Control tunes the event controller (hysteresis, cooldown, retry
-	// backoff, concurrency, DisableIncremental). Clock is set by the
-	// engine; Cooldown defaults to 2×Interval and StrikeTTL to
-	// 2.5×Interval so strikes mean consecutive degraded checks.
+	// backoff, concurrency). Clock is set by the engine; Cooldown
+	// defaults to 2×Interval and StrikeTTL to 2.5×Interval so strikes
+	// mean consecutive degraded checks.
 	Control control.Config
 }
 

@@ -7,12 +7,12 @@ import (
 	"rasc.dev/rasc/internal/spec"
 )
 
-// benchAdmission measures the admission decision latency with 1k
+// BenchmarkAdmission measures the admission decision latency with 1k
 // concurrent tenants already holding allocations — the cost a submission
 // pays at the gate before any composition work. Each iteration admits and
 // releases one extra tenant.
-func benchAdmission(b *testing.B, disableIncremental bool) {
-	g := NewGate(Config{CapacityBps: 1e9, QueueCapacity: 64, DisableIncremental: disableIncremental})
+func BenchmarkAdmission(b *testing.B) {
+	g := NewGate(Config{CapacityBps: 1e9, QueueCapacity: 64})
 	pris := []spec.Priority{spec.Critical, spec.Standard, spec.BestEffort}
 	for i := 0; i < 1000; i++ {
 		app := fmt.Sprintf("app-%04d", i)
@@ -30,14 +30,6 @@ func benchAdmission(b *testing.B, disableIncremental bool) {
 		g.Release("probe")
 	}
 }
-
-// BenchmarkAdmission is the default (incremental) allocator: O(log n)
-// treap maintenance per join/leave.
-func BenchmarkAdmission(b *testing.B) { benchAdmission(b, false) }
-
-// BenchmarkAdmissionFullRecompute pins the DisableIncremental baseline:
-// every decision re-solves fairness over the full population.
-func BenchmarkAdmissionFullRecompute(b *testing.B) { benchAdmission(b, true) }
 
 func benchDemands() []Demand {
 	demands := make([]Demand, 1000)
@@ -58,18 +50,5 @@ func BenchmarkFairShares(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FairShares(demands, 5e8)
-	}
-}
-
-// BenchmarkFairSharesInto is the zero-alloc variant writing into reused
-// buffers — the form the gate's full-recompute path uses.
-func BenchmarkFairSharesInto(b *testing.B) {
-	demands := benchDemands()
-	dst := make([]float64, len(demands))
-	var scratch FairShareScratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = FairSharesInto(dst, &scratch, demands, 5e8)
 	}
 }

@@ -79,6 +79,24 @@ func TestGateDeadbandSuppressesSmallMoves(t *testing.T) {
 	if cap, _ := g.CapBps("a"); cap < 333 || cap > 334 {
 		t.Fatalf("a's cap %v moved inside the deadband", cap)
 	}
+	// The same move without a deadband notifies all three: the band, not
+	// the size of the move, kept them quiet.
+	plainRec := newRecorder()
+	plain := NewGate(Config{CapacityBps: 1000, MinShareFraction: 0.1})
+	for _, app := range []string{"a", "b", "c"} {
+		plain.Admit(app, spec.BestEffort, 1000, plainRec)
+	}
+	plainRec.mu.Lock()
+	plainRec.caps = map[string]float64{}
+	plainRec.mu.Unlock()
+	plain.SetCapacity(1050)
+	plainRec.mu.Lock()
+	notified = len(plainRec.caps)
+	plainRec.mu.Unlock()
+	if notified != 3 || plain.Stats().CoalescedCapEvents != 0 {
+		t.Fatalf("without a deadband: %d notifications, %d suppressed; want 3 and 0",
+			notified, plain.Stats().CoalescedCapEvents)
+	}
 
 	// Doubling the capacity is far outside the band: everyone is swept
 	// to the new exact share.

@@ -38,64 +38,18 @@ type Demand struct {
 //
 // The computation is deterministic: equal inputs give bit-equal outputs.
 func FairShares(demands []Demand, capacityBps float64) []float64 {
-	return FairSharesInto(make([]float64, len(demands)), nil, demands, capacityBps)
-}
-
-// FairShareScratch holds the sort buffers FairSharesInto reuses across
-// calls so a full water-fill recompute allocates nothing in steady state.
-// The zero value is ready to use; a scratch must not be shared between
-// concurrent calls.
-type FairShareScratch struct {
-	sorter fsSorter
-}
-
-// fsEntry is one positive demand staged for the water-fill sweep.
-type fsEntry struct {
-	idx    int
-	level  float64 // demand/weight: the water level that satisfies it
-	weight float64
-}
-
-// fsSorter sorts entries by (level, App) — pointer receiver so the
-// sort.Interface conversion does not allocate.
-type fsSorter struct {
-	entries []fsEntry
-	demands []Demand
-}
-
-func (s *fsSorter) Len() int      { return len(s.entries) }
-func (s *fsSorter) Swap(i, j int) { s.entries[i], s.entries[j] = s.entries[j], s.entries[i] }
-func (s *fsSorter) Less(i, j int) bool {
-	if s.entries[i].level != s.entries[j].level {
-		return s.entries[i].level < s.entries[j].level
-	}
-	return s.demands[s.entries[i].idx].App < s.demands[s.entries[j].idx].App
-}
-
-// FairSharesInto is FairShares writing into caller-owned buffers: dst is
-// grown as needed and returned re-sliced to len(demands); scratch (nil
-// for a transient one) keeps the sort buffers. Results are bit-identical
-// to FairShares.
-func FairSharesInto(dst []float64, scratch *FairShareScratch, demands []Demand, capacityBps float64) []float64 {
-	if cap(dst) < len(demands) {
-		dst = make([]float64, len(demands))
-	}
-	dst = dst[:len(demands)]
-	for i := range dst {
-		dst[i] = 0
-	}
+	out := make([]float64, len(demands))
 	if capacityBps <= 0 || len(demands) == 0 {
-		return dst
+		return out
 	}
-	if scratch == nil {
-		scratch = &FairShareScratch{}
+	// entries are the positive demands, staged for the sweep in the order
+	// their water levels are reached.
+	type entry struct {
+		idx    int
+		level  float64 // demand/weight: the water level that satisfies it
+		weight float64
 	}
-	s := &scratch.sorter
-	s.demands = demands
-	if cap(s.entries) < len(demands) {
-		s.entries = make([]fsEntry, 0, len(demands))
-	}
-	s.entries = s.entries[:0]
+	entries := make([]entry, 0, len(demands))
 	var weightSum float64
 	for i, d := range demands {
 		w := d.Weight
@@ -105,12 +59,17 @@ func FairSharesInto(dst []float64, scratch *FairShareScratch, demands []Demand, 
 		if d.Bps <= 0 {
 			continue // zero demand: zero share, not in the pool
 		}
-		s.entries = append(s.entries, fsEntry{idx: i, level: d.Bps / w, weight: w})
+		entries = append(entries, entry{idx: i, level: d.Bps / w, weight: w})
 		weightSum += w
 	}
-	sort.Sort(s)
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].level != entries[j].level {
+			return entries[i].level < entries[j].level
+		}
+		return demands[entries[i].idx].App < demands[entries[j].idx].App
+	})
 	remaining := capacityBps
-	for k, e := range s.entries {
+	for k, e := range entries {
 		if weightSum <= 0 {
 			break
 		}
@@ -118,7 +77,7 @@ func FairSharesInto(dst []float64, scratch *FairShareScratch, demands []Demand, 
 		if level >= e.level {
 			// The water level reaches this tenant's demand: satisfy it
 			// exactly and redistribute the surplus.
-			dst[e.idx] = demands[e.idx].Bps
+			out[e.idx] = demands[e.idx].Bps
 			remaining -= demands[e.idx].Bps
 			weightSum -= e.weight
 			continue
@@ -126,21 +85,20 @@ func FairSharesInto(dst []float64, scratch *FairShareScratch, demands []Demand, 
 		// Every remaining tenant (this one and all later, which saturate
 		// at even higher levels) is unsatisfied: they split the remaining
 		// capacity at the final water level.
-		for _, u := range s.entries[k:] {
-			dst[u.idx] = level * u.weight
+		for _, u := range entries[k:] {
+			out[u.idx] = level * u.weight
 		}
 		break
 	}
-	s.demands = nil // do not retain the caller's slice past the call
 	// Guard against float drift leaving a share microscopically above
 	// demand.
 	for i, d := range demands {
-		if dst[i] > d.Bps {
-			dst[i] = d.Bps
+		if out[i] > d.Bps {
+			out[i] = d.Bps
 		}
-		if dst[i] < 0 || math.IsNaN(dst[i]) {
-			dst[i] = 0
+		if out[i] < 0 || math.IsNaN(out[i]) {
+			out[i] = 0
 		}
 	}
-	return dst
+	return out
 }

@@ -54,7 +54,7 @@ func (g *Gate) UpsertHost(host string, capacityBps float64) {
 	h.capacityBps = capacityBps
 	g.capacity = g.hostCapSum
 	n := &notifs{}
-	g.rebalanceDispatchLocked(n, nil)
+	g.rebalanceLocked(n, nil)
 	g.refreshGaugesLocked()
 	g.mu.Unlock()
 	n.deliver()
@@ -78,7 +78,7 @@ func (g *Gate) RemoveHost(host string) {
 	}
 	g.capacity = g.hostCapSum
 	n := &notifs{}
-	g.rebalanceDispatchLocked(n, nil)
+	g.rebalanceLocked(n, nil)
 	g.refreshGaugesLocked()
 	g.mu.Unlock()
 	n.deliver()

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"rasc.dev/rasc/internal/spec"
@@ -65,6 +66,63 @@ func TestLedgerDeadHostReleasedExactlyOnce(t *testing.T) {
 	g.UpsertHost("h1", 6000)
 	if c := g.CapacityBps(); c != 10000 {
 		t.Fatalf("capacity %v after rejoin, want 10000", c)
+	}
+}
+
+// TestLedgerHostStorm drives a contended ledger gate through a correlated
+// host-death storm, the storm hosts' rejoin, and permanent deaths whose
+// verdicts arrive twice: the storm's capacity collapse preempts someone,
+// the rejoin promotes someone, and the final budget is exactly the
+// survivors' per-host budgets.
+func TestLedgerHostStorm(t *testing.T) {
+	const hosts, storm, dead, perHost = 16, 4, 2, 1000.0
+	host := func(i int) string { return fmt.Sprintf("host-%02d", i) }
+	rec := newRecorder()
+	counts := func() (preempted, promoted int) {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return len(rec.preempted), len(rec.promoted)
+	}
+	g := NewGate(Config{PerHostLedger: true, MinShareFraction: 0.4, QueueCapacity: 64})
+	for i := 0; i < hosts; i++ {
+		g.UpsertHost(host(i), perHost)
+	}
+	// Per ten tenants one Critical, three Standard and six BestEffort,
+	// demanding about 1.5 times the cluster budget between them.
+	pris := []spec.Priority{spec.Critical, spec.Standard, spec.Standard, spec.Standard,
+		spec.BestEffort, spec.BestEffort, spec.BestEffort, spec.BestEffort, spec.BestEffort, spec.BestEffort}
+	for i := 0; i < 40; i++ {
+		g.Admit(fmt.Sprintf("app-%02d", i), pris[i%len(pris)], float64(400+50*(i%9)), rec)
+	}
+	if tt := g.Totals(); tt.Admitted == 0 || tt.Queued == 0 {
+		t.Fatalf("totals %+v: want both admitted and parked tenants at this contention", tt)
+	}
+
+	before, _ := counts()
+	for i := 0; i < storm; i++ {
+		g.RemoveHost(host(i))
+	}
+	g.RemoveHost(host(0)) // a duplicate verdict mid-storm changes nothing
+	preempted, promoted := counts()
+	if preempted == before {
+		t.Fatal("host-death storm preempted nobody")
+	}
+	for i := 0; i < storm; i++ {
+		g.UpsertHost(host(i), perHost)
+	}
+	if _, p := counts(); p == promoted {
+		t.Fatal("host-rejoin storm promoted nobody")
+	}
+
+	for i := storm; i < storm+dead; i++ {
+		g.RemoveHost(host(i))
+		g.RemoveHost(host(i))
+	}
+	if got, want := g.CapacityBps(), perHost*(hosts-dead); got != want {
+		t.Fatalf("final capacity %v, want %v (dead-host budgets released exactly once)", got, want)
+	}
+	if n := len(g.Hosts()); n != hosts-dead {
+		t.Fatalf("%d ledger rows, want %d", n, hosts-dead)
 	}
 }
 

@@ -33,9 +33,6 @@ var (
 	telCoalesced = telemetry.Default().Counter(
 		"rasc_tenant_cap_notifications_coalesced_total",
 		"Fair-share cap updates suppressed by the notification deadband or merged into a coalesced sweep.")
-	telRecomputesInc = telemetry.Default().Counter(
-		"rasc_tenant_recompute_incremental_total",
-		"Fairness recomputations served by the incremental water-fill structure (O(log n) level updates).")
 	telHosts = telemetry.Default().Gauge(
 		"rasc_tenant_hosts",
 		"Hosts registered in the admission gate's per-host capacity ledger.")

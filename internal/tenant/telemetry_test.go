@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestTenantMetricsCatalogue(t *testing.T) {
 	// Drive every family at least once: admissions in every outcome,
 	// a preemption, cap changes, the posture gauges, and the ledger /
-	// incremental-path families.
+	// deadband families.
 	g := NewGate(Config{CapacityBps: 10000, QueueCapacity: 1, MinShareFraction: 0.5})
 	g.Admit("be", spec.BestEffort, 9000, nil)
 	g.Admit("crit", spec.Critical, 16000, nil) // preempts be into the queue
@@ -68,7 +68,6 @@ func TestTenantMetricsCatalogue(t *testing.T) {
 		"rasc_tenant_capacity_bps",
 		"rasc_tenant_demand_bps",
 		"rasc_tenant_cap_notifications_coalesced_total",
-		"rasc_tenant_recompute_incremental_total",
 		"rasc_tenant_hosts",
 		"rasc_tenant_recompute_duration_seconds",
 	} {

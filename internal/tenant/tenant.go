@@ -153,13 +153,6 @@ type Config struct {
 	// candidate's guaranteed floor, and a host's death releases exactly
 	// that host's budget (RemoveHost is idempotent).
 	PerHostLedger bool
-	// DisableIncremental forces the legacy full-recompute allocator:
-	// every admission/departure/capacity event rebuilds and re-sorts the
-	// whole demand vector (O(n log n)). The incremental allocator
-	// (O(log n + changed) per event) is the default; this switch is kept
-	// as the committed benchmark baseline and the equivalence-test
-	// oracle.
-	DisableIncremental bool
 	// Clock timestamps journal spans and drives the coalescing window
 	// (optional; zero times and inline sweeps without it).
 	Clock clock.Clock
@@ -290,26 +283,21 @@ type Gate struct {
 	queue    []*tenantState // rank-descending, FIFO within a class
 	nextSeq  int64
 
-	// Incremental allocator state (unless cfg.DisableIncremental): the
-	// admitted positive demands ordered by saturation level, plus the
-	// water level of the last applied notification sweep.
+	// Allocator state: the admitted positive demands ordered by
+	// saturation level, plus the water level of the last applied
+	// notification sweep.
 	wf             waterfill
 	lastSweepLevel float64
 	sweepPending   bool    // a coalesced sweep is scheduled on the clock
 	pendingMin     float64 // lowest settle level of the pending window (+Inf outside one)
 
-	// O(1) posture counters (both paths).
+	// O(1) posture counters.
 	classCount [3]int // admitted tenants per priority rank
 	demandSum  float64
 
 	// Per-host capacity ledger (cfg.PerHostLedger).
 	hosts      map[string]*hostState
 	hostCapSum float64
-
-	// Legacy-path scratch so the full recompute is allocation-light.
-	fsDst     []float64
-	fsDemands []Demand
-	fsScratch FairShareScratch
 
 	preemptions int64
 	rejections  int64
@@ -397,11 +385,11 @@ func (g *Gate) unregisterAdmittedLocked(t *tenantState) {
 // the incremental structure consistent.
 func (g *Gate) updateDemandLocked(t *tenantState, demandBps float64) {
 	g.demandSum += demandBps - t.demandBps
-	if !g.cfg.DisableIncremental && t.demandBps > 0 {
+	if t.demandBps > 0 {
 		g.wf.remove(t.app, t.demandBps, t.weight)
 	}
 	t.demandBps = demandBps
-	if !g.cfg.DisableIncremental && t.demandBps > 0 {
+	if t.demandBps > 0 {
 		g.wf.insert(t.app, t.demandBps, t.weight)
 	}
 }
@@ -419,7 +407,7 @@ func (g *Gate) Admit(app string, pri spec.Priority, demandBps float64, owner Own
 		if t.demandBps != demandBps {
 			g.updateDemandLocked(t, demandBps)
 			n := &notifs{}
-			g.rebalanceDispatchLocked(n, t)
+			g.rebalanceLocked(n, t)
 			g.refreshGaugesLocked()
 			cap := t.capBps
 			g.mu.Unlock()
@@ -457,17 +445,7 @@ func (g *Gate) Admit(app string, pri spec.Priority, demandBps float64, owner Own
 		return dec
 	}
 	n := &notifs{}
-	var victims int
-	admitted := false
-	if g.cfg.DisableIncremental {
-		shares, v, ok := g.solveLocked(cand, true)
-		if ok {
-			g.commitLocked(cand, shares, v, n)
-			victims, admitted = len(v), true
-		}
-	} else {
-		victims, admitted = g.incAdmitLocked(cand, n)
-	}
+	victims, admitted := g.admitLocked(cand, n)
 	if !admitted {
 		dec := g.parkLocked(cand, "fair share below guaranteed floor")
 		g.refreshGaugesLocked()
@@ -558,105 +536,6 @@ func (g *Gate) evictLocked(v *tenantState, n *notifs) {
 	n.preempted = append(n.preempted, v)
 }
 
-// rebalanceDispatchLocked routes a re-settle to the configured allocator.
-func (g *Gate) rebalanceDispatchLocked(n *notifs, skip *tenantState) {
-	if g.cfg.DisableIncremental {
-		g.rebalanceLocked(n, skip)
-	} else {
-		g.incRebalanceLocked(n, skip)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Legacy full-recompute path (cfg.DisableIncremental). Kept verbatim in
-// behavior: it is the committed benchmark baseline and the oracle the
-// incremental path is property-tested against.
-// ---------------------------------------------------------------------
-
-// solveLocked computes the water-filling allocation with cand tentatively
-// in the pool (cand nil = rebalance of the standing tenants). It returns
-// the per-app shares and the tenants that must be preempted to make the
-// allocation viable. ok is false when no viable allocation exists without
-// degrading a tenant of rank ≥ cand's below the guaranteed floor.
-//
-// allowEvict false (queue promotions) demands a clean fit: no preemption,
-// no floor violations.
-func (g *Gate) solveLocked(cand *tenantState, allowEvict bool) (map[string]float64, []*tenantState, bool) {
-	start := time.Now()
-	defer func() { telRecomputeLatency.Observe(time.Since(start).Seconds()) }()
-	pool := make([]*tenantState, 0, len(g.admitted)+1)
-	for _, t := range g.admitted {
-		pool = append(pool, t)
-	}
-	if cand != nil {
-		pool = append(pool, cand)
-	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i].app < pool[j].app })
-	var victims []*tenantState
-	for {
-		g.fsDemands = g.fsDemands[:0]
-		for _, t := range pool {
-			g.fsDemands = append(g.fsDemands, Demand{App: t.app, Bps: t.demandBps, Weight: g.cfg.Weight(t.pri)})
-		}
-		g.fsDst = FairSharesInto(g.fsDst, &g.fsScratch, g.fsDemands, g.capacity)
-		shares := g.fsDst
-		viable := true
-		for i, t := range pool {
-			if shares[i] < g.cfg.MinShareFraction*t.demandBps-1e-9 {
-				viable = false
-				break
-			}
-		}
-		if viable {
-			out := make(map[string]float64, len(pool))
-			for i, t := range pool {
-				out[t.app] = shares[i]
-			}
-			return out, victims, true
-		}
-		if !allowEvict {
-			return nil, nil, false
-		}
-		// Evict the lowest-ranked evictable tenant: below cand's rank in
-		// admission mode, below the pool's top rank (and itself below
-		// floor) in rebalance mode. Ties: largest demand frees the most,
-		// then app for determinism.
-		var best *tenantState
-		bestIdx := -1
-		for i, t := range pool {
-			if t == cand {
-				continue
-			}
-			if cand != nil {
-				if t.pri.Rank() >= cand.pri.Rank() {
-					continue
-				}
-			} else {
-				if t.pri.Rank() >= maxRank(pool) || shares[i] >= g.cfg.MinShareFraction*t.demandBps-1e-9 {
-					continue
-				}
-			}
-			if best == nil || less(t, best) {
-				best, bestIdx = t, i
-			}
-		}
-		if best == nil {
-			if cand == nil {
-				// Rebalance with nothing to shed: the surviving class
-				// shares the shortage below floor.
-				out := make(map[string]float64, len(pool))
-				for i, t := range pool {
-					out[t.app] = shares[i]
-				}
-				return out, victims, true
-			}
-			return nil, nil, false
-		}
-		victims = append(victims, best)
-		pool = append(pool[:bestIdx], pool[bestIdx+1:]...)
-	}
-}
-
 // less orders eviction candidates: lowest rank first, then largest
 // demand, then app ascending.
 func less(a, b *tenantState) bool {
@@ -669,110 +548,19 @@ func less(a, b *tenantState) bool {
 	return a.app < b.app
 }
 
-func maxRank(pool []*tenantState) int {
-	r := 0
-	for _, t := range pool {
-		if t.pri.Rank() > r {
-			r = t.pri.Rank()
-		}
-	}
-	return r
-}
-
-// commitLocked applies a solved allocation: victims move to the queue,
-// cand (if any) joins the admitted set, and cap changes are collected for
-// delivery.
-func (g *Gate) commitLocked(cand *tenantState, shares map[string]float64, victims []*tenantState, n *notifs) {
-	g.statRecomputes++
-	telRecomputes.Inc()
-	for _, v := range victims {
-		g.evictLocked(v, n)
-	}
-	if cand != nil {
-		g.registerAdmittedLocked(cand)
-	}
-	apps := make([]string, 0, len(g.admitted))
-	for app := range g.admitted {
-		apps = append(apps, app)
-	}
-	sort.Strings(apps)
-	for _, app := range apps {
-		t := g.admitted[app]
-		cap, ok := shares[app]
-		if !ok {
-			continue
-		}
-		if t == cand {
-			t.capBps = cap
-			continue
-		}
-		if math.Abs(cap-t.capBps) > 1e-6 {
-			t.capBps = cap
-			g.statCapNotifs++
-			telCapChanges.Inc()
-			n.capChange = append(n.capChange, t)
-		}
-	}
-}
-
-// rebalanceLocked re-settles the standing allocation (after a departure,
-// demand update or capacity change), then promotes queued tenants that
-// now fit cleanly.
-func (g *Gate) rebalanceLocked(n *notifs, skipNotify *tenantState) {
-	if len(g.admitted) > 0 {
-		shares, victims, _ := g.solveLocked(nil, true)
-		g.commitLocked(nil, shares, victims, n)
-		if skipNotify != nil {
-			kept := n.capChange[:0]
-			for _, t := range n.capChange {
-				if t != skipNotify {
-					kept = append(kept, t)
-				}
-			}
-			n.capChange = kept
-		}
-	}
-	g.promoteLocked(n)
-}
-
-// promoteLocked admits queued tenants that fit without preemption, in
-// priority order.
-func (g *Gate) promoteLocked(n *notifs) {
-	for i := 0; i < len(g.queue); {
-		q := g.queue[i]
-		if g.cfg.MaxTenants > 0 && len(g.admitted) >= g.cfg.MaxTenants {
-			return
-		}
-		shares, _, ok := g.solveLocked(q, false)
-		if !ok {
-			i++
-			continue
-		}
-		g.queue = append(g.queue[:i], g.queue[i+1:]...)
-		g.commitLocked(q, shares, nil, n)
-		q.state = StateAdmitted
-		q.admittedAt = g.now()
-		telAdmissions.With("promoted").Inc()
-		g.record(q.app, "promote", "capacity freed", nil,
-			trace.A("priority", q.pri.String()),
-			trace.AInt("cap_bps", int64(q.capBps)))
-		n.promoted = append(n.promoted, q)
-	}
-}
-
 // ---------------------------------------------------------------------
-// Incremental path (the default): the waterfill treap gives the water
-// level in O(log n), the closed form share = min(demand, L·weight) gives
-// each cap without touching the others, and fan-out visits only the
-// suffix of entries whose share can have moved.
+// Allocator: the waterfill treap gives the water level in O(log n), the
+// closed form share = min(demand, L·weight) gives each cap without
+// touching the others, and fan-out visits only the suffix of entries
+// whose share can have moved.
 // ---------------------------------------------------------------------
 
-// incViableLocked reports whether the admitted set is viable at water
+// viableLocked reports whether the admitted set is viable at water
 // level L: every tenant's share is at least MinShareFraction of its
 // demand (within the oracle's 1e-9 slack). Satisfied tenants always pass
 // (the floor fraction is ≤ 1), so only the highest-level entry — the
 // worst share/demand ratio — needs checking.
-func (g *Gate) incViableLocked(L float64) bool {
+func (g *Gate) viableLocked(L float64) bool {
 	if math.IsInf(L, 1) {
 		return true
 	}
@@ -792,11 +580,11 @@ func (g *Gate) shareForLocked(t *tenantState, L float64) float64 {
 	return wfShare(&e, L)
 }
 
-// incAdmitLocked decides an admission on the incremental structure:
+// admitLocked decides an admission on the incremental structure:
 // tentatively insert the candidate, peel off lower-ranked victims while
 // the allocation is not viable, then commit — or roll the structure back
 // untouched when no viable allocation exists.
-func (g *Gate) incAdmitLocked(cand *tenantState, n *notifs) (int, bool) {
+func (g *Gate) admitLocked(cand *tenantState, n *notifs) (int, bool) {
 	if cand.demandBps > 0 {
 		g.wf.insert(cand.app, cand.demandBps, cand.weight)
 	}
@@ -805,11 +593,11 @@ func (g *Gate) incAdmitLocked(cand *tenantState, n *notifs) (int, bool) {
 	viable := false
 	for {
 		L := g.wf.level(g.capacity)
-		if g.incViableLocked(L) {
+		if g.viableLocked(L) {
 			viable = true
 			break
 		}
-		v := g.incPickVictimLocked(cand.pri.Rank(), taken)
+		v := g.pickVictimLocked(cand.pri.Rank(), taken)
 		if v == nil {
 			break
 		}
@@ -837,14 +625,14 @@ func (g *Gate) incAdmitLocked(cand *tenantState, n *notifs) (int, bool) {
 		g.evictLocked(v, n)
 	}
 	g.registerAdmittedLocked(cand)
-	g.incSettleLocked(n, cand)
+	g.settleLocked(n, cand)
 	return len(victims), true
 }
 
-// incPickVictimLocked selects the admission-mode eviction victim: the
+// pickVictimLocked selects the admission-mode eviction victim: the
 // lowest-ranked admitted tenant strictly below belowRank (largest demand
 // first, then app ascending), excluding tenants already taken.
-func (g *Gate) incPickVictimLocked(belowRank int, taken map[*tenantState]bool) *tenantState {
+func (g *Gate) pickVictimLocked(belowRank int, taken map[*tenantState]bool) *tenantState {
 	var best *tenantState
 	for _, t := range g.admitted {
 		if t.pri.Rank() >= belowRank || taken[t] {
@@ -857,11 +645,11 @@ func (g *Gate) incPickVictimLocked(belowRank int, taken map[*tenantState]bool) *
 	return best
 }
 
-// incPickRebalanceVictimLocked selects the rebalance-mode victim: a
+// pickRebalanceVictimLocked selects the rebalance-mode victim: a
 // below-floor tenant of a class below the highest admitted class. Only
 // entries with level > L/floor can be below floor, so the scan is a
 // suffix walk, not a full sweep.
-func (g *Gate) incPickRebalanceVictimLocked(L float64) *tenantState {
+func (g *Gate) pickRebalanceVictimLocked(L float64) *tenantState {
 	top := g.maxRankLocked()
 	f := g.cfg.MinShareFraction
 	var best *tenantState
@@ -889,17 +677,17 @@ func (g *Gate) maxRankLocked() int {
 	return 0
 }
 
-// incRebalanceLocked re-settles after a departure, demand update or
+// rebalanceLocked re-settles after a departure, demand update or
 // capacity change: preempt below-floor tenants of the lower classes
 // while a higher class is present, promote queued tenants that now fit,
 // then sweep cap updates in one pass.
-func (g *Gate) incRebalanceLocked(n *notifs, skip *tenantState) {
+func (g *Gate) rebalanceLocked(n *notifs, skip *tenantState) {
 	for len(g.admitted) > 0 {
 		L := g.wf.level(g.capacity)
-		if g.incViableLocked(L) {
+		if g.viableLocked(L) {
 			break
 		}
-		v := g.incPickRebalanceVictimLocked(L)
+		v := g.pickRebalanceVictimLocked(L)
 		if v == nil {
 			break // nothing to shed: survivors share the shortage below floor
 		}
@@ -908,13 +696,13 @@ func (g *Gate) incRebalanceLocked(n *notifs, skip *tenantState) {
 		}
 		g.evictLocked(v, n)
 	}
-	g.incPromoteLocked(n)
-	g.incSettleLocked(n, skip)
+	g.promoteLocked(n)
+	g.settleLocked(n, skip)
 }
 
-// incPromoteLocked admits queued tenants that fit cleanly (no eviction,
+// promoteLocked admits queued tenants that fit cleanly (no eviction,
 // no floor violation), in priority order.
-func (g *Gate) incPromoteLocked(n *notifs) {
+func (g *Gate) promoteLocked(n *notifs) {
 	for i := 0; i < len(g.queue); {
 		q := g.queue[i]
 		if g.cfg.MaxTenants > 0 && len(g.admitted) >= g.cfg.MaxTenants {
@@ -924,7 +712,7 @@ func (g *Gate) incPromoteLocked(n *notifs) {
 			g.wf.insert(q.app, q.demandBps, q.weight)
 		}
 		L := g.wf.level(g.capacity)
-		if !g.incViableLocked(L) {
+		if !g.viableLocked(L) {
 			if q.demandBps > 0 {
 				g.wf.remove(q.app, q.demandBps, q.weight)
 			}
@@ -944,20 +732,19 @@ func (g *Gate) incPromoteLocked(n *notifs) {
 	}
 }
 
-// incSettleLocked recomputes the water level after a structural change
+// settleLocked recomputes the water level after a structural change
 // and fans out cap updates. skip — the tenant whose join or demand
 // change caused the settle — always receives its exact share silently
 // (its Decision carries the cap). With a coalescing window configured,
 // the fan-out is deferred to one sweep per window.
-func (g *Gate) incSettleLocked(n *notifs, skip *tenantState) {
+func (g *Gate) settleLocked(n *notifs, skip *tenantState) {
 	start := time.Now()
 	g.statRecomputes++
 	telRecomputes.Inc()
-	telRecomputesInc.Inc()
 	L := g.wf.level(g.capacity)
 	if skip != nil && g.admitted[skip.app] == skip {
 		// Still admitted — a demand change that evicted skip itself keeps
-		// its last cap, like the full-recompute path.
+		// its last cap.
 		skip.capBps = g.shareForLocked(skip, L)
 	}
 	// Tenants promoted this operation had their caps fixed at the water
@@ -989,7 +776,7 @@ func (g *Gate) incSettleLocked(n *notifs, skip *tenantState) {
 			g.cfg.Clock.After(g.cfg.CapCoalesceWindow, g.coalescedSweep)
 		}
 	} else {
-		g.incFanoutLocked(L, skip, n, math.Inf(1))
+		g.fanoutLocked(L, skip, n, math.Inf(1))
 	}
 	telRecomputeLatency.Observe(time.Since(start).Seconds())
 }
@@ -1002,20 +789,20 @@ func (g *Gate) coalescedSweep() {
 	windowMin := g.pendingMin
 	g.pendingMin = math.Inf(1)
 	n := &notifs{}
-	g.incFanoutLocked(g.wf.level(g.capacity), nil, n, windowMin)
+	g.fanoutLocked(g.wf.level(g.capacity), nil, n, windowMin)
 	g.refreshGaugesLocked()
 	g.mu.Unlock()
 	n.deliver()
 }
 
-// incFanoutLocked pushes cap updates for the move to water level L. Only
+// fanoutLocked pushes cap updates for the move to water level L. Only
 // entries with saturation level above bound = min(lastSweepLevel, L) can
 // have moved since the last applied sweep — everything at or below the
 // bound was satisfied (cap = demand) before and still is. When the level
 // itself drifted no further than the deadband, the whole sweep is
 // skipped: an unsatisfied tenant's cap is L·weight, so its relative
 // drift equals the level's.
-func (g *Gate) incFanoutLocked(L float64, skip *tenantState, n *notifs, windowMin float64) {
+func (g *Gate) fanoutLocked(L float64, skip *tenantState, n *notifs, windowMin float64) {
 	drift := relDiff(L, g.lastSweepLevel)
 	// A coalescing-window flush (finite windowMin) may have pinned caps
 	// at intermediate settle levels, so it must sweep even with zero net
@@ -1082,12 +869,12 @@ func relDiff(a, b float64) float64 {
 func (g *Gate) Release(app string) {
 	g.mu.Lock()
 	if t, ok := g.admitted[app]; ok {
-		if !g.cfg.DisableIncremental && t.demandBps > 0 {
+		if t.demandBps > 0 {
 			g.wf.remove(t.app, t.demandBps, t.weight)
 		}
 		g.unregisterAdmittedLocked(t)
 		n := &notifs{}
-		g.rebalanceDispatchLocked(n, nil)
+		g.rebalanceLocked(n, nil)
 		g.refreshGaugesLocked()
 		g.mu.Unlock()
 		n.deliver()
@@ -1114,7 +901,7 @@ func (g *Gate) SetCapacity(bps float64) {
 	}
 	g.capacity = bps
 	n := &notifs{}
-	g.rebalanceDispatchLocked(n, nil)
+	g.rebalanceLocked(n, nil)
 	g.refreshGaugesLocked()
 	g.mu.Unlock()
 	n.deliver()

@@ -75,10 +75,8 @@ func WithAdaptation(cfg AdaptationConfig) Option {
 // sub-threshold relative moves, CapCoalesceWindow collapses fan-out
 // bursts into one sweep, PerHostLedger accounts capacity per node (a
 // death releases exactly that node's budget, and admission additionally
-// probes for a host with placement headroom), and DisableIncremental
-// pins the O(n log n) full-recompute allocator instead of the
-// incremental one. The zero value selects the defaults documented on
-// each field.
+// probes for a host with placement headroom). The zero value selects the
+// defaults documented on each field.
 type TenancyConfig = tenant.Config
 
 // WithTenancy fronts every node's submission path with one shared

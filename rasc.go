@@ -79,9 +79,8 @@ func StandardCatalog() Catalog { return services.Standard() }
 // composer.
 func ExtendedCatalog() Catalog { return services.Extended() }
 
-// Options configures a simulated RASC deployment. New code should prefer
-// New with functional options; Options remains for callers that assemble
-// configuration as a value.
+// Options is the configuration of a simulated RASC deployment that the
+// Option functions passed to New fill in.
 type Options struct {
 	// Nodes is the deployment size (default 32, the paper's testbed).
 	Nodes int
@@ -127,16 +126,8 @@ type System struct {
 	d *deploy.System
 }
 
-// NewSimulated builds a deterministic simulated deployment from an Options
-// value.
-//
-// Deprecated: use New with functional options — rasc.New(rasc.WithNodes(16),
-// rasc.WithSeed(7)) — which is extensible without breaking callers.
-// NewSimulated remains as a thin shim over the same construction path.
-func NewSimulated(opts Options) *System { return newSystem(opts) }
-
-// newSystem is the single construction path behind New and NewSimulated:
-// it applies the paper's defaults and assembles the deployment.
+// newSystem is New's construction path: it applies the paper's defaults
+// to the filled-in options and assembles the deployment.
 func newSystem(opts Options) *System {
 	if opts.Nodes == 0 {
 		opts.Nodes = 32
