@@ -80,9 +80,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		admissionBps = fs.Float64("admission-bps", 0, "admission gate capacity budget in bits/sec (0: derive from the node's link capacity)")
 		maxTenants   = fs.Int("max-tenants", 0, "bound on concurrently admitted applications (0: unlimited; implies -admission)")
 		priority     = fs.String("priority", "", "tenancy class of the -submit request: critical, standard or best-effort")
-		fairDeadband = fs.Float64("fair-deadband", 0, "suppress fair_share_changed notifications while a tenant's cap moves less than this relative fraction (0: notify on every move)")
-		capCoalesce  = fs.Duration("cap-coalesce", 0, "collapse cap fan-out bursts within this window into one sweep carrying the final caps (0: immediate fan-out)")
-		hostLedger   = fs.Bool("per-host-ledger", false, "account admission capacity per host, fed from gossip membership and monitoring digests, instead of one aggregate budget (implies -admission)")
 
 		batchUnits = fs.Int("batch-units", 0, "coalesce up to N data units per destination into one wire message (0 or 1: every unit is its own message)")
 		flushIvl   = fs.Duration("flush-interval", 0, "flush an open data-unit batch no later than this after its first unit, and tick sources no more often (0: 2ms when -batch-units > 1, else none)")
@@ -113,13 +110,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	var tenancy *tenant.Config
-	if *admission || *maxTenants > 0 || *hostLedger {
+	if *admission || *maxTenants > 0 {
 		tenancy = &tenant.Config{
-			CapacityBps:       *admissionBps,
-			MaxTenants:        *maxTenants,
-			FairShareDeadband: *fairDeadband,
-			CapCoalesceWindow: *capCoalesce,
-			PerHostLedger:     *hostLedger,
+			CapacityBps: *admissionBps,
+			MaxTenants:  *maxTenants,
 		}
 	}
 	node, err := live.Start(live.Config{

@@ -92,9 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		admission    = fs.Bool("admission", false, "front submissions with the multi-tenant admission gate (priority classes, fair-share caps, admission queue)")
 		admissionBps = fs.Float64("admission-bps", 0, "admission gate capacity budget in bits/sec (0: derive from the topology's aggregate access capacity)")
 		maxTenants   = fs.Int("max-tenants", 0, "bound on concurrently admitted applications (0: unlimited; implies -admission)")
-		fairDeadband = fs.Float64("fair-deadband", 0, "suppress fair_share_changed notifications while a tenant's cap moves less than this relative fraction (0: notify on every move)")
-		capCoalesce  = fs.Duration("cap-coalesce", 0, "collapse cap fan-out bursts within this window into one sweep carrying the final caps (0: immediate fan-out)")
-		hostLedger   = fs.Bool("per-host-ledger", false, "account admission capacity per simulated node instead of one aggregate budget (implies -admission)")
 
 		clusters    = fs.Int("clusters", 0, "shard the deployment into N federated clusters with cluster-scoped composers and boundary hand-offs (0: flat; implies -gossip)")
 		borderNodes = fs.Int("border-peers", 0, "border nodes per cluster exchanging boundary summaries (0: default 1)")
@@ -132,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	tenancyOn := *admission || *maxTenants > 0 || *hostLedger
+	tenancyOn := *admission || *maxTenants > 0
 	chaos := rasc.ChaosConfig{
 		Drop:        *chaosDrop,
 		Delay:       *chaosDelay,
@@ -150,11 +147,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if tenancyOn {
 			o = append(o, rasc.WithTenancy(rasc.TenancyConfig{
-				CapacityBps:       *admissionBps,
-				MaxTenants:        *maxTenants,
-				FairShareDeadband: *fairDeadband,
-				CapCoalesceWindow: *capCoalesce,
-				PerHostLedger:     *hostLedger,
+				CapacityBps: *admissionBps,
+				MaxTenants:  *maxTenants,
 			}))
 		}
 		if *clusters > 0 {

@@ -60,6 +60,11 @@ var (
 	// ErrInstantiation reports that a host refused or did not acknowledge
 	// a composed component. The partial instantiation was rolled back.
 	ErrInstantiation = stream.ErrInstantiation
+
+	// ErrSubmitCancelled reports a submission that a teardown of its
+	// request (or a cancelled SubmitContext) ended before it completed.
+	// Everything it had started was rolled back.
+	ErrSubmitCancelled = stream.ErrSubmitCancelled
 )
 
 // Admission sentinels of deployments built WithTenancy, re-exported from

@@ -165,6 +165,13 @@ func TestSubmitContextCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || err == context.Canceled || !strings.Contains(err.Error(), "ctx") {
 		t.Fatalf("err = %v, want context.Canceled wrapped with the request ID", err)
 	}
+	// The cancelled submission stops: nothing it started survives.
+	sys.Run(2 * time.Second)
+	for i, e := range sys.d.Engines {
+		if e.Components() != 0 || e.ActiveRequests() != 0 {
+			t.Fatalf("engine %d keeps %d components and %d applications after the cancel", i, e.Components(), e.ActiveRequests())
+		}
+	}
 	// An unconstrained context behaves exactly like Submit.
 	if _, err := sys.SubmitContext(context.Background(), 0, req, ComposerMinCost); err != nil {
 		t.Fatal(err)

@@ -2,11 +2,13 @@ package deploy
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
 	"rasc.dev/rasc/internal/core"
 	"rasc.dev/rasc/internal/gossip"
+	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/spec"
 	"rasc.dev/rasc/internal/tenant"
 )
@@ -171,25 +173,47 @@ func TestFederatedCrossClusterHandoff(t *testing.T) {
 	}
 }
 
-// TestFederatedRemoteDeathKeepsLocalLedger is the tenancy regression pin:
-// with per-cluster per-host ledgers, a death in a remote cluster must
-// release budget only from its own cluster's gate — the local cluster's
-// budget stays exactly as seeded (no double release through the shared
-// death fan-out).
+// TestFederatedRemoteDeathKeepsLocalLedger pins the gate's one death
+// path: a member's death shrinks its own cluster's gate by exactly that
+// member's proportional share of the cluster's access capacity, once,
+// although every detector reports the death; the other cluster's gate is
+// bit-unchanged.
 func TestFederatedRemoteDeathKeepsLocalLedger(t *testing.T) {
-	s := newHandoffSystem(t, &tenant.Config{PerHostLedger: true})
+	s := newHandoffSystem(t, &tenant.Config{})
 	if len(s.Gates) != 2 {
 		t.Fatalf("gates = %d, want one per cluster", len(s.Gates))
 	}
+	// Kill a non-border node of cluster c1 (node 3 = 1 mod 2).
+	const victim = 3
+	share := func(i int) float64 { return math.Min(s.Topology.DownBps[i], s.Topology.UpBps[i]) }
+	var clusterShare float64
+	for i := range s.Nodes {
+		if s.ClusterOf[i] == s.ClusterOf[victim] {
+			clusterShare += share(i)
+		}
+	}
 	localBefore := s.Gates[0].CapacityBps()
 	remoteBefore := s.Gates[1].CapacityBps()
-	// Kill a non-border node of cluster c1 (node 3 = 1 mod 2).
-	s.Kill(3)
+	want := remoteBefore - remoteBefore*share(victim)/clusterShare
+
+	dead := s.Nodes[victim].Info().ID
+	reports := 0
+	for _, g := range s.Gossip {
+		g.OnMemberDead(func(info overlay.NodeInfo) {
+			if info.ID == dead {
+				reports++
+			}
+		})
+	}
+	s.Kill(victim)
 	s.Sim.RunUntil(s.Sim.Now() + 60*time.Second)
+	if reports < 2 {
+		t.Fatalf("%d detectors reported the death, want several", reports)
+	}
 	if got := s.Gates[0].CapacityBps(); got != localBefore {
 		t.Fatalf("local cluster budget moved on a remote death: %v -> %v", localBefore, got)
 	}
-	if got := s.Gates[1].CapacityBps(); got >= remoteBefore {
-		t.Fatalf("remote cluster budget did not shrink: %v -> %v", remoteBefore, got)
+	if got := s.Gates[1].CapacityBps(); got != want {
+		t.Fatalf("remote cluster budget %v -> %v, want %v (the dead node's share, once)", remoteBefore, got, want)
 	}
 }

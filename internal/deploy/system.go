@@ -188,6 +188,8 @@ type System struct {
 	Ledgers []*federation.Ledger
 	// ClusterOf names each node's cluster ("" when unfederated).
 	ClusterOf []string
+
+	killed []bool // nodes failed by Kill
 }
 
 // NewSystem builds and starts a deployment. After it returns, the overlay
@@ -257,7 +259,7 @@ func NewSystem(opts SystemOptions) *System {
 		}
 	}
 	c := simnet.New(simOpts)
-	s := &System{Cluster: c, Options: opts, Chaos: chaosEPs}
+	s := &System{Cluster: c, Options: opts, Chaos: chaosEPs, killed: make([]bool, opts.Nodes)}
 	s.ClusterOf = make([]string, opts.Nodes)
 	if fo != nil {
 		for i := range s.ClusterOf {
@@ -354,17 +356,8 @@ func NewSystem(opts SystemOptions) *System {
 			}
 			gates[k] = tenant.NewGate(tcfg)
 		}
-		for i, node := range c.Nodes {
-			k := clusterOf(i)
-			if gates[k].PerHostLedger() && clusterShare[k] > 0 {
-				// Seed the per-host ledger from the topology — cluster by
-				// cluster: a node only ledgers hosts of its own cluster, so
-				// each node carries its proportional slice of its cluster's
-				// budget, a death releases exactly that host's budget, and
-				// a remote-cluster death never touches the local ledger.
-				gates[k].UpsertHost(node.Info().ID.String(), gates[k].CapacityBps()*nodeShare[i]/clusterShare[k])
-			}
-			s.Engines[i].SetTenantGate(gates[k])
+		for i := range c.Nodes {
+			s.Engines[i].SetTenantGate(gates[clusterOf(i)])
 		}
 		s.Gate = gates[0]
 		if fo != nil {
@@ -407,13 +400,6 @@ func NewSystem(opts SystemOptions) *System {
 			}
 			deadSeen[info.ID] = true
 			gate := gateFor(i)
-			if gate.PerHostLedger() {
-				// The ledger knows the dead host's exact budget; RemoveHost
-				// is idempotent (and a no-op on gates that never ledgered
-				// the host), so duplicate detections release it once.
-				gate.RemoveHost(info.ID.String())
-				return
-			}
 			k := clusterOf(i)
 			if clusterShare[k] > 0 {
 				gate.AddCapacity(-gate.CapacityBps() * nodeShare[i] / clusterShare[k])
@@ -461,6 +447,12 @@ func NewSystem(opts SystemOptions) *System {
 				}
 			})
 			g.OnMemberDead(func(info overlay.NodeInfo) {
+				if s.killed[i] {
+					// A crashed node detects nothing: its suspicion timers
+					// outlive Stop, but their verdicts must not release a
+					// live peer's budget.
+					return
+				}
 				n.RemovePeer(info.ID)
 				eng.OnPeerDead(info.ID)
 				onDead(info)
@@ -551,8 +543,10 @@ func NewSystem(opts SystemOptions) *System {
 // Kill fails node i: its transport endpoint closes, so it neither receives
 // nor sends anything from now on (fail-stop). Peers observe timeouts; with
 // gossip enabled they detect the death through probing. The dead node's
-// own protocol loops are stopped so the event queue stays lean.
+// own protocol loops are stopped so the event queue stays lean, and its
+// detector's verdicts are ignored from now on.
 func (s *System) Kill(i int) {
+	s.killed[i] = true
 	_ = s.Endpoints[i].Close()
 	if s.Gossip != nil && s.Gossip[i] != nil {
 		s.Gossip[i].Stop()

@@ -131,11 +131,9 @@ func DataPlaneHandler(status func() stream.DataPlaneStatus) http.Handler {
 type tenantsResponse struct {
 	// Totals is the gate's aggregate posture; Tenants every tracked
 	// application — admitted ones first (sorted by ID), then the
-	// admission queue in promotion order. Hosts is the per-host
-	// capacity ledger (absent unless the gate runs one).
-	Totals  tenant.Totals       `json:"totals"`
-	Tenants []tenant.Status     `json:"tenants"`
-	Hosts   []tenant.HostBudget `json:"hosts,omitempty"`
+	// admission queue in promotion order.
+	Totals  tenant.Totals   `json:"totals"`
+	Tenants []tenant.Status `json:"tenants"`
 }
 
 // TenantsHandler serves the admission gate's posture as indented JSON,
@@ -158,11 +156,7 @@ func TenantsHandler(gate func() *tenant.Gate) http.Handler {
 			}
 			ts = kept
 		}
-		resp := tenantsResponse{Totals: g.Totals(), Tenants: ts}
-		if g.PerHostLedger() {
-			resp.Hosts = g.Hosts()
-		}
-		writeJSON(w, resp)
+		writeJSON(w, tenantsResponse{Totals: g.Totals(), Tenants: ts})
 	})
 }
 

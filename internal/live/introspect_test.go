@@ -230,29 +230,6 @@ func TestTenantsHandler(t *testing.T) {
 	if code, _ := get(t, nilSrv, "/"); code != http.StatusServiceUnavailable {
 		t.Fatalf("tenancy disabled = %d, want 503", code)
 	}
-
-	// With a per-host ledger the body grows a hosts section carrying each
-	// host's capacity and committed budget.
-	lg := tenant.NewGate(tenant.Config{PerHostLedger: true})
-	lg.UpsertHost("h2", 4e5)
-	lg.UpsertHost("h1", 6e5)
-	lg.Admit("vault", spec.Critical, 5e5, nil)
-	lg.SetPlacements("vault", map[string]float64{"h1": 5e5})
-	ledgerSrv := httptest.NewServer(TenantsHandler(func() *tenant.Gate { return lg }))
-	defer ledgerSrv.Close()
-	_, body = get(t, ledgerSrv, "/")
-	var withHosts struct {
-		Hosts []tenant.HostBudget `json:"hosts"`
-	}
-	if err := json.Unmarshal([]byte(body), &withHosts); err != nil {
-		t.Fatalf("ledger body %q: %v", body, err)
-	}
-	if len(withHosts.Hosts) != 2 || withHosts.Hosts[0].Host != "h1" || withHosts.Hosts[1].Host != "h2" {
-		t.Fatalf("hosts = %+v, want h1 then h2", withHosts.Hosts)
-	}
-	if withHosts.Hosts[0].CommittedBps != 5e5 || withHosts.Hosts[0].CapacityBps != 6e5 {
-		t.Fatalf("h1 budget = %+v", withHosts.Hosts[0])
-	}
 }
 
 func TestClustersHandler(t *testing.T) {

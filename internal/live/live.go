@@ -102,9 +102,9 @@ type Config struct {
 	Adaptation *stream.AdaptationConfig
 	// Tenancy, when set, fronts this node's submission path with an
 	// admission gate (priority classes, fair-share caps, admission
-	// queue). A zero CapacityBps defaults to min(InBps, OutBps); Clock
-	// and Journal are filled in from the node. Served by
-	// /debug/rasc/tenants.
+	// queue) budgeting one aggregate. A zero CapacityBps defaults to
+	// min(InBps, OutBps), this node's own access capacity; Clock and
+	// Journal are filled in from the node. Served by /debug/rasc/tenants.
 	Tenancy *tenant.Config
 	// DataPlane sizes the engine's data-unit path (units per wire
 	// message, flush deadline, simulated CPUs). The zero value is one
@@ -324,15 +324,6 @@ func Start(cfg Config) (*Node, error) {
 			}
 			n.Gate = tenant.NewGate(tcfg)
 			n.Engine.SetTenantGate(n.Gate)
-			if tcfg.PerHostLedger {
-				// Seed the ledger with this node; gossip digests grow it
-				// as members are learned (see OnDigest below).
-				self := cfg.InBps
-				if cfg.OutBps < self {
-					self = cfg.OutBps
-				}
-				n.Gate.UpsertHost(n.Overlay.ID().String(), self)
-			}
 		}
 		if !cfg.DisableGossip {
 			gcfg := cfg.Gossip
@@ -356,25 +347,11 @@ func Start(cfg Config) (*Node, error) {
 			n.Gossip.OnMemberDead(func(info overlay.NodeInfo) {
 				ov.RemovePeer(info.ID)
 				eng.OnPeerDead(info.ID)
-				if n.Gate != nil && n.Gate.PerHostLedger() {
-					// Release the dead host's budget; RemoveHost is
-					// idempotent, so repeated verdicts release it once.
-					n.Gate.RemoveHost(info.ID.String())
-				}
 			})
 			// Disseminated digests feed the control plane's drop-spike
-			// trigger (a no-op until an AdaptationConfig arms it) and,
-			// with a per-host ledger, the admission gate's view of each
-			// member's access capacity.
+			// trigger (a no-op until an AdaptationConfig arms it).
 			n.Gossip.OnDigest(func(info overlay.NodeInfo, rep monitor.Report) {
 				eng.ObserveHostReport(info.ID, rep)
-				if n.Gate != nil && n.Gate.PerHostLedger() {
-					budget := rep.InBpsCap
-					if rep.OutBpsCap < budget {
-						budget = rep.OutBpsCap
-					}
-					n.Gate.UpsertHost(info.ID.String(), budget)
-				}
 			})
 			dir.SetView(n.Gossip)
 			eng.SetStatsProvider(n.Gossip.ReportFor)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"sort"
 	"time"
 
@@ -406,7 +407,7 @@ func (e *Engine) Recompose(app string, upgrade bool, done func(error)) {
 				telAppTimeBelow.With(app).AddDuration(d)
 			}
 		}
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrSubmitCancelled) {
 			// Nothing composable right now — e.g. a lookup routed
 			// through a just-failed node. Re-register the old state so
 			// the controller's backoff retry finds it; by then the

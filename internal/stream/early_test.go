@@ -418,6 +418,47 @@ func TestRollbackStopsSourcesAndDropsHeldUnits(t *testing.T) {
 	}
 }
 
+// An origin-side Teardown in the same instant as the Submit it names
+// cancels the submission, whether it is still gathering (the first lookup
+// answers 5 ms later) or already waiting for the instantiate acks: it
+// rolls back, registers nothing, leaves no component anywhere, and its one
+// callback carries ErrSubmitCancelled.
+func TestTeardownDuringSubmitLeavesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		lookup time.Duration
+	}{{"gathering", 5 * time.Millisecond}, {"instantiating", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := newSubmitRig(t, func(a, b netsim.NodeID) time.Duration { return gatherRTT / 2 })
+			r.dir.answers["a"] = stubLookup{after: tc.lookup, hosts: r.hosts(1)}
+			origin := r.engines[0]
+			req := gatherRequest("cancel", "a", "b")
+			req.Substreams[0].Rate = 100
+			var calls int
+			var gotErr error
+			origin.Submit(req, &core.MinCost{}, time.Second, func(_ *core.ExecutionGraph, err error) { calls, gotErr = calls+1, err })
+			origin.Teardown(&core.ExecutionGraph{Request: req}, time.Second)
+			r.sim.RunUntil(2 * time.Second)
+
+			if calls != 1 || !errors.Is(gotErr, ErrSubmitCancelled) {
+				t.Fatalf("%d callbacks, err = %v; want one ErrSubmitCancelled", calls, gotErr)
+			}
+			if origin.ActiveRequests() != 0 || len(origin.sources) != 0 {
+				t.Fatalf("origin keeps %d applications and %d sources", origin.ActiveRequests(), len(origin.sources))
+			}
+			for i, e := range r.engines {
+				if e.Components() != 0 || e.HeldUnits() != 0 {
+					t.Errorf("engine %d keeps %d components and %d held units", i, e.Components(), e.HeldUnits())
+				}
+			}
+			if tp, _ := r.flowTotals("cancel"); tp.EmittedUnits != tp.DeliveredUnits+tp.DroppedUnits {
+				t.Fatalf("emitted %d, delivered %d, dropped %d; want every emitted unit accounted for",
+					tp.EmittedUnits, tp.DeliveredUnits, tp.DroppedUnits)
+			}
+		})
+	}
+}
+
 // A submission the admission gate parked and later promotes is replayed
 // through Submit, so it too streams from the instantiate send and registers
 // at the acks.

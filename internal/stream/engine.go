@@ -159,6 +159,10 @@ type Engine struct {
 	tenantGate       *tenant.Gate
 	pendingAdmission map[string]pendingSubmit
 
+	// inflight holds the origin's submissions between admission and their
+	// callback, so Teardown can cancel them.
+	inflight map[string]*submission
+
 	// statsProvider, when set, answers composition-time stats queries from
 	// a locally converged view (the gossip digest store) instead of
 	// per-host RPC fetches. Hosts the provider cannot answer for fall back
@@ -214,6 +218,7 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[s
 		reqs:           make(map[string]string),
 		stopped:        make(map[string]bool),
 		origins:        make(map[string]*originState),
+		inflight:       make(map[string]*submission),
 		composeCapture: make(map[string]*core.ComposeStats),
 		availDown:      make(map[string]time.Duration),
 		Catalog:        catalog,

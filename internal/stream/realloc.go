@@ -136,7 +136,6 @@ func (e *Engine) applyDelta(app string, st *originState, g *core.ExecutionGraph,
 			return
 		}
 		st.graph = g
-		e.chargePlacements(g)
 		for l := range affected {
 			if src := e.sources[flowKey{app, l}]; src != nil {
 				src.retarget(sourceOuts[l])

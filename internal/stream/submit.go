@@ -19,7 +19,13 @@ var (
 	ErrNoDirectory   = errors.New("stream: engine has no discovery directory")
 	ErrDiscovery     = errors.New("stream: discovery failed")
 	ErrInstantiation = errors.New("stream: instantiation failed")
+	// ErrSubmitCancelled ends a submission that an origin-side Teardown
+	// cancelled while it was still gathering or waiting for its acks.
+	ErrSubmitCancelled = errors.New("stream: submission cancelled by teardown")
 )
+
+// submission is an origin-side Submit in flight; Teardown cancels it.
+type submission struct{ cancelled bool }
 
 // Submit runs the full RASC composition pipeline for a request originated
 // at this engine (the steps of §3.1): discover the hosts offering each
@@ -47,12 +53,24 @@ func (e *Engine) Submit(req spec.Request, composer core.Composer, timeout time.D
 	if parked {
 		return
 	}
+	sub := &submission{}
+	e.inflight[req.ID] = sub
+	inner := cb
+	cb = func(g *core.ExecutionGraph, err error) {
+		if e.inflight[req.ID] == sub {
+			delete(e.inflight, req.ID)
+		}
+		inner(g, err)
+	}
 	e.gatherInput(req, timeout, func(in core.Input, err error) {
+		if err == nil && sub.cancelled {
+			err = fmt.Errorf("%w: request %s", ErrSubmitCancelled, req.ID)
+		}
 		if err != nil {
 			cb(nil, err)
 			return
 		}
-		e.compose(in, desired, composer, timeout, cb)
+		e.compose(in, desired, composer, timeout, sub, cb)
 	})
 }
 
@@ -182,7 +200,7 @@ func (e *Engine) buildInput(req spec.Request, hosts map[string][]overlay.NodeInf
 // compose runs composition over the gathered input, then moves on to
 // instantiation.
 func (e *Engine) compose(in core.Input, desired spec.Request, composer core.Composer, timeout time.Duration,
-	cb func(*core.ExecutionGraph, error)) {
+	sub *submission, cb func(*core.ExecutionGraph, error)) {
 
 	req := in.Request
 	st := e.composeCapture[req.ID]
@@ -205,14 +223,14 @@ func (e *Engine) compose(in core.Input, desired spec.Request, composer core.Comp
 					cb(nil, ferr)
 					return
 				}
-				e.instantiate(g, desired, timeout, cb)
+				e.instantiate(g, desired, timeout, sub, cb)
 			})
 			return
 		}
 		cb(nil, err)
 		return
 	}
-	e.instantiate(g, desired, timeout, cb)
+	e.instantiate(g, desired, timeout, sub, cb)
 }
 
 // stageUnitBytes computes the input unit size at every stage of a
@@ -236,12 +254,18 @@ func (e *Engine) stageUnitBytes(req spec.Request, substream int) []int {
 // travel while the acks do, and a host they reach ahead of its instantiate
 // message holds them (Engine.holdEarly). The acks are the commit: once all
 // are in the application is registered and cb runs; a failed or timed-out
-// one rolls everything back, sources included.
-func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeout time.Duration, cb func(*core.ExecutionGraph, error)) {
+// one, or a Teardown that cancelled the submission meanwhile, rolls
+// everything back, sources included.
+func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeout time.Duration, sub *submission, cb func(*core.ExecutionGraph, error)) {
 	byPlacement, sourceOuts := graphOuts(g)
 	remaining := len(g.Placements)
 	var failed error
 	done := func() {
+		if sub.cancelled {
+			e.teardown(g, timeout)
+			cb(nil, fmt.Errorf("%w: request %s", ErrSubmitCancelled, g.Request.ID))
+			return
+		}
 		if failed != nil {
 			// Roll back the partial instantiation: the sources are running,
 			// and hosts that acked are holding components that will never
@@ -331,10 +355,9 @@ func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec) 
 	}
 }
 
-// commit registers an application every host has acknowledged: for
-// adaptation, and in the admission gate's per-host ledger. desired is the
-// request as originally submitted (its rates may exceed a best-effort
-// admission).
+// commit registers an application every host has acknowledged, for
+// adaptation. desired is the request as originally submitted (its rates
+// may exceed a best-effort admission).
 func (e *Engine) commit(g *core.ExecutionGraph, desired spec.Request) {
 	e.origins[g.Request.ID] = &originState{
 		graph:         g,
@@ -344,15 +367,20 @@ func (e *Engine) commit(g *core.ExecutionGraph, desired spec.Request) {
 		availReceived: make(map[int]int64),
 		availAt:       e.clk.Now(),
 	}
-	e.chargePlacements(g)
 }
 
 // Teardown stops a request everywhere: local sources/components plus a
 // teardown RPC to every placement host in the graph. The application's
 // admission is released — this is the origin-side "the stream is done"
 // path; internal restarts (recompose, preemption, rollback) use teardown
-// directly so the tenant keeps or re-queues its slot.
+// directly so the tenant keeps or re-queues its slot. A submission of the
+// request still in flight is cancelled: it rolls back once it has
+// gathered its input or collected its acks, and fails with
+// ErrSubmitCancelled.
 func (e *Engine) Teardown(g *core.ExecutionGraph, timeout time.Duration) {
+	if sub := e.inflight[g.Request.ID]; sub != nil {
+		sub.cancelled = true
+	}
 	if e.tenantGate != nil {
 		e.tenantGate.Release(g.Request.ID)
 		delete(e.pendingAdmission, g.Request.ID)

@@ -72,27 +72,6 @@ func (e *Engine) admit(req spec.Request, composer core.Composer, timeout time.Du
 	return capped, cb, false
 }
 
-// chargePlacements reports the application's placed per-host rate to the
-// admission gate's capacity ledger, so feasibility probes track the hosts
-// the tenant actually landed on. No-op without tenancy or a per-host
-// ledger.
-func (e *Engine) chargePlacements(g *core.ExecutionGraph) {
-	if e.tenantGate == nil || !e.tenantGate.PerHostLedger() || g == nil {
-		return
-	}
-	perHost := make(map[string]float64, len(g.Placements))
-	sizes := make(map[int][]int, len(g.Request.Substreams))
-	for _, p := range g.Placements {
-		s, ok := sizes[p.Substream]
-		if !ok {
-			s = e.stageUnitBytes(g.Request, p.Substream)
-			sizes[p.Substream] = s
-		}
-		perHost[p.Host.ID.String()] += p.Rate * float64(s[p.Stage]) * 8
-	}
-	e.tenantGate.SetPlacements(g.Request.ID, perHost)
-}
-
 // The engine is the tenant.Owner of every application it originates. The
 // gate calls from arbitrary goroutines and outside its own lock; each
 // hook hops onto the engine's event loop before touching engine state.

@@ -30,12 +30,6 @@ var (
 	telDemand = telemetry.Default().Gauge(
 		"rasc_tenant_demand_bps",
 		"Aggregate requested rate of admitted tenants, in bits/sec.")
-	telCoalesced = telemetry.Default().Counter(
-		"rasc_tenant_cap_notifications_coalesced_total",
-		"Fair-share cap updates suppressed by the notification deadband or merged into a coalesced sweep.")
-	telHosts = telemetry.Default().Gauge(
-		"rasc_tenant_hosts",
-		"Hosts registered in the admission gate's per-host capacity ledger.")
 	telRecomputeLatency = telemetry.Default().Histogram(
 		"rasc_tenant_recompute_duration_seconds",
 		"Wall-clock latency of one fairness recompute (water level plus notification fan-out).", nil)

@@ -109,8 +109,7 @@ type Config struct {
 	// bits/sec. The gate's feasibility probe is a ledger against this
 	// budget — cheap (no solver run), with the min-cost composer behind
 	// it still the precise check (a composition that fails releases the
-	// admission). With PerHostLedger armed and hosts registered, the
-	// aggregate is derived as the sum of host budgets instead.
+	// admission).
 	CapacityBps float64
 	// MaxTenants bounds concurrently admitted applications (0 =
 	// unlimited).
@@ -130,31 +129,8 @@ type Config struct {
 	WeightCritical   float64
 	WeightStandard   float64
 	WeightBestEffort float64
-	// FairShareDeadband is the relative deadband ε for cap fan-out:
-	// after a recompute, a running tenant is re-notified only when its
-	// cap moved by more than ε relative to the value it was last told,
-	// so an admission storm touches O(changed) tenants instead of all of
-	// them. Pushed caps always stay within ~ε (relative) of the exact
-	// fair share. 0 — the default — notifies every change beyond float
-	// noise, the exact pre-deadband behavior.
-	FairShareDeadband float64
-	// CapCoalesceWindow batches cap fan-out: recomputes within the
-	// window collapse into a single fair_share_changed sweep when it
-	// expires, so a burst of admissions costs each running tenant at
-	// most one notification per window. Requires Clock; 0 (the default)
-	// sweeps inline with every recompute. Preemption and promotion
-	// notices are never deferred.
-	CapCoalesceWindow time.Duration
-	// PerHostLedger arms per-host capacity accounting: hosts registered
-	// via UpsertHost carry individual budgets (the aggregate becomes
-	// their sum), placements reported via SetPlacements commit rate
-	// against the host they landed on, the admission feasibility probe
-	// requires one host with enough uncommitted budget for the
-	// candidate's guaranteed floor, and a host's death releases exactly
-	// that host's budget (RemoveHost is idempotent).
-	PerHostLedger bool
-	// Clock timestamps journal spans and drives the coalescing window
-	// (optional; zero times and inline sweeps without it).
+	// Clock timestamps journal spans and admissions (optional; zero times
+	// without it).
 	Clock clock.Clock
 	// Journal, when set, records admit/reject/preempt/promote decisions
 	// as first-class decision traces.
@@ -182,9 +158,6 @@ func (c *Config) defaults() {
 	}
 	if c.WeightBestEffort <= 0 {
 		c.WeightBestEffort = 1
-	}
-	if c.FairShareDeadband < 0 {
-		c.FairShareDeadband = 0
 	}
 }
 
@@ -224,9 +197,6 @@ type tenantState struct {
 	seq         int64 // admission order, for FIFO queue ties
 	admittedAt  time.Duration
 	preemptions int
-	// placedBps charges the tenant's placed rate against ledger hosts
-	// (host id → bits/sec), set via SetPlacements.
-	placedBps map[string]float64
 }
 
 // Status is a tenant's externally visible posture, served by the
@@ -266,9 +236,6 @@ type GateStats struct {
 	// CapNotifications counts fair_share_changed events delivered to
 	// owners.
 	CapNotifications int64 `json:"capNotifications"`
-	// CoalescedCapEvents counts cap updates suppressed by the deadband
-	// or merged into a coalesced sweep.
-	CoalescedCapEvents int64 `json:"coalescedCapEvents"`
 }
 
 // Gate is a per-cluster admission controller with weighted max-min
@@ -288,23 +255,16 @@ type Gate struct {
 	// notification sweep.
 	wf             waterfill
 	lastSweepLevel float64
-	sweepPending   bool    // a coalesced sweep is scheduled on the clock
-	pendingMin     float64 // lowest settle level of the pending window (+Inf outside one)
 
 	// O(1) posture counters.
 	classCount [3]int // admitted tenants per priority rank
 	demandSum  float64
-
-	// Per-host capacity ledger (cfg.PerHostLedger).
-	hosts      map[string]*hostState
-	hostCapSum float64
 
 	preemptions int64
 	rejections  int64
 
 	statRecomputes int64
 	statCapNotifs  int64
-	statCoalesced  int64
 }
 
 // NewGate builds a gate budgeting cfg.CapacityBps.
@@ -315,7 +275,6 @@ func NewGate(cfg Config) *Gate {
 		capacity:       cfg.CapacityBps,
 		admitted:       make(map[string]*tenantState),
 		lastSweepLevel: math.Inf(1),
-		pendingMin:     math.Inf(1),
 	}
 	telCapacity.Set(g.capacity)
 	return g
@@ -373,12 +332,11 @@ func (g *Gate) registerAdmittedLocked(t *tenantState) {
 }
 
 // unregisterAdmittedLocked removes a tenant from the admitted set and
-// posture counters, and releases its committed host budget.
+// posture counters.
 func (g *Gate) unregisterAdmittedLocked(t *tenantState) {
 	delete(g.admitted, t.app)
 	g.classCount[t.pri.Rank()]--
 	g.demandSum -= t.demandBps
-	g.uncommitPlacementsLocked(t)
 }
 
 // updateDemandLocked rebases a tenant's demand, keeping the counters and
@@ -434,12 +392,6 @@ func (g *Gate) Admit(app string, pri spec.Priority, demandBps float64, owner Own
 
 	if g.cfg.MaxTenants > 0 && len(g.admitted) >= g.cfg.MaxTenants {
 		dec := g.parkLocked(cand, "tenant limit reached")
-		g.refreshGaugesLocked()
-		g.mu.Unlock()
-		return dec
-	}
-	if reason, ok := g.hostProbeLocked(demandBps); !ok {
-		dec := g.parkLocked(cand, reason)
 		g.refreshGaugesLocked()
 		g.mu.Unlock()
 		return dec
@@ -735,8 +687,7 @@ func (g *Gate) promoteLocked(n *notifs) {
 // settleLocked recomputes the water level after a structural change
 // and fans out cap updates. skip — the tenant whose join or demand
 // change caused the settle — always receives its exact share silently
-// (its Decision carries the cap). With a coalescing window configured,
-// the fan-out is deferred to one sweep per window.
+// (its Decision carries the cap).
 func (g *Gate) settleLocked(n *notifs, skip *tenantState) {
 	start := time.Now()
 	g.statRecomputes++
@@ -760,79 +711,25 @@ func (g *Gate) settleLocked(n *notifs, skip *tenantState) {
 			q.capBps = c
 		}
 	}
-	if g.cfg.CapCoalesceWindow > 0 && g.cfg.Clock != nil {
-		// Caps set exactly during the window (admits, promotions) pin
-		// their tenants at this settle's level; the deferred sweep must
-		// bound its suffix below every such level to catch them all.
-		if L < g.pendingMin {
-			g.pendingMin = L
-		}
-		if g.sweepPending {
-			// Merged into the already-scheduled sweep.
-			g.statCoalesced++
-			telCoalesced.Inc()
-		} else {
-			g.sweepPending = true
-			g.cfg.Clock.After(g.cfg.CapCoalesceWindow, g.coalescedSweep)
-		}
-	} else {
-		g.fanoutLocked(L, skip, n, math.Inf(1))
-	}
+	g.fanoutLocked(L, skip, n)
 	telRecomputeLatency.Observe(time.Since(start).Seconds())
-}
-
-// coalescedSweep is the deferred fan-out at the end of a coalescing
-// window: one sweep covers every recompute that landed in the window.
-func (g *Gate) coalescedSweep() {
-	g.mu.Lock()
-	g.sweepPending = false
-	windowMin := g.pendingMin
-	g.pendingMin = math.Inf(1)
-	n := &notifs{}
-	g.fanoutLocked(g.wf.level(g.capacity), nil, n, windowMin)
-	g.refreshGaugesLocked()
-	g.mu.Unlock()
-	n.deliver()
 }
 
 // fanoutLocked pushes cap updates for the move to water level L. Only
 // entries with saturation level above bound = min(lastSweepLevel, L) can
 // have moved since the last applied sweep — everything at or below the
-// bound was satisfied (cap = demand) before and still is. When the level
-// itself drifted no further than the deadband, the whole sweep is
-// skipped: an unsatisfied tenant's cap is L·weight, so its relative
-// drift equals the level's.
-func (g *Gate) fanoutLocked(L float64, skip *tenantState, n *notifs, windowMin float64) {
-	drift := relDiff(L, g.lastSweepLevel)
-	// A coalescing-window flush (finite windowMin) may have pinned caps
-	// at intermediate settle levels, so it must sweep even with zero net
-	// level drift, bounded below every such level; the per-entry checks
-	// still keep the notification set to what actually moved.
-	flush := !math.IsInf(windowMin, 1)
-	if drift == 0 && !flush {
+// bound was satisfied (cap = demand) before and still is.
+func (g *Gate) fanoutLocked(L float64, skip *tenantState, n *notifs) {
+	if L == g.lastSweepLevel {
 		return
 	}
-	bound := math.Min(math.Min(L, g.lastSweepLevel), windowMin)
-	db := g.cfg.FairShareDeadband
-	if db > 0 && drift <= db && !flush {
-		sup := g.wf.countAbove(bound)
-		g.statCoalesced += int64(sup)
-		telCoalesced.Add(uint64(sup))
-		return
-	}
-	g.wf.suffix(bound, func(e *wfEntry) {
+	g.wf.suffix(math.Min(L, g.lastSweepLevel), func(e *wfEntry) {
 		t := g.admitted[e.app]
 		if t == nil || t == skip {
 			return
 		}
 		newCap := wfShare(e, L)
-		diff := math.Abs(newCap - t.capBps)
-		if diff <= 1e-6 {
-			return
-		}
-		if db > 0 && diff <= db*math.Abs(t.capBps) {
-			g.statCoalesced++
-			telCoalesced.Inc()
+		if math.Abs(newCap-t.capBps) <= 1e-6 {
 			return
 		}
 		t.capBps = newCap
@@ -841,23 +738,6 @@ func (g *Gate) fanoutLocked(L float64, skip *tenantState, n *notifs, windowMin f
 		n.capChange = append(n.capChange, t)
 	})
 	g.lastSweepLevel = L
-}
-
-// relDiff is the relative difference of two water levels (0 for
-// bit-equal values, including two +Inf levels).
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	if math.IsInf(a, 1) || math.IsInf(b, 1) {
-		return math.Inf(1)
-	}
-	d := math.Abs(a - b)
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m == 0 {
-		return 0
-	}
-	return d / m
 }
 
 // ---------------------------------------------------------------------
@@ -891,9 +771,7 @@ func (g *Gate) Release(app string) {
 }
 
 // SetCapacity rebases the gate's budget (membership or provisioning
-// change) and re-settles every allocation. With a per-host ledger armed
-// the aggregate is normally derived from host budgets — the next
-// UpsertHost/RemoveHost overrides a manual SetCapacity.
+// change) and re-settles every allocation.
 func (g *Gate) SetCapacity(bps float64) {
 	g.mu.Lock()
 	if bps < 0 {
@@ -970,9 +848,8 @@ func (g *Gate) Stats() GateStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return GateStats{
-		Recomputes:         g.statRecomputes,
-		CapNotifications:   g.statCapNotifs,
-		CoalescedCapEvents: g.statCoalesced,
+		Recomputes:       g.statRecomputes,
+		CapNotifications: g.statCapNotifs,
 	}
 }
 
@@ -1013,7 +890,6 @@ func (g *Gate) refreshGaugesLocked() {
 	telQueued.Set(float64(len(g.queue)))
 	telCapacity.Set(g.capacity)
 	telDemand.Set(g.demandSum)
-	telHosts.Set(float64(len(g.hosts)))
 }
 
 // CapRequest scales a request's substream rates down proportionally so

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -190,6 +191,101 @@ func TestGateFairShareCapsUnderContention(t *testing.T) {
 	rec.mu.Unlock()
 	if len(preempted) != 1 || preempted[0] != "be" {
 		t.Fatalf("preempted %v, want [be]", preempted)
+	}
+}
+
+// TestGateCapacityStormPreemptsAndPromotes drives a contended gate
+// through a correlated capacity-loss storm (the aggregate decrement a
+// member death takes), the capacity's return and two permanent losses:
+// the storm preempts someone, the return promotes someone, and the final
+// budget is exactly the surviving capacity.
+func TestGateCapacityStormPreemptsAndPromotes(t *testing.T) {
+	const hosts, storm, dead, perHost = 16, 4, 2, 1000.0
+	rec := newRecorder()
+	counts := func() (preempted, promoted int) {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return len(rec.preempted), len(rec.promoted)
+	}
+	g := NewGate(Config{CapacityBps: hosts * perHost, MinShareFraction: 0.4, QueueCapacity: 64})
+	// Per ten tenants one Critical, three Standard and six BestEffort,
+	// demanding about 1.5 times the cluster budget between them.
+	pris := []spec.Priority{spec.Critical, spec.Standard, spec.Standard, spec.Standard,
+		spec.BestEffort, spec.BestEffort, spec.BestEffort, spec.BestEffort, spec.BestEffort, spec.BestEffort}
+	for i := 0; i < 40; i++ {
+		g.Admit(fmt.Sprintf("app-%02d", i), pris[i%len(pris)], float64(400+50*(i%9)), rec)
+	}
+	if tt := g.Totals(); tt.Admitted == 0 || tt.Queued == 0 {
+		t.Fatalf("totals %+v: want both admitted and parked tenants at this contention", tt)
+	}
+
+	before, _ := counts()
+	for i := 0; i < storm; i++ {
+		g.AddCapacity(-perHost)
+	}
+	preempted, promoted := counts()
+	if preempted == before {
+		t.Fatal("capacity-loss storm preempted nobody")
+	}
+	for i := 0; i < storm; i++ {
+		g.AddCapacity(perHost)
+	}
+	if _, p := counts(); p == promoted {
+		t.Fatal("capacity return promoted nobody")
+	}
+	for i := 0; i < dead; i++ {
+		g.AddCapacity(-perHost)
+	}
+	if got, want := g.CapacityBps(), perHost*(hosts-dead); got != want {
+		t.Fatalf("final capacity %v, want %v", got, want)
+	}
+}
+
+// TestLedgerDeadHostReleasedExactlyOnce pins the gate's half of the
+// member-death contract: a death is one aggregate decrement of the dead
+// host's share, and a duplicate verdict (breaker suspicion plus the
+// gossip timeout, or several detectors) arrives as a zero delta, since
+// the dead host's share is zeroed on the first one. The zero delta must
+// move neither the budget nor any cap, and notify nobody.
+func TestLedgerDeadHostReleasedExactlyOnce(t *testing.T) {
+	rec := newRecorder()
+	g := NewGate(Config{CapacityBps: 10000})
+	g.Admit("a", spec.Standard, 5000, rec)
+
+	g.AddCapacity(-6000)
+	if c := g.CapacityBps(); c != 4000 {
+		t.Fatalf("capacity %v after death, want 4000", c)
+	}
+	// The shrunken capacity re-settles the allocation.
+	if cap, ok := g.CapBps("a"); !ok || cap != 4000 {
+		t.Fatalf("a's cap %v %v after death, want 4000", cap, ok)
+	}
+	notified := g.Stats().CapNotifications
+	// The duplicate verdicts must change nothing.
+	g.AddCapacity(0)
+	g.AddCapacity(0)
+	if c := g.CapacityBps(); c != 4000 {
+		t.Fatalf("capacity %v after duplicate deaths, want 4000", c)
+	}
+	if cap, ok := g.CapBps("a"); !ok || cap != 4000 {
+		t.Fatalf("a's cap %v %v after duplicate deaths, want 4000", cap, ok)
+	}
+	if n := g.Stats().CapNotifications; n != notified {
+		t.Fatalf("duplicate deaths sent %d cap notifications", n-notified)
+	}
+	rec.mu.Lock()
+	preempted := len(rec.preempted)
+	rec.mu.Unlock()
+	if preempted != 0 {
+		t.Fatalf("preempted %d tenants, want none", preempted)
+	}
+	// A rejoined host restores its budget once.
+	g.AddCapacity(6000)
+	if c := g.CapacityBps(); c != 10000 {
+		t.Fatalf("capacity %v after rejoin, want 10000", c)
+	}
+	if cap, ok := g.CapBps("a"); !ok || cap != 5000 {
+		t.Fatalf("a's cap %v %v after rejoin, want its 5000 demand", cap, ok)
 	}
 }
 

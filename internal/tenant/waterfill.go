@@ -278,20 +278,3 @@ func wfAll(n *wfNode, visit func(*wfEntry)) {
 	visit(&n.wfEntry)
 	wfAll(n.right, visit)
 }
-
-// countAbove returns |{entries with level > bound}| in O(log n).
-func (w *waterfill) countAbove(bound float64) int {
-	n, c := w.root, 0
-	for n != nil {
-		if n.level > bound {
-			c++
-			if n.right != nil {
-				c += n.right.size
-			}
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return c
-}

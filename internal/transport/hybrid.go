@@ -1,14 +1,14 @@
 package transport
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
 )
 
 // maxDatagramSize bounds a UDP frame (stay under typical fragmentation
-// limits plus headroom for the JSON envelope).
+// limits). A datagram carries one binary TCP frame body: sender address
+// and message, without the length prefix.
 const maxDatagramSize = 60_000
 
 // HybridEndpoint sends control messages over TCP (reliable, ordered) and
@@ -28,12 +28,6 @@ type HybridEndpoint struct {
 }
 
 var _ Endpoint = (*HybridEndpoint)(nil)
-
-// udpFrame is the UDP wire format (one datagram per message).
-type udpFrame struct {
-	From Addr    `json:"from"`
-	Msg  Message `json:"msg"`
-}
 
 // NewHybrid binds a TCP listener and a UDP socket on the same address.
 // Pass port 0 to pick a free port (shared by both sockets).
@@ -85,10 +79,7 @@ func (h *HybridEndpoint) Send(to Addr, msg Message) error {
 	if !msg.Datagram {
 		return h.tcp.Send(to, msg)
 	}
-	body, err := json.Marshal(udpFrame{From: h.Addr(), Msg: msg})
-	if err != nil {
-		return err
-	}
+	body := appendTCPFrame(nil, h.Addr(), msg)
 	if len(body) > maxDatagramSize {
 		return h.tcp.Send(to, msg)
 	}
@@ -128,8 +119,9 @@ func (h *HybridEndpoint) readUDP() {
 		if err != nil {
 			return // socket closed
 		}
-		var frame udpFrame
-		if json.Unmarshal(buf[:n], &frame) != nil {
+		// The decoded message aliases its input, and buf is reused.
+		from, msg, err := readTCPFrame(append([]byte(nil), buf[:n]...))
+		if err != nil {
 			continue
 		}
 		telUDPIn.Inc()
@@ -142,7 +134,7 @@ func (h *HybridEndpoint) readUDP() {
 			return
 		}
 		if fn != nil {
-			fn(frame.From, frame.Msg)
+			fn(from, msg)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"sync"
 	"testing"
 )
@@ -75,6 +76,44 @@ func TestHybridDatagramOverUDP(t *testing.T) {
 	defer mu.Unlock()
 	if from != a.Addr() {
 		t.Fatalf("datagram source = %q, want %q", from, a.Addr())
+	}
+}
+
+// A malformed datagram is skipped; the valid ones after it are delivered
+// with their own payloads, although the receive buffer is reused.
+func TestHybridSkipsMalformedDatagram(t *testing.T) {
+	a, b := newHybridPair(t)
+	var mu sync.Mutex
+	var got []Message
+	b.SetHandler(func(f Addr, msg Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, msg)
+	})
+	dst, err := net.ResolveUDPAddr("udp", string(b.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := appendTCPFrame(nil, a.Addr(), Message{Type: "data", Datagram: true, Payload: []byte("x")})
+	for _, bad := range [][]byte{{0xff, 0xff, 1, 2, 3}, valid[:len(valid)-1]} {
+		if _, err := a.udp.WriteToUDP(bad, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"first", "second"} {
+		if err := a.Send(b.Addr(), Message{Type: "data", Datagram: true, Payload: []byte(p)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) >= 2
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 || string(got[0].Payload) != "first" || string(got[1].Payload) != "second" {
+		t.Fatalf("delivered %+v, want exactly the two valid datagrams in order", got)
 	}
 }
 

@@ -70,13 +70,10 @@ func WithAdaptation(cfg AdaptationConfig) Option {
 
 // TenancyConfig tunes the multi-tenant admission gate: the capacity
 // budget (0 derives it from the topology), the tenant and queue limits,
-// the guaranteed-share floor, the per-priority fairness weights, and the
-// scale knobs — FairShareDeadband suppresses cap notifications for
-// sub-threshold relative moves, CapCoalesceWindow collapses fan-out
-// bursts into one sweep, PerHostLedger accounts capacity per node (a
-// death releases exactly that node's budget, and admission additionally
-// probes for a host with placement headroom). The zero value selects the
-// defaults documented on each field.
+// the guaranteed-share floor and the per-priority fairness weights. The
+// gate budgets one aggregate per cluster; a member's death shrinks it by
+// that member's proportional share. The zero value selects the defaults
+// documented on each field.
 type TenancyConfig = tenant.Config
 
 // WithTenancy fronts every node's submission path with one shared

@@ -233,8 +233,9 @@ const submitTimeout = 60 * time.Second
 // SubmitContext is Submit with cancellation: the loop that advances
 // virtual time while waiting for composition checks ctx between steps and
 // returns ctx.Err() (wrapped, so errors.Is matches context.Canceled or
-// context.DeadlineExceeded) as soon as it is done. Virtual time already
-// spent is not rolled back.
+// context.DeadlineExceeded) as soon as it is done. The submission is then
+// torn down: whatever it started is rolled back as virtual time advances.
+// Virtual time already spent is not rolled back.
 func (s *System) SubmitContext(ctx context.Context, origin int, req Request, composer Composer) (*Composition, error) {
 	if origin < 0 || origin >= len(s.d.Engines) {
 		return nil, fmt.Errorf("%w: origin %d, %d nodes", ErrOriginOutOfRange, origin, len(s.d.Engines))
@@ -262,6 +263,7 @@ func (s *System) SubmitContext(ctx context.Context, origin int, req Request, com
 	deadline := s.d.Sim.Now() + submitTimeout
 	for !done && s.d.Sim.Now() < deadline {
 		if err := ctx.Err(); err != nil {
+			s.d.Engines[origin].Teardown(&core.ExecutionGraph{Request: req}, 10*time.Second)
 			return nil, fmt.Errorf("rasc: submission of %s: %w", req.ID, err)
 		}
 		s.d.Sim.RunUntil(s.d.Sim.Now() + 100*time.Millisecond)
