@@ -23,6 +23,7 @@ import (
 	"syscall"
 	"time"
 
+	"rasc.dev/rasc/internal/core"
 	"rasc.dev/rasc/internal/gossip"
 	"rasc.dev/rasc/internal/live"
 	"rasc.dev/rasc/internal/spec"
@@ -66,7 +67,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		borderPeers = fs.String("border-peers", "", "comma-separated addresses of remote-cluster border nodes to exchange cluster summaries with")
 		boundaryBps = fs.Float64("boundary-bps", 0, "advertised boundary-link capacity in bits/sec for cross-cluster hand-offs (0: default 100 Mbps)")
 
-		noResilience = fs.Bool("no-resilience", false, "send frames synchronously instead of through the async retry/breaker pipeline")
 		breakerFails = fs.Int("breaker-threshold", 0, "consecutive delivery failures before a peer's circuit opens (0: default 5)")
 		breakerOpen  = fs.Duration("breaker-open-timeout", 0, "how long an open circuit waits before probing the peer again (0: default 2s)")
 		chaosDrop    = fs.Float64("chaos-drop", 0, "fault injection: probability each outbound message is dropped")
@@ -89,6 +89,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		journalCap  = fs.Int("decision-journal", 0, "adaptation decision journal retention, served at /debug/rasc/decisions (0: default 256)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if _, err := core.ByName(*composer); err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -129,10 +133,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			ProbeInterval:    *probeIvl,
 			SuspicionTimeout: *suspicion,
 		},
-		Cluster:           *cluster,
-		BorderPeers:       borders,
-		BoundaryBps:       *boundaryBps,
-		DisableResilience: *noResilience,
+		Cluster:     *cluster,
+		BorderPeers: borders,
+		BoundaryBps: *boundaryBps,
 		Resilience: transport.ResilientConfig{
 			Breaker: transport.BreakerConfig{
 				FailureThreshold: *breakerFails,

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// A flag the command does not define, a bad value or an unknown -priority
-// class is a usage error: exit code 2 with the complaint on stderr and
-// nothing on stdout, before any socket is opened.
+// A flag the command does not define, a bad value, an unknown -priority
+// class or an unknown -composer is a usage error: exit code 2 with the
+// complaint on stderr and nothing on stdout, before any socket is opened.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -20,6 +20,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-no-such-flag"}, "no-such-flag"},
 		{[]string{"-rate", "fast"}, "rate"},
 		{[]string{"-priority", "urgent"}, "urgent"},
+		{[]string{"-composer", "bogus", "-submit", "filter"}, "bogus"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(context.Background(), tc.args, &stdout, &stderr)

@@ -65,6 +65,15 @@ func replayWorkload(w io.Writer, sys *rasc.System, path string, composer rasc.Co
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// composerNames lists every name -composer accepts, separated by "|".
+func composerNames() string {
+	var names []string
+	for _, c := range rasc.Composers() {
+		names = append(names, c.String())
+	}
+	return strings.Join(names, "|")
+}
+
 // run is the command: it parses args, writes the report to stdout and
 // diagnostics to stderr, and returns the exit code (2 for a usage error).
 func run(args []string, stdout, stderr io.Writer) int {
@@ -73,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		nodes    = fs.Int("nodes", 32, "deployment size")
 		seed     = fs.Int64("seed", 1, "simulation seed")
-		composer = fs.String("composer", "mincost", "composer: mincost|mincost-nosplit|greedy|random|lp")
+		composer = fs.String("composer", "mincost", "composer: "+composerNames())
 		svcList  = fs.String("services", "filter,transcode", "comma-separated service chain")
 		rateKbps = fs.Int("rate", 100, "requested rate in Kbps")
 		duration = fs.Duration("duration", 30*time.Second, "virtual streaming time")

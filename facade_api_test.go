@@ -39,6 +39,30 @@ func TestParseComposerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestComposersBuildByName checks that every composer Submit accepts
+// builds through core.ByName under its own name, and that Submit turns an
+// unknown name into ErrUnknownComposer.
+func TestComposersBuildByName(t *testing.T) {
+	for _, c := range Composers() {
+		comp, err := core.ByName(c.String())
+		if err != nil {
+			t.Fatalf("core.ByName(%q): %v", c, err)
+		}
+		if comp.Name() != c.String() {
+			t.Fatalf("composer %q reports name %q", c, comp.Name())
+		}
+	}
+	sys := New(WithNodes(8), WithSeed(4))
+	req := Request{
+		ID:         "r",
+		UnitBytes:  1250,
+		Substreams: []Substream{{Services: []string{"filter"}, Rate: 5}},
+	}
+	if _, err := sys.Submit(0, req, Composer("bogus")); !errors.Is(err, ErrUnknownComposer) {
+		t.Fatalf("err = %v, want ErrUnknownComposer", err)
+	}
+}
+
 // TestSubmitSentinelErrors checks that each failure mode surfaces its
 // sentinel through errors.Is, and that wrapping preserves the underlying
 // solver error chain.

@@ -385,50 +385,6 @@ func TestMultiSubstreamComposition(t *testing.T) {
 	}
 }
 
-func TestMinCostScalingSolverEquivalent(t *testing.T) {
-	// Both solvers must admit the same requests and meet the same rate
-	// requirements (solutions may differ among cost ties).
-	mkInput := func() Input {
-		in := baseInput(req1(10, "transcode", "filter"))
-		in.Candidates["transcode"] = []Candidate{
-			cand(1, 60*kbit, 0.05),
-			cand(2, 80*kbit, 0.0),
-		}
-		in.Candidates["filter"] = []Candidate{
-			cand(3, 70*kbit, 0.1),
-			cand(4, 90*kbit, 0.02),
-		}
-		return in
-	}
-	ssp, err := (&MinCost{}).Compose(mkInput())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaling, err := (&MinCost{Solver: "scaling"}).Compose(mkInput())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckGraph(scaling, nil); err != nil {
-		t.Fatal(err)
-	}
-	cost := func(g *ExecutionGraph, in Input) float64 {
-		drops := map[string]float64{}
-		for _, cands := range in.Candidates {
-			for _, c := range cands {
-				drops[c.Info.ID.String()] = c.Report.DropRatio
-			}
-		}
-		total := 0.0
-		for _, p := range g.Placements {
-			total += p.Rate * drops[p.Host.ID.String()]
-		}
-		return total
-	}
-	if a, b := cost(ssp, mkInput()), cost(scaling, mkInput()); a != b {
-		t.Fatalf("solver costs differ: ssp %g vs scaling %g", a, b)
-	}
-}
-
 // Property: on random feasible instances, min-cost composition always
 // meets the rate and never overcommits a host.
 func TestMinCostPropertyRandomInstances(t *testing.T) {

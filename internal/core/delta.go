@@ -30,9 +30,10 @@ type deltaCtx struct {
 	endpointResidual int64
 }
 
-// ComposeDelta incrementally re-composes a running application: only the
-// substreams listed in affected (nil = all) are re-solved; the others are
-// copied verbatim from prev with their capacity use accounted. For each
+// ComposeDelta is MinCost's one composition routine; Compose calls it
+// with no prior graph and no degraded hosts. Only the substreams listed
+// in affected (nil = all) are re-solved; with a prev, the others are
+// copied verbatim from it with their capacity use accounted. For each
 // re-solved substream, prev's placements on non-degraded hosts are
 // pre-seeded into the flow graph as zero-cost residual arcs — keeping an
 // existing instance costs nothing, so the solver shifts only the share
@@ -40,9 +41,7 @@ type deltaCtx struct {
 // from candidacy outright.
 //
 // in.Request must carry the application's live rates (prev.Request for a
-// running graph, including any best-effort reduction). With a nil prev,
-// no degraded hosts and affected == nil, ComposeDelta is exactly Compose:
-// the output is bit-identical.
+// running graph, including any best-effort reduction).
 //
 // It returns ErrNoFeasiblePlacement (wrapped) when the surviving hosts
 // cannot absorb the displaced rate; callers then fall back to a full
@@ -64,7 +63,11 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 		Source:   in.Source,
 		Dest:     in.Dest,
 	}
+	// Best-effort admission may lower substream rates in the returned
+	// graph; copy the slice so the caller's request stays untouched.
 	g.Request.Substreams = append([]spec.Substream(nil), in.Request.Substreams...)
+	// Pre-size the output: at least one placement per stage and one edge
+	// per stage boundary; rate splitting can append beyond the hint.
 	total := 0
 	for _, ss := range in.Request.Substreams {
 		total += len(ss.Services)
@@ -72,6 +75,9 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 	g.Placements = make([]Placement, 0, total)
 	g.Edges = make([]Edge, 0, total+2*len(in.Request.Substreams))
 	caps := newCapTracker()
+	// Seed endpoint capacities. The source only transmits; the
+	// destination only receives — but we apply the paper's r_max(n)
+	// uniformly.
 	caps.seed(in.Source.ID, int(in.SourceReport.AvailOut()*in.headroom()/unitBits(in.Request)))
 	caps.seed(in.Dest.ID, int(in.DestReport.AvailIn()*in.headroom()/unitBits(in.Request)))
 	for _, cands := range in.Candidates {
@@ -82,25 +88,27 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 			}
 		}
 	}
-	affectedSet := make(map[int]bool, len(in.Request.Substreams))
-	if affected == nil {
-		for l := range in.Request.Substreams {
-			affectedSet[l] = true
-		}
-	} else {
+	// Without a prev there is nothing to copy, so affected only matters
+	// alongside one; a plain compose builds no set and no delta context.
+	var affectedSet map[int]bool
+	if prev != nil && affected != nil {
+		affectedSet = make(map[int]bool, len(affected))
 		for _, l := range affected {
 			affectedSet[l] = true
 		}
 	}
 	for l := range in.Request.Substreams {
-		if prev != nil && !affectedSet[l] {
+		if affectedSet != nil && !affectedSet[l] {
 			m.copySubstream(in, g, caps, prev, l)
 			if in.Stats != nil {
 				in.Stats.Copied++
 			}
 			continue
 		}
-		dc := deltaFor(prev, degraded, l)
+		var dc *deltaCtx
+		if prev != nil || len(degraded) > 0 {
+			dc = deltaFor(prev, degraded, l)
+		}
 		if err := m.composeSubstream(in, g, caps, sc, l, dc); err != nil {
 			return nil, fmt.Errorf("substream %d: %w", l, err)
 		}

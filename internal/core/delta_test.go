@@ -16,7 +16,7 @@ import (
 func TestComposeDeltaEmptyResidualBitIdentical(t *testing.T) {
 	for seed := 0; seed < 5; seed++ {
 		for _, hosts := range []int{3, 8, 16} {
-			in := topkInput(hosts, 10+seed, "filter", "transcode", "encrypt")
+			in := wideInput(hosts, 10+seed, "filter", "transcode", "encrypt")
 			full, err := (&MinCost{}).Compose(in)
 			if err != nil {
 				t.Fatalf("seed %d hosts %d: %v", seed, hosts, err)

@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"rasc.dev/rasc/internal/mincostflow"
 	"rasc.dev/rasc/internal/overlay"
-	"rasc.dev/rasc/internal/spec"
 )
 
 // costScale converts a drop ratio in [0,1] into an integer per-unit arc
@@ -28,9 +25,10 @@ const utilTieScale = 1_000
 // layered composition graph is built over the candidate hosts — one
 // capacity-bounded, drop-cost internal arc per component instance — and a
 // minimum-cost flow of r_req_l units is routed from the source to the
-// destination. The flow may split a service across several instances on
-// different nodes ("rate splitting"). Capacities are decremented between
-// substreams (Algorithm 1's update step).
+// destination by successive shortest paths. The flow may split a service
+// across several instances on different nodes ("rate splitting").
+// Capacities are decremented between substreams (Algorithm 1's update
+// step).
 type MinCost struct {
 	// NoSplit restricts every stage to a single component instance (an
 	// ablation knob: RASC without rate splitting). Implemented by
@@ -43,11 +41,6 @@ type MinCost struct {
 	// service's per-unit cost. Requires Input.Catalog and CPU-reporting
 	// hosts; hosts without CPU data fall back to bandwidth-only.
 	UseCPU bool
-	// Solver selects the min-cost flow algorithm: "ssp" (successive
-	// shortest paths, the default) or "scaling" (Goldberg's cost
-	// scaling, which the paper cites). Both produce optimal flows; they
-	// may differ in which of several equal-cost solutions they return.
-	Solver string
 	// BestEffortFraction, when positive, admits a substream at a reduced
 	// rate instead of rejecting it outright: if the achievable flow is
 	// at least this fraction of the requirement, the substream's rate in
@@ -55,13 +48,6 @@ type MinCost struct {
 	// graph's Request reflects the adjusted rates). 0 keeps the paper's
 	// all-or-nothing admission.
 	BestEffortFraction float64
-	// TopK, when positive, prunes every stage to its K cheapest
-	// candidates — ordered by (drop ratio, utilization, host ID) — before
-	// the O(C²) inter-stage arcs are wired, trading a little allocation
-	// fidelity for much smaller flow graphs when discovery returns many
-	// hosts per service. K <= 0 keeps the paper-faithful full graph and
-	// produces output bit-identical to the unpruned composer.
-	TopK int
 }
 
 // comp is one candidate component instance in a substream's flow graph.
@@ -87,11 +73,11 @@ type edgeRef struct {
 	id        mincostflow.ArcID
 }
 
-// composeScratch carries the per-substream working state of one Compose
-// call — the flow graph arena, the solver scratch and the stage/edge
-// buffers — and is recycled across Compose calls through a pool, so the
-// composition hot path stops allocating a fresh graph and solver per
-// substream.
+// composeScratch carries the per-substream working state of one
+// composition — the flow graph arena, the solver scratch and the
+// stage/edge buffers — and is recycled across compositions through a pool,
+// so the composition hot path stops allocating a fresh graph and solver
+// per substream.
 type composeScratch struct {
 	graph  *mincostflow.Graph
 	solver mincostflow.Solver
@@ -120,14 +106,6 @@ func (sc *composeScratch) stagesFor(q int) [][]comp {
 	return sc.stages
 }
 
-// solve runs the configured min-cost flow algorithm on the scratch solver.
-func (m *MinCost) solve(sc *composeScratch, s, t int, want int64) (mincostflow.Result, error) {
-	if m.Solver == "scaling" {
-		return sc.solver.MinCostFlowScaling(sc.graph, s, t, want)
-	}
-	return sc.solver.MinCostFlow(sc.graph, s, t, want)
-}
-
 // Name implements Composer.
 func (m *MinCost) Name() string {
 	switch {
@@ -141,79 +119,10 @@ func (m *MinCost) Name() string {
 	return "mincost"
 }
 
-// Compose implements Composer.
+// Compose implements Composer: a ComposeDelta with no prior graph and no
+// degraded hosts.
 func (m *MinCost) Compose(in Input) (*ExecutionGraph, error) {
-	defer observeCompose(time.Now())
-	defer observeStats(in.Stats, time.Now())
-	if err := in.Request.Validate(); err != nil {
-		return nil, err
-	}
-	sc := composeScratchPool.Get().(*composeScratch)
-	defer composeScratchPool.Put(sc)
-	if sc.solver.Reused() {
-		telSolverReuse.Inc()
-	}
-	g := &ExecutionGraph{
-		Request:  in.Request,
-		Composer: m.Name(),
-		Source:   in.Source,
-		Dest:     in.Dest,
-	}
-	// Best-effort admission may lower substream rates in the returned
-	// graph; copy the slice so the caller's request stays untouched.
-	g.Request.Substreams = append([]spec.Substream(nil), in.Request.Substreams...)
-	// Pre-size the output: at least one placement per stage and one edge
-	// per stage boundary; rate splitting can append beyond the hint.
-	total := 0
-	for _, ss := range in.Request.Substreams {
-		total += len(ss.Services)
-	}
-	g.Placements = make([]Placement, 0, total)
-	g.Edges = make([]Edge, 0, total+2*len(in.Request.Substreams))
-	caps := newCapTracker()
-	// Seed endpoint capacities. The source only transmits; the
-	// destination only receives — but we apply the paper's r_max(n)
-	// uniformly.
-	caps.seed(in.Source.ID, int(in.SourceReport.AvailOut()*in.headroom()/unitBits(in.Request)))
-	caps.seed(in.Dest.ID, int(in.DestReport.AvailIn()*in.headroom()/unitBits(in.Request)))
-	for _, cands := range in.Candidates {
-		for _, c := range cands {
-			caps.seed(c.Info.ID, maxRateUnits(c.Report, in))
-			if m.UseCPU {
-				caps.seedCPU(c.Info.ID, c.Report.SpeedFactor, c.Report.AvailCPU()*in.headroom())
-			}
-		}
-	}
-	for l := range in.Request.Substreams {
-		if err := m.composeSubstream(in, g, caps, sc, l, nil); err != nil {
-			return nil, fmt.Errorf("substream %d: %w", l, err)
-		}
-	}
-	if in.Stats != nil {
-		in.Stats.Feasible = true
-	}
-	return g, nil
-}
-
-// pruneTopK truncates a stage's candidates to its k cheapest, ordered by
-// (drop ratio, utilization, host ID) — the same cost key the internal
-// arcs carry, so the survivors are exactly the hosts the full flow graph
-// prefers first.
-func pruneTopK(stage []comp, k int) []comp {
-	if k <= 0 || len(stage) <= k {
-		return stage
-	}
-	sort.Slice(stage, func(i, j int) bool {
-		a, b := &stage[i], &stage[j]
-		if a.drop != b.drop {
-			return a.drop < b.drop
-		}
-		if a.util != b.util {
-			return a.util < b.util
-		}
-		return a.host.ID.Cmp(b.host.ID) < 0
-	})
-	return stage[:k]
+	return m.ComposeDelta(in, nil, nil, nil)
 }
 
 // composeSubstream reduces substream l to a min-cost flow instance and
@@ -242,7 +151,6 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 		if len(stages[j]) == 0 {
 			return fmt.Errorf("%w: every host offering %q is degraded", ErrNoFeasiblePlacement, svc)
 		}
-		stages[j] = pruneTopK(stages[j], m.TopK)
 	}
 	if st := in.Stats; st != nil {
 		st.Substreams++
@@ -351,7 +259,7 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 		}
 	}
 
-	res, err := m.solve(sc, src, sink, int64(rate))
+	res, err := sc.solver.MinCostFlow(fg, src, sink, int64(rate))
 	if st := in.Stats; st != nil {
 		st.Nodes += fg.NumNodes()
 		st.Arcs += fg.NumArcs()

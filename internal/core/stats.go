@@ -14,13 +14,13 @@ type ComposeStats struct {
 	Substreams int
 	Copied     int
 	// Candidates is the candidate component instances across all solved
-	// substreams (after degraded-host filtering and TopK pruning).
+	// substreams (after degraded-host filtering).
 	Candidates int
 	// Nodes and Arcs size the flow graphs across all solved substreams.
 	Nodes int
 	Arcs  int
-	// Iterations totals the min-cost-flow solver's work units
-	// (augmenting paths for SSP, scaling phases for cost scaling).
+	// Iterations totals the augmenting paths the min-cost-flow solver
+	// routed.
 	Iterations int
 	// Flow is the total routed flow in rate units.
 	Flow int64

@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestComposeMetricsCatalogue(t *testing.T) {
 	// Populate both families: two back-to-back compositions guarantee at
 	// least one warm-scratch acquisition.
-	in := topkInput(6, 5, "filter", "transcode")
+	in := wideInput(6, 5, "filter", "transcode")
 	for i := 0; i < 3; i++ {
 		if _, err := (&MinCost{}).Compose(in); err != nil {
 			t.Fatal(err)

@@ -149,10 +149,6 @@ func (c *Config) defaults() {
 	}
 }
 
-// NewComposer builds a composer by name: "mincost", "mincost-nosplit",
-// "greedy", "random" or "lp".
-func NewComposer(name string) (core.Composer, error) { return core.ByName(name) }
-
 // RunStats aggregates one (composer, rate, seed) run.
 type RunStats struct {
 	Composer string
@@ -321,7 +317,7 @@ func Run(cfg Config) (*Results, error) {
 // RunOne executes a single (composer, rate, seed) run.
 func RunOne(cfg Config, composerName string, rate int, seed int64) (RunStats, error) {
 	cfg.defaults()
-	composer, err := NewComposer(composerName)
+	composer, err := core.ByName(composerName)
 	if err != nil {
 		return RunStats{}, err
 	}

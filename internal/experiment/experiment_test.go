@@ -100,21 +100,6 @@ func TestRunStatsZeroDivision(t *testing.T) {
 	}
 }
 
-func TestNewComposerNames(t *testing.T) {
-	for _, name := range []string{"mincost", "mincost-nosplit", "greedy", "random", "lp"} {
-		c, err := NewComposer(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if c.Name() != name {
-			t.Fatalf("composer %q reports name %q", name, c.Name())
-		}
-	}
-	if _, err := NewComposer("bogus"); err == nil {
-		t.Fatal("bogus composer accepted")
-	}
-}
-
 func TestRateKbps(t *testing.T) {
 	if got := rateKbps(10, 1250); got != 100 {
 		t.Fatalf("rateKbps = %d, want 100", got)

@@ -154,7 +154,7 @@ func (r *ContentionResults) App(id string) *TenantRun {
 //     BestEffort class through fair_share_changed upgrades (window C).
 func RunContention(cfg ContentionConfig) (*ContentionResults, error) {
 	cfg.defaults()
-	composer, err := NewComposer(cfg.Composer)
+	composer, err := core.ByName(cfg.Composer)
 	if err != nil {
 		return nil, err
 	}

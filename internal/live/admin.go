@@ -217,17 +217,15 @@ func (a *AdminServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			st.Control = buildControlHealth(ctl, a.node.Journal)
 		}
 	})
-	if a.node.Transport != nil {
-		states := a.node.Transport.PeerStates()
-		th := &transportHealth{Peers: len(states)}
-		for addr, bs := range states {
-			if bs != transport.BreakerClosed {
-				th.SickPeers = append(th.SickPeers, fmt.Sprintf("%s (%s)", addr, bs))
-			}
+	states := a.node.Transport.PeerStates()
+	th := &transportHealth{Peers: len(states)}
+	for addr, bs := range states {
+		if bs != transport.BreakerClosed {
+			th.SickPeers = append(th.SickPeers, fmt.Sprintf("%s (%s)", addr, bs))
 		}
-		sort.Strings(th.SickPeers)
-		st.Transport = th
 	}
+	sort.Strings(th.SickPeers)
+	st.Transport = th
 	if c, err := net.DialTimeout("tcp", a.node.Addr(), 500*time.Millisecond); err == nil {
 		st.Listener = true
 		c.Close()

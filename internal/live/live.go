@@ -82,10 +82,6 @@ type Config struct {
 	// endpoint: per-peer bounded queues, batch coalescing, retry with
 	// backoff, and circuit breakers (zero value = defaults).
 	Resilience transport.ResilientConfig
-	// DisableResilience sends every frame synchronously on the caller's
-	// goroutine, without queues, retries or breakers. Peers then must not
-	// batch either: batch envelopes are only unpacked by resilient nodes.
-	DisableResilience bool
 	// Chaos, when it injects any fault, wraps the wire below the resilient
 	// pipeline with seedable drop/delay/duplicate/reorder faults — failure
 	// drills on a live cluster, exercising the same retry and breaker
@@ -131,8 +127,8 @@ type Node struct {
 	Engine  *stream.Engine
 	// Gossip is the node's membership instance (nil when disabled).
 	Gossip *gossip.Gossip
-	// Transport is the resilient send pipeline (nil when disabled); its
-	// breaker states feed /healthz and gossip suspicion.
+	// Transport is the resilient send pipeline every frame goes through;
+	// its breaker states feed /healthz and gossip suspicion.
 	Transport *transport.Resilient
 	// Journal records the node's adaptation decision traces, served by
 	// /debug/rasc/decisions.
@@ -242,33 +238,31 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Chaos.Active() {
 		ep = transport.NewChaos(ep, cfg.Chaos, nil)
 	}
-	if !cfg.DisableResilience {
-		rcfg := cfg.Resilience
-		userCB := rcfg.OnBreakerChange
-		rcfg.OnBreakerChange = func(peer transport.Addr, state transport.BreakerState) {
-			if userCB != nil {
-				userCB(peer, state)
-			}
-			if state != transport.BreakerOpen {
+	rcfg := cfg.Resilience
+	userCB := rcfg.OnBreakerChange
+	rcfg.OnBreakerChange = func(peer transport.Addr, state transport.BreakerState) {
+		if userCB != nil {
+			userCB(peer, state)
+		}
+		if state != transport.BreakerOpen {
+			return
+		}
+		// First-hand delivery failure: hand the peer to the membership
+		// layer ahead of its own probe timeouts, and publish the
+		// breaker verdict to the adaptation control plane so affected
+		// streams shift away before the gossip verdict lands.
+		n.post(func() {
+			if n.Gossip == nil {
 				return
 			}
-			// First-hand delivery failure: hand the peer to the membership
-			// layer ahead of its own probe timeouts, and publish the
-			// breaker verdict to the adaptation control plane so affected
-			// streams shift away before the gossip verdict lands.
-			n.post(func() {
-				if n.Gossip == nil {
-					return
-				}
-				n.Gossip.SuspectAddr(peer)
-				if info, ok := n.Gossip.InfoByAddr(peer); ok {
-					n.Engine.OnBreakerOpen(info.ID)
-				}
-			})
-		}
-		n.Transport = transport.NewResilient(ep, rcfg)
-		ep = n.Transport
+			n.Gossip.SuspectAddr(peer)
+			if info, ok := n.Gossip.InfoByAddr(peer); ok {
+				n.Engine.OnBreakerOpen(info.ID)
+			}
+		})
 	}
+	n.Transport = transport.NewResilient(ep, rcfg)
+	ep = n.Transport
 	n.ep = ep
 	post := n.post
 	lep := &loopEndpoint{inner: ep, post: post}

@@ -1,9 +1,9 @@
 // Package mincostflow implements integer minimum-cost flow by successive
-// shortest paths with node potentials (Bellman-Ford initialization followed
-// by Dijkstra), the well-studied reduction RASC builds its composition
-// algorithm on (the paper cites Edmonds-Karp and Goldberg's scaling
-// algorithms; for composition graphs of at most a few hundred nodes SSP is
-// the appropriate choice).
+// shortest paths (SSP) with node potentials (Bellman-Ford initialization
+// followed by Dijkstra), the well-studied reduction RASC builds its
+// composition algorithm on. The paper cites Edmonds-Karp and Goldberg's
+// scaling algorithms; for composition graphs of at most a few hundred
+// nodes SSP is the appropriate choice, and it is the only solver here.
 package mincostflow
 
 import (
@@ -126,8 +126,7 @@ type Result struct {
 	Flow int64
 	// Cost is the total cost of the routed flow.
 	Cost int64
-	// Iterations counts the solver's basic work units: augmenting paths
-	// for successive shortest paths, scaling phases for cost scaling.
+	// Iterations counts the augmenting paths the solver routed.
 	Iterations int
 }
 
@@ -200,70 +199,4 @@ func (g *Graph) bellmanFord(s int, pot []int64) bool {
 type pqItem struct {
 	node int
 	dist int64
-}
-
-// PathFlow is one source-to-sink path carrying a positive amount of flow.
-type PathFlow struct {
-	Nodes  []int
-	Amount int64
-}
-
-// Decompose splits the current flow into s→t paths. The flow on the graph
-// is left untouched. Cycles in the flow (possible after cancelling) are
-// ignored.
-func (g *Graph) Decompose(s, t int) []PathFlow {
-	// Work on a copy of the per-arc flows.
-	rem := make([][]int64, len(g.adj))
-	for u := range g.adj {
-		rem[u] = make([]int64, len(g.adj[u]))
-		for i := range g.adj[u] {
-			rem[u][i] = g.adj[u][i].flow
-		}
-	}
-	var out []PathFlow
-	for {
-		// Greedy path trace following positive remaining flow.
-		path := []int{s}
-		arcIdx := []int{}
-		seen := map[int]bool{s: true}
-		u := s
-		for u != t {
-			found := -1
-			for i := range g.adj[u] {
-				if g.adj[u][i].cap > 0 && rem[u][i] > 0 { // forward arcs only
-					found = i
-					break
-				}
-			}
-			if found < 0 {
-				return out // no more flow leaving u
-			}
-			v := g.adj[u][found].to
-			if seen[v] {
-				// Cycle: cancel it and restart.
-				rem[u][found] = 0
-				break
-			}
-			seen[v] = true
-			path = append(path, v)
-			arcIdx = append(arcIdx, found)
-			u = v
-		}
-		if u != t {
-			continue
-		}
-		amount := int64(math.MaxInt64)
-		for i, idx := range arcIdx {
-			if rem[path[i]][idx] < amount {
-				amount = rem[path[i]][idx]
-			}
-		}
-		if amount <= 0 {
-			return out
-		}
-		for i, idx := range arcIdx {
-			rem[path[i]][idx] -= amount
-		}
-		out = append(out, PathFlow{Nodes: path, Amount: amount})
-	}
 }

@@ -177,36 +177,6 @@ func TestAddNode(t *testing.T) {
 	}
 }
 
-func TestDecompose(t *testing.T) {
-	g := NewGraph(4)
-	g.AddArc(0, 1, 3, 1)
-	g.AddArc(0, 2, 2, 2)
-	g.AddArc(1, 3, 3, 1)
-	g.AddArc(2, 3, 2, 1)
-	res, err := g.MinCostFlow(0, 3, 5)
-	if err != nil || res.Flow != 5 {
-		t.Fatalf("res = %+v err = %v", res, err)
-	}
-	paths := g.Decompose(0, 3)
-	var total int64
-	for _, p := range paths {
-		if p.Nodes[0] != 0 || p.Nodes[len(p.Nodes)-1] != 3 {
-			t.Fatalf("path endpoints wrong: %v", p.Nodes)
-		}
-		if p.Amount <= 0 {
-			t.Fatalf("non-positive path amount: %+v", p)
-		}
-		total += p.Amount
-	}
-	if total != 5 {
-		t.Fatalf("decomposed total = %d, want 5", total)
-	}
-	// Decompose must not disturb the stored flow.
-	if res2 := g.Decompose(0, 3); len(res2) != len(paths) {
-		t.Fatal("Decompose is not idempotent")
-	}
-}
-
 // --- Reference implementation: Edmonds-Karp max-flow followed by
 // Bellman-Ford negative-cycle cancelling. Used to cross-check SSP on random
 // graphs.
@@ -370,6 +340,31 @@ func TestAgainstCycleCancelling(t *testing.T) {
 		}
 		s, tt := 0, n-1
 		want := int64(1 + rng.Intn(10))
+		res, err := g.MinCostFlow(s, tt, want)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		refFlow := ref.maxFlowUpTo(s, tt, want)
+		ref.cancelNegativeCycles()
+		if res.Flow != refFlow {
+			t.Fatalf("trial %d: flow %d vs reference %d", trial, res.Flow, refFlow)
+		}
+		if res.Cost != ref.totalCost() {
+			t.Fatalf("trial %d: cost %d vs reference %d (flow %d)", trial, res.Cost, ref.totalCost(), res.Flow)
+		}
+	}
+}
+
+// TestAgainstCycleCancellingLayered cross-checks SSP against the same
+// reference on the graph shape composition solves: randomLayeredGraph's
+// 1–4 stages of 1–6 capacity-bounded instances with drop-scaled costs up
+// to 10⁶ and unbounded inter-stage arcs.
+func TestAgainstCycleCancellingLayered(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 100; trial++ {
+		ref := &refGraph{}
+		g, s, tt, _ := randomLayeredGraph(rng, ref)
+		want := int64(1 + rng.Intn(150))
 		res, err := g.MinCostFlow(s, tt, want)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -2,12 +2,11 @@ package mincostflow
 
 import "sync"
 
-// Solver carries the scratch state a min-cost-flow computation needs —
-// distance, potential and parent arrays plus the Dijkstra heap for the
-// successive-shortest-path solver, and the excess/copy arenas for the
-// cost-scaling solver. Reusing one Solver across computations (or drawing
-// one from the package pool with AcquireSolver) eliminates the per-solve
-// allocations that dominate composition cost on small graphs.
+// Solver carries the scratch state a successive-shortest-path computation
+// needs: distance, potential and parent arrays plus the Dijkstra heap.
+// Reusing one Solver across computations (or drawing one from the package
+// pool with AcquireSolver) eliminates the per-solve allocations that
+// dominate composition cost on small graphs.
 //
 // A Solver is not safe for concurrent use; pool it or keep it
 // goroutine-local. The zero value is ready to use.
@@ -18,13 +17,6 @@ type Solver struct {
 	prevNode []int
 	prevArc  []int
 	q        []pqItem
-
-	// Cost-scaling scratch.
-	excess  []int64
-	inQueue []bool
-	active  []int
-	cadj    [][]carc
-	maps    []arcMapping
 
 	warm bool // a previous computation ran with this scratch
 }

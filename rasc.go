@@ -28,7 +28,6 @@ import (
 
 	"rasc.dev/rasc/internal/core"
 	"rasc.dev/rasc/internal/deploy"
-	"rasc.dev/rasc/internal/experiment"
 	"rasc.dev/rasc/internal/federation"
 	"rasc.dev/rasc/internal/gossip"
 	"rasc.dev/rasc/internal/monitor"
@@ -250,7 +249,7 @@ func (s *System) SubmitContext(ctx context.Context, origin int, req Request, com
 			}
 		}
 	}
-	comp, err := experiment.NewComposer(string(composer))
+	comp, err := core.ByName(string(composer))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownComposer, composer)
 	}
