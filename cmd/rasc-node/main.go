@@ -91,6 +91,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	switch {
+	case *unit < 1:
+		fmt.Fprintf(stderr, "-unit must be at least 1 byte, got %d\n", *unit)
+		return 2
+	case *adaptIvl < 0:
+		fmt.Fprintf(stderr, "-adapt-interval must not be negative, got %v\n", *adaptIvl)
+		return 2
+	}
 	if _, err := core.ByName(*composer); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -21,6 +21,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-rate", "fast"}, "rate"},
 		{[]string{"-priority", "urgent"}, "urgent"},
 		{[]string{"-composer", "bogus", "-submit", "filter"}, "bogus"},
+		{[]string{"-submit", "filter", "-unit", "0"}, "-unit"},
+		{[]string{"-adapt-interval", "-1s"}, "-adapt-interval"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(context.Background(), tc.args, &stdout, &stderr)

@@ -127,6 +127,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	switch {
+	case *nodes < 1:
+		fmt.Fprintf(stderr, "-nodes must be at least 1, got %d\n", *nodes)
+		return 2
+	case *unit < 1:
+		fmt.Fprintf(stderr, "-unit must be at least 1 byte, got %d\n", *unit)
+		return 2
+	case *adaptIvl < 0:
+		fmt.Fprintf(stderr, "-adapt-interval must not be negative, got %v\n", *adaptIvl)
+		return 2
+	}
 
 	cmp, err := rasc.ParseComposer(*composer)
 	if err != nil {

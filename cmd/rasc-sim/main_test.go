@@ -49,6 +49,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-nodes", "many"},
 		{"-composer", "bogus"},
 		{"-priority", "urgent"},
+		{"-unit", "0"},
+		{"-nodes", "0"},
+		{"-nodes", "-1"},
+		{"-adapt-interval", "-1s"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {

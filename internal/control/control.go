@@ -1,13 +1,14 @@
 // Package control is the origin-side adaptation control plane: the
 // "dynamic" half of dynamic rate allocation, unified behind one
-// event-driven controller. Monitoring digests, the gossip failure
-// detector, transport circuit breakers and the periodic delivery-rate
-// check all publish typed events onto a single channel; the controller
-// applies hysteresis, cooldown and concurrency limits, then reallocates
-// rate *incrementally* — re-solving only the affected substreams with the
-// surviving placements pre-seeded as zero-cost residual flow
-// (core.MinCost.ComposeDelta) — and falls back to a full
-// teardown-and-recompose only when the incremental solve is infeasible.
+// event-driven controller. The periodic delivery-rate check, the gossip
+// failure detector, transport circuit breakers, the tenancy gate and the
+// federation borders all publish typed events onto a single channel; the
+// controller applies single-flight, cooldown, backoff and concurrency
+// gates, then reallocates rate *incrementally* — re-solving only the
+// affected substreams with the surviving placements pre-seeded as
+// zero-cost residual flow (core.MinCost.ComposeDelta) — and falls back to
+// a full teardown-and-recompose only when the incremental solve is
+// infeasible.
 package control
 
 import (
@@ -45,61 +46,28 @@ type Actions interface {
 	Recompose(app string, upgrade bool, done func(error))
 }
 
-// Config tunes the controller. The zero value plus a Clock is usable; all
-// other fields default as documented.
+// The controller's fixed pacing: a failed reallocation retries after
+// retryBackoff, doubling per consecutive failure up to maxRetryBackoff and
+// resetting on success; at most maxConcurrent reallocations run across all
+// applications, excess work queuing FIFO.
+const (
+	retryBackoff    = time.Second
+	maxRetryBackoff = 30 * time.Second
+	maxConcurrent   = 4
+)
+
+// Config tunes the controller. The zero value plus a Clock is usable.
 type Config struct {
 	// Clock schedules event draining and retry timers. Required.
 	Clock clock.Clock
-	// RateHysteresis is how many RateBelowThreshold strikes an application
-	// accumulates before the controller acts (default 1: act on the first,
-	// matching the pre-control-plane behavior).
-	RateHysteresis int
-	// DropHysteresis is how many DropRatioSpike strikes a host accumulates
-	// before the controller shifts rate away from it (default 2: a single
-	// noisy digest is not actionable).
-	DropHysteresis int
-	// StrikeTTL expires a strike counter when the next strike arrives more
-	// than this long after the previous one (0 = never expire). Origins
-	// publishing periodic rate events set this to a small multiple of
-	// their check interval so strikes mean *consecutive* degradation.
-	StrikeTTL time.Duration
 	// Cooldown suppresses further actions on an application for this long
 	// after a successful reallocation, letting the new split take effect
 	// before it is judged (default 5s). Work arriving during cooldown is
 	// merged and launched when the cooldown expires.
 	Cooldown time.Duration
-	// RetryBackoff is the delay before retrying a failed reallocation
-	// (default 1s); it doubles per consecutive failure up to
-	// MaxRetryBackoff (default 30s) and resets on success.
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
-	// MaxConcurrent bounds reallocations in flight across all
-	// applications (default 4). Excess work queues FIFO.
-	MaxConcurrent int
 	// Observer, when set, receives decision-plane callbacks (event gate
 	// verdicts, launches, outcomes) for the tracing layer.
 	Observer Observer
-}
-
-func (c *Config) defaults() {
-	if c.RateHysteresis <= 0 {
-		c.RateHysteresis = 1
-	}
-	if c.DropHysteresis <= 0 {
-		c.DropHysteresis = 2
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Second
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Second
-	}
-	if c.MaxRetryBackoff <= 0 {
-		c.MaxRetryBackoff = 30 * time.Second
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 4
-	}
 }
 
 // work is the merged reallocation demand for one application.
@@ -158,33 +126,11 @@ type appState struct {
 	inflight      bool
 	cooldownUntil time.Duration
 	backoff       time.Duration
-	rateStrikes   int
-	lastStrike    time.Duration
 	pending       *work
 	// timerArmed marks a scheduled flushPending (cooldown expiry or retry
 	// backoff); cancelTimer cancels it.
 	timerArmed  bool
 	cancelTimer func()
-}
-
-// hostState tracks per-host drop-spike hysteresis.
-type hostState struct {
-	strikes    int
-	lastStrike time.Duration
-}
-
-// Stats is a snapshot of the controller's action counters.
-type Stats struct {
-	// Incremental counts successful delta reallocations; Full counts
-	// successful full recompositions (including fallbacks and upgrades).
-	Incremental int64
-	Full        int64
-	// Fallbacks counts incremental solves that were infeasible and fell
-	// back to a full recompose.
-	Fallbacks int64
-	// Failures counts reallocation attempts that errored and were
-	// re-armed with backoff.
-	Failures int64
 }
 
 // AppStatus is one application's controller-side posture, as reported by
@@ -197,7 +143,6 @@ type AppStatus struct {
 	// CooldownRemaining is how much of the post-success cooldown is left
 	// (0 when expired).
 	CooldownRemaining time.Duration `json:"cooldown_remaining"`
-	RateStrikes       int           `json:"rate_strikes"`
 }
 
 // AppStatuses snapshots every tracked application's gate state, sorted by
@@ -208,11 +153,10 @@ func (c *Controller) AppStatuses() []AppStatus {
 	out := make([]AppStatus, 0, len(c.apps))
 	for app, st := range c.apps {
 		s := AppStatus{
-			App:         app,
-			Inflight:    st.inflight,
-			Pending:     st.pending != nil,
-			Backoff:     st.backoff,
-			RateStrikes: st.rateStrikes,
+			App:      app,
+			Inflight: st.inflight,
+			Pending:  st.pending != nil,
+			Backoff:  st.backoff,
 		}
 		if st.cooldownUntil > now {
 			s.CooldownRemaining = st.cooldownUntil - now
@@ -240,25 +184,19 @@ type Controller struct {
 	closed         bool
 
 	apps    map[string]*appState
-	hosts   map[overlay.ID]*hostState
 	inTotal int
-	waiting []string // apps with pending work blocked on MaxConcurrent, FIFO
-
-	stats Stats
+	waiting []string // apps with pending work blocked on maxConcurrent, FIFO
 }
 
 // New builds a controller. cfg.Clock is required.
 func New(cfg Config, act Actions) *Controller {
-	cfg.defaults()
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = 5 * time.Second
+	}
 	if cfg.Clock == nil {
 		panic("control: Config.Clock is required")
 	}
-	return &Controller{
-		cfg:   cfg,
-		act:   act,
-		apps:  make(map[string]*appState),
-		hosts: make(map[overlay.ID]*hostState),
-	}
+	return &Controller{cfg: cfg, act: act, apps: make(map[string]*appState)}
 }
 
 // Publish enqueues one event and schedules a drain on the controller's
@@ -294,20 +232,6 @@ func (c *Controller) Close() {
 	}
 }
 
-// Stats returns a snapshot of the action counters.
-func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Inflight returns the number of reallocations currently running.
-func (c *Controller) Inflight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inTotal
-}
-
 func (c *Controller) drain() {
 	c.mu.Lock()
 	evs := c.queue
@@ -332,22 +256,6 @@ func (c *Controller) app(id string) *appState {
 	return st
 }
 
-// strike advances a TTL-expiring counter and reports whether it reached
-// the threshold (resetting it when it did).
-func (c *Controller) strike(count *int, last *time.Duration, threshold int) bool {
-	now := c.cfg.Clock.Now()
-	if c.cfg.StrikeTTL > 0 && *count > 0 && now-*last > c.cfg.StrikeTTL {
-		*count = 0
-	}
-	*count++
-	*last = now
-	if *count < threshold {
-		return false
-	}
-	*count = 0
-	return true
-}
-
 func (c *Controller) handle(ev Event) {
 	telEvents.With(ev.Kind.String()).Inc()
 	switch ev.Kind {
@@ -358,27 +266,7 @@ func (c *Controller) handle(ev Event) {
 		c.forApps(ev, func(app string) {
 			c.request(app, &ev, &work{degraded: map[overlay.ID]bool{ev.Host: true}, allSubs: true}, true)
 		})
-	case DropRatioSpike:
-		h := c.hosts[ev.Host]
-		if h == nil {
-			h = &hostState{}
-			c.hosts[ev.Host] = h
-		}
-		if !c.strike(&h.strikes, &h.lastStrike, c.cfg.DropHysteresis) {
-			telSuppressed.With("hysteresis").Inc()
-			c.observeGate(ev.App, ev, GateHysteresis, false)
-			return
-		}
-		c.forApps(ev, func(app string) {
-			c.request(app, &ev, &work{degraded: map[overlay.ID]bool{ev.Host: true}, allSubs: true}, false)
-		})
 	case RateBelowThreshold:
-		st := c.app(ev.App)
-		if !c.strike(&st.rateStrikes, &st.lastStrike, c.cfg.RateHysteresis) {
-			telSuppressed.With("hysteresis").Inc()
-			c.observeGate(ev.App, ev, GateHysteresis, false)
-			return
-		}
 		w := &work{}
 		if ev.Host == (overlay.ID{}) {
 			// No culprit to shift away from: the incremental solve has
@@ -477,7 +365,7 @@ func (c *Controller) request(app string, ev *Event, w *work, latch bool) {
 		}
 		return
 	}
-	if c.inTotal >= c.cfg.MaxConcurrent {
+	if c.inTotal >= maxConcurrent {
 		if latch {
 			c.addPending(st, w)
 			c.enqueueWaiting(app)
@@ -542,7 +430,7 @@ func (c *Controller) flushPending(app string) {
 
 // dispatchWaiting launches queued work as global slots free up.
 func (c *Controller) dispatchWaiting() {
-	for len(c.waiting) > 0 && c.inTotal < c.cfg.MaxConcurrent {
+	for len(c.waiting) > 0 && c.inTotal < maxConcurrent {
 		app := c.waiting[0]
 		c.waiting = c.waiting[1:]
 		c.flushPending(app)
@@ -552,7 +440,6 @@ func (c *Controller) dispatchWaiting() {
 // launch runs one reallocation for an application.
 func (c *Controller) launch(app string, st *appState, w *work) {
 	st.inflight = true
-	st.rateStrikes = 0
 	c.inTotal++
 	telInflight.Set(float64(c.inTotal))
 	mode := "incremental"
@@ -571,9 +458,6 @@ func (c *Controller) launch(app string, st *appState, w *work) {
 			// The surviving hosts cannot absorb the displaced rate:
 			// fall back to the teardown-and-recompose path.
 			telFallbacks.Inc()
-			c.mu.Lock()
-			c.stats.Fallbacks++
-			c.mu.Unlock()
 			mode = "full"
 			fellBack = true
 			c.act.Recompose(app, false, onDone)
@@ -593,13 +477,6 @@ func (c *Controller) finish(app string, st *appState, w *work, mode string, fell
 	switch {
 	case err == nil:
 		telActions.With(mode).Inc()
-		c.mu.Lock()
-		if mode == "full" {
-			c.stats.Full++
-		} else {
-			c.stats.Incremental++
-		}
-		c.mu.Unlock()
 		st.backoff = 0
 		st.cooldownUntil = now + c.cfg.Cooldown
 		if st.pending != nil {
@@ -613,16 +490,13 @@ func (c *Controller) finish(app string, st *appState, w *work, mode string, fell
 		delete(c.apps, app)
 	default:
 		telFailures.Inc()
-		c.mu.Lock()
-		c.stats.Failures++
-		c.mu.Unlock()
 		// A failed attempt re-arms immediately with exponential backoff —
 		// the old adaptation loop instead parked the application until
 		// the next periodic check.
 		if st.backoff == 0 {
-			st.backoff = c.cfg.RetryBackoff
-		} else if st.backoff *= 2; st.backoff > c.cfg.MaxRetryBackoff {
-			st.backoff = c.cfg.MaxRetryBackoff
+			st.backoff = retryBackoff
+		} else if st.backoff *= 2; st.backoff > maxRetryBackoff {
+			st.backoff = maxRetryBackoff
 		}
 		c.addPending(st, w)
 		c.armTimer(app, st, st.backoff)

@@ -122,45 +122,85 @@ func TestMemberDeadReallocatesEveryAppOnHost(t *testing.T) {
 	}
 	act.finish(t, nil)
 	act.finish(t, nil)
-	if s := c.Stats(); s.Incremental != 2 || s.Full != 0 {
-		t.Fatalf("stats = %+v", s)
+	// Both succeeded: each app sits in its cooldown with no backoff armed.
+	for _, st := range c.AppStatuses() {
+		if st.Inflight || st.Backoff != 0 || st.CooldownRemaining == 0 {
+			t.Fatalf("status after success = %+v", st)
+		}
+	}
+	if len(act.calls) != 2 {
+		t.Fatalf("calls after success = %d, want 2", len(act.calls))
 	}
 }
 
-func TestDropSpikeHysteresis(t *testing.T) {
-	c, clk, act := newTestController(t, Config{DropHysteresis: 2})
-	act.appsOn[host(3)] = []string{"a"}
-	c.Publish(Event{Kind: DropRatioSpike, Host: host(3)})
-	clk.advance(0)
-	if len(act.calls) != 0 {
-		t.Fatalf("first spike acted immediately: %+v", act.calls)
+// TestEveryEventKindLaunchesOneAction pins the controller's dispatch
+// table: every event kind has a telemetry label, and one publish on an
+// idle controller launches exactly one action of the kind's mode, upgrade
+// bit and degraded set. Host-scoped rows leave App empty and resolve it
+// through AppsOn.
+func TestEveryEventKindLaunchesOneAction(t *testing.T) {
+	cases := []struct {
+		ev       Event
+		full     bool
+		upgrade  bool
+		degraded []overlay.ID
+	}{
+		{ev: Event{Kind: RateBelowThreshold, App: "a", Substreams: []int{0}}, full: true},
+		{ev: Event{Kind: MemberDead, Host: host(7)}, degraded: []overlay.ID{host(7)}},
+		{ev: Event{Kind: BreakerOpen, Host: host(7)}, degraded: []overlay.ID{host(7)}},
+		{ev: Event{Kind: UpgradePossible, App: "a"}, full: true, upgrade: true},
+		{ev: Event{Kind: FairShareChanged, App: "a"}, full: true, upgrade: true},
+		{ev: Event{Kind: BoundaryLinkSaturated, App: "a"}, full: true},
+		{ev: Event{Kind: RemoteCandidateLost, App: "a"}, full: true},
 	}
-	c.Publish(Event{Kind: DropRatioSpike, Host: host(3)})
-	clk.advance(0)
-	if len(act.calls) != 1 {
-		t.Fatalf("second spike produced %d calls, want 1", len(act.calls))
+	seen := map[EventKind]bool{}
+	for _, tc := range cases {
+		kind := tc.ev.Kind
+		seen[kind] = true
+		t.Run(kind.String(), func(t *testing.T) {
+			if kind.String() == "unknown" {
+				t.Fatalf("kind %d has no label", int(kind))
+			}
+			obs := &recObserver{}
+			c, clk, act := newTestController(t, Config{Observer: obs})
+			act.appsOn[host(7)] = []string{"a"}
+			c.Publish(tc.ev)
+			clk.advance(0)
+			if len(act.calls) != 1 {
+				t.Fatalf("calls = %+v, want exactly one", act.calls)
+			}
+			cl := act.calls[0]
+			if cl.app != "a" || cl.full != tc.full || cl.upgrade != tc.upgrade {
+				t.Fatalf("call = %+v, want app a full=%v upgrade=%v", cl, tc.full, tc.upgrade)
+			}
+			if len(cl.degraded) != len(tc.degraded) {
+				t.Fatalf("degraded = %v, want %v", cl.degraded, tc.degraded)
+			}
+			for _, id := range tc.degraded {
+				if !cl.degraded[id] {
+					t.Fatalf("degraded = %v, want %v", cl.degraded, tc.degraded)
+				}
+			}
+			mode := "incremental"
+			if tc.full {
+				mode = "full"
+			}
+			var launches []obsRecord
+			for _, r := range obs.records {
+				if r.kind == "launch" {
+					launches = append(launches, r)
+				}
+			}
+			if len(launches) != 1 || launches[0].mode != mode || launches[0].upgrade != tc.upgrade {
+				t.Fatalf("launches = %+v, want one %s upgrade=%v", launches, mode, tc.upgrade)
+			}
+		})
 	}
-	if !act.calls[0].degraded[host(3)] {
-		t.Fatalf("call = %+v, want host 3 degraded", act.calls[0])
-	}
-	_ = c
-}
-
-func TestStrikeTTLExpiresStaleStrikes(t *testing.T) {
-	ctl, clk, act := newTestController(t, Config{DropHysteresis: 2, StrikeTTL: 10 * time.Second})
-	act.appsOn[host(3)] = []string{"a"}
-	ctl.Publish(Event{Kind: DropRatioSpike, Host: host(3)})
-	clk.advance(0)
-	clk.advance(11 * time.Second) // first strike goes stale
-	ctl.Publish(Event{Kind: DropRatioSpike, Host: host(3)})
-	clk.advance(0)
-	if len(act.calls) != 0 {
-		t.Fatalf("stale strike still counted: %+v", act.calls)
-	}
-	ctl.Publish(Event{Kind: DropRatioSpike, Host: host(3)})
-	clk.advance(0)
-	if len(act.calls) != 1 {
-		t.Fatalf("two fresh strikes produced %d calls, want 1", len(act.calls))
+	// The table covers every kind: the first value past it has no label.
+	for k := EventKind(0); k.String() != "unknown"; k++ {
+		if !seen[k] {
+			t.Errorf("event kind %s missing from the dispatch table test", k)
+		}
 	}
 }
 
@@ -194,43 +234,57 @@ func TestInfeasibleDeltaFallsBackToFullRecompose(t *testing.T) {
 		t.Fatalf("calls = %+v, want fallback full recompose", act.calls)
 	}
 	act.finish(t, nil)
-	if s := c.Stats(); s.Fallbacks != 1 || s.Full != 1 || s.Incremental != 0 {
-		t.Fatalf("stats = %+v", s)
+	if len(act.calls) != 2 {
+		t.Fatalf("calls after fallback = %+v, want 2", act.calls)
+	}
+	if st := c.AppStatuses()[0]; st.Inflight || st.Backoff != 0 || st.CooldownRemaining == 0 {
+		t.Fatalf("status after fallback success = %+v", st)
 	}
 }
 
 func TestFailureReArmsWithBackoff(t *testing.T) {
-	c, clk, act := newTestController(t, Config{RetryBackoff: time.Second, MaxRetryBackoff: 3 * time.Second})
+	c, clk, act := newTestController(t, Config{})
 	c.Publish(Event{Kind: MemberDead, App: "a", Host: host(1)})
 	clk.advance(0)
 	act.finish(t, errors.New("instantiate RPC failed"))
 	if len(act.calls) != 1 {
 		t.Fatalf("retry launched synchronously")
 	}
-	clk.advance(time.Second) // first backoff
-	if len(act.calls) != 2 {
-		t.Fatalf("no retry after first backoff: %d calls", len(act.calls))
+	// Each failure doubles the wait from retryBackoff until it caps at
+	// maxRetryBackoff.
+	want := retryBackoff
+	for i := 0; i < 7; i++ {
+		if got := c.AppStatuses()[0].Backoff; got != want {
+			t.Fatalf("failure %d: backoff = %v, want %v", i+1, got, want)
+		}
+		clk.advance(want - time.Millisecond)
+		if len(act.calls) != i+1 {
+			t.Fatalf("failure %d: retried before its %v backoff elapsed", i+1, want)
+		}
+		clk.advance(time.Millisecond)
+		if len(act.calls) != i+2 {
+			t.Fatalf("failure %d: no retry after %v backoff: %d calls", i+1, want, len(act.calls))
+		}
+		act.finish(t, errors.New("still failing"))
+		if want *= 2; want > maxRetryBackoff {
+			want = maxRetryBackoff
+		}
 	}
-	act.finish(t, errors.New("still failing"))
-	clk.advance(time.Second)
-	if len(act.calls) != 2 {
-		t.Fatal("retried before doubled backoff elapsed")
+	if want != maxRetryBackoff {
+		t.Fatalf("backoff never reached its cap: %v", want)
 	}
-	clk.advance(time.Second) // 2s total: doubled backoff
-	if len(act.calls) != 3 {
-		t.Fatalf("no retry after doubled backoff: %d calls", len(act.calls))
-	}
+	clk.advance(want)
 	cl := act.finish(t, nil)
 	if !cl.degraded[host(1)] {
 		t.Fatalf("retry lost the degraded set: %+v", cl)
 	}
-	if s := c.Stats(); s.Failures != 2 || s.Incremental != 1 {
-		t.Fatalf("stats = %+v", s)
+	if st := c.AppStatuses()[0]; st.Backoff != 0 {
+		t.Fatalf("backoff after success = %v, want reset", st.Backoff)
 	}
 }
 
 func TestEventsDuringBackoffWaitDoNotLaunch(t *testing.T) {
-	c, clk, act := newTestController(t, Config{RetryBackoff: 2 * time.Second})
+	c, clk, act := newTestController(t, Config{})
 	c.Publish(Event{Kind: MemberDead, App: "a", Host: host(1)})
 	clk.advance(0)
 	act.finish(t, errors.New("instantiate RPC failed"))
@@ -246,7 +300,7 @@ func TestEventsDuringBackoffWaitDoNotLaunch(t *testing.T) {
 	if len(act.calls) != 1 {
 		t.Fatalf("edge-triggered event launched during backoff wait: %d calls", len(act.calls))
 	}
-	clk.advance(2 * time.Second)
+	clk.advance(retryBackoff)
 	if len(act.calls) != 2 {
 		t.Fatalf("backoff retry never launched: %d calls", len(act.calls))
 	}
@@ -286,19 +340,25 @@ func TestSingleFlightMergesConcurrentWork(t *testing.T) {
 }
 
 func TestGlobalConcurrencyLimit(t *testing.T) {
-	c, clk, act := newTestController(t, Config{MaxConcurrent: 1})
-	c.Publish(Event{Kind: MemberDead, App: "a", Host: host(1)})
-	c.Publish(Event{Kind: MemberDead, App: "b", Host: host(1)})
-	clk.advance(0)
-	if len(act.calls) != 1 || act.calls[0].app != "a" {
-		t.Fatalf("calls = %+v, want only app a in flight", act.calls)
+	c, clk, act := newTestController(t, Config{})
+	apps := make([]string, maxConcurrent+1)
+	for i := range apps {
+		apps[i] = fmt.Sprintf("app%d", i)
+		c.Publish(Event{Kind: MemberDead, App: apps[i], Host: host(1)})
 	}
-	if c.Inflight() != 1 {
-		t.Fatalf("inflight = %d", c.Inflight())
+	clk.advance(0)
+	if len(act.calls) != maxConcurrent {
+		t.Fatalf("calls = %+v, want the first %d apps in flight", act.calls, maxConcurrent)
+	}
+	last := apps[maxConcurrent]
+	for _, st := range c.AppStatuses() {
+		if st.Inflight == (st.App == last) || st.Pending != (st.App == last) {
+			t.Fatalf("status = %+v, want only %s waiting", st, last)
+		}
 	}
 	act.finish(t, nil)
-	if len(act.calls) != 2 || act.calls[1].app != "b" {
-		t.Fatalf("freed slot not handed to app b: %+v", act.calls)
+	if len(act.calls) != maxConcurrent+1 || act.calls[maxConcurrent].app != last {
+		t.Fatalf("freed slot not handed to %s: %+v", last, act.calls)
 	}
 }
 
@@ -341,8 +401,8 @@ func TestUnknownAppStopsRetrying(t *testing.T) {
 	if len(act.calls) != 1 {
 		t.Fatalf("unknown app retried: %d calls", len(act.calls))
 	}
-	if s := c.Stats(); s.Failures != 0 {
-		t.Fatalf("unknown app counted as failure: %+v", s)
+	if sts := c.AppStatuses(); len(sts) != 0 {
+		t.Fatalf("unknown app still tracked: %+v", sts)
 	}
 }
 

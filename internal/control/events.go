@@ -17,9 +17,6 @@ const (
 	// BreakerOpen reports that the transport circuit breaker opened for a
 	// peer after consecutive send failures.
 	BreakerOpen
-	// DropRatioSpike reports that a host's disseminated monitoring digest
-	// crossed the drop-ratio spike threshold.
-	DropRatioSpike
 	// UpgradePossible reports that a healthy application admitted below
 	// its desired rate might now be upgradable (capacity may have freed).
 	UpgradePossible
@@ -48,8 +45,6 @@ func (k EventKind) String() string {
 		return "member_dead"
 	case BreakerOpen:
 		return "breaker_open"
-	case DropRatioSpike:
-		return "drop_ratio_spike"
 	case UpgradePossible:
 		return "upgrade_possible"
 	case FairShareChanged:
@@ -66,7 +61,7 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind EventKind
 	// App is the affected application (request ID). Host-scoped events
-	// (MemberDead, BreakerOpen, DropRatioSpike) leave it empty; the
+	// (MemberDead, BreakerOpen) leave it empty; the
 	// controller expands them to every application placed on Host.
 	App string
 	// Host is the culprit host when one is known; the zero ID means

@@ -10,12 +10,11 @@ import (
 // reallocation immediately. GateNone means the event cleared every gate
 // and is launching now.
 const (
-	GateNone       = ""
-	GateHysteresis = "hysteresis"
-	GateInflight   = "inflight"
-	GateBackoff    = "backoff"
-	GateCooldown   = "cooldown"
-	GateLimit      = "limit"
+	GateNone     = ""
+	GateInflight = "inflight"
+	GateBackoff  = "backoff"
+	GateCooldown = "cooldown"
+	GateLimit    = "limit"
 )
 
 // Observer receives the controller's decision-plane callbacks: every
@@ -30,8 +29,6 @@ type Observer interface {
 	// GateNone means it proceeds to launch; any other gate names why it
 	// was held, and latched tells whether the work was remembered
 	// (edge-triggered events) or dropped (level-triggered ones).
-	// Hysteresis suppressions of host-scoped events arrive with app ""
-	// — no application is resolved until the strike threshold trips.
 	OnEventGate(app string, ev Event, gate string, latched bool)
 	// OnLaunch reports a reallocation starting: the merged work's mode
 	// ("incremental" or "full"), the degraded hosts being routed away

@@ -73,21 +73,16 @@ func TestObserverCausalSequence(t *testing.T) {
 // them and whether the work was latched.
 func TestObserverGateVerdicts(t *testing.T) {
 	obs := &recObserver{}
-	c, clk, act := newTestController(t, Config{Observer: obs, DropHysteresis: 2})
+	c, clk, act := newTestController(t, Config{Observer: obs})
 	act.appsOn[host(3)] = []string{"a"}
 
-	// First spike is absorbed by hysteresis: host-scoped, so no app yet.
-	c.Publish(Event{Kind: DropRatioSpike, Host: host(3)})
+	// The first member-death launches; a second during the inflight window
+	// is latched behind the inflight gate.
+	c.Publish(Event{Kind: MemberDead, Host: host(3)})
 	clk.advance(0)
-	if len(obs.records) != 1 || obs.records[0].gate != GateHysteresis ||
-		obs.records[0].app != "" || obs.records[0].latched {
-		t.Fatalf("hysteresis record = %+v", obs.records)
+	if len(obs.records) != 2 || obs.records[0].gate != GateNone || obs.records[1].kind != "launch" {
+		t.Fatalf("first event records = %+v, want gate none + launch", obs.records)
 	}
-
-	// Second spike trips the strike threshold and launches; a member-death
-	// during the inflight window is latched behind the inflight gate.
-	c.Publish(Event{Kind: DropRatioSpike, Host: host(3)})
-	clk.advance(0)
 	c.Publish(Event{Kind: MemberDead, Host: host(3)})
 	clk.advance(0)
 	last := obs.records[len(obs.records)-1]
@@ -116,13 +111,13 @@ func TestObserverFallbackOutcome(t *testing.T) {
 // armed retry backoff.
 func TestObserverFailureBackoff(t *testing.T) {
 	obs := &recObserver{}
-	c, clk, act := newTestController(t, Config{Observer: obs, RetryBackoff: 5 * time.Second})
+	c, clk, act := newTestController(t, Config{Observer: obs})
 	act.appsOn[host(7)] = []string{"a"}
 	c.Publish(Event{Kind: MemberDead, Host: host(7)})
 	clk.advance(0)
 	act.finish(t, errors.New("transport down"))
 	o := obs.records[len(obs.records)-1]
-	if o.kind != "outcome" || o.err == nil || o.backoff != 5*time.Second {
+	if o.kind != "outcome" || o.err == nil || o.backoff != retryBackoff {
 		t.Fatalf("outcome record = %+v", o)
 	}
 }

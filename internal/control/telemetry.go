@@ -21,7 +21,7 @@ var (
 		"Reallocation attempts that errored and were re-armed with backoff.")
 	telSuppressed = telemetry.Default().CounterVec(
 		"rasc_control_suppressed_total",
-		"Events absorbed without immediate action, by reason (hysteresis, cooldown, backoff, inflight, limit).", "reason")
+		"Events absorbed without immediate action, by reason (cooldown, backoff, inflight, limit).", "reason")
 	telInflight = telemetry.Default().Gauge(
 		"rasc_control_inflight",
 		"Reallocations currently in flight across all applications.")

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/telemetry"
@@ -21,13 +20,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestControlMetricsCatalogue(t *testing.T) {
 	// Drive every family at least once: an incremental success, a failed
 	// attempt (failures + retry), a suppressed duplicate, and the gauge.
-	c, clk, act := newTestController(t, Config{RetryBackoff: time.Second})
+	c, clk, act := newTestController(t, Config{})
 	c.Publish(Event{Kind: MemberDead, App: "a", Host: overlay.ID{9}})
 	clk.advance(0)
 	c.Publish(Event{Kind: MemberDead, App: "a", Host: overlay.ID{9}})
 	clk.advance(0)
 	act.finish(t, os.ErrDeadlineExceeded)
-	clk.advance(time.Second)
+	clk.advance(retryBackoff)
 	act.finish(t, nil)
 
 	exp := telemetry.Default().String()

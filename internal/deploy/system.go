@@ -14,7 +14,6 @@ import (
 	"rasc.dev/rasc/internal/discovery"
 	"rasc.dev/rasc/internal/federation"
 	"rasc.dev/rasc/internal/gossip"
-	"rasc.dev/rasc/internal/monitor"
 	"rasc.dev/rasc/internal/netsim"
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/services"
@@ -94,12 +93,11 @@ type SystemOptions struct {
 	// ServiceNames restricts placement to a subset of the catalog
 	// (default: all catalog services).
 	ServiceNames []string
-	// SchedPolicy, ProcJitter, QueueCapacity, TimelyFactor, StatsMaxAge
-	// and KeepDelaySamples feed every engine's Config.
+	// SchedPolicy, ProcJitter, QueueCapacity, StatsMaxAge and
+	// KeepDelaySamples feed every engine's Config.
 	SchedPolicy      string
 	ProcJitter       float64
 	QueueCapacity    int
-	TimelyFactor     float64
 	StatsMaxAge      time.Duration
 	KeepDelaySamples bool
 	// HeterogeneousCPU draws per-node speed factors in [0.6, 1.4).
@@ -130,8 +128,8 @@ type SystemOptions struct {
 
 	// Adaptation, when set, enables the event-driven adaptation control
 	// plane on every engine (periodic delivery-rate checks plus
-	// incremental reallocation on member-dead, breaker and drop-spike
-	// events). Adaptation loops reschedule forever, so such deployments
+	// incremental reallocation on member-dead and breaker events).
+	// Adaptation loops reschedule forever, so such deployments
 	// must advance time with RunUntil.
 	Adaptation *stream.AdaptationConfig
 
@@ -281,7 +279,6 @@ func NewSystem(opts SystemOptions) *System {
 			SchedPolicy:      opts.SchedPolicy,
 			ProcJitter:       opts.ProcJitter,
 			QueueCapacity:    opts.QueueCapacity,
-			TimelyFactor:     opts.TimelyFactor,
 			StatsMaxAge:      opts.StatsMaxAge,
 			KeepDelaySamples: opts.KeepDelaySamples,
 			DataPlane:        opts.DataPlane,
@@ -456,11 +453,6 @@ func NewSystem(opts SystemOptions) *System {
 				n.RemovePeer(info.ID)
 				eng.OnPeerDead(info.ID)
 				onDead(info)
-			})
-			// Disseminated digests feed the control plane's drop-spike
-			// trigger (a no-op until an AdaptationConfig arms it).
-			g.OnDigest(func(info overlay.NodeInfo, rep monitor.Report) {
-				eng.ObserveHostReport(info.ID, rep)
 			})
 			if fo != nil {
 				// Summary TTL expiry is detected at the border; fan the

@@ -49,7 +49,6 @@ type Config struct {
 	MinServices      int
 	MaxServices      int
 	MaxSubstreams    int
-	TimelyFactor     float64
 	// StatsSource selects where composition statistics come from:
 	// "fetch" (default: per-host RPC snapshots at composition time),
 	// "gossip" (monitoring digests disseminated by the membership
@@ -137,9 +136,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxSubstreams == 0 {
 		c.MaxSubstreams = 1
-	}
-	if c.TimelyFactor == 0 {
-		c.TimelyFactor = 1
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = runtime.NumCPU()
@@ -349,7 +345,6 @@ func RunOne(cfg Config, composerName string, rate int, seed int64) (RunStats, er
 		ServicesPerNode:  cfg.ServicesPerNode,
 		SchedPolicy:      cfg.SchedPolicy,
 		ProcJitter:       cfg.ProcJitter,
-		TimelyFactor:     cfg.TimelyFactor,
 		StatsMaxAge:      cfg.StatsMaxAge,
 		KeepDelaySamples: true,
 		HeterogeneousCPU: true,

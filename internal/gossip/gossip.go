@@ -242,8 +242,6 @@ type Gossip struct {
 	version     uint64
 	digestFn    func() Digest
 	onDead      []func(overlay.NodeInfo)
-	onJoin      []func(overlay.NodeInfo)
-	onDigest    []func(overlay.NodeInfo, monitor.Report)
 
 	// Border summary exchange state (cluster-scoped instances only).
 	summaryVersion uint64
@@ -266,10 +264,10 @@ type Gossip struct {
 func New(node *overlay.Node, clk clock.Clock, rng *rand.Rand, cfg Config) *Gossip {
 	cfg.defaults()
 	g := &Gossip{
-		node:    node,
-		clk:     clk,
-		rng:     rng,
-		cfg:     cfg,
+		node:      node,
+		clk:       clk,
+		rng:       rng,
+		cfg:       cfg,
 		members:   make(map[overlay.ID]*member),
 		queue:     make(map[overlay.ID]*queued),
 		summaries: make(map[string]*remoteSummary),
@@ -302,17 +300,6 @@ func (g *Gossip) SetDigestFunc(fn func() Digest) { g.digestFn = fn }
 // OnMemberDead registers a callback fired (on the protocol goroutine) when
 // a member transitions to dead.
 func (g *Gossip) OnMemberDead(fn func(overlay.NodeInfo)) { g.onDead = append(g.onDead, fn) }
-
-// OnMemberJoin registers a callback fired when a previously unknown member
-// enters the view alive.
-func (g *Gossip) OnMemberJoin(fn func(overlay.NodeInfo)) { g.onJoin = append(g.onJoin, fn) }
-
-// OnDigest registers a callback fired (on the protocol goroutine) whenever
-// a member's disseminated monitoring digest advances — the stats-driven
-// feed of the adaptation control plane (drop-ratio spike detection).
-func (g *Gossip) OnDigest(fn func(overlay.NodeInfo, monitor.Report)) {
-	g.onDigest = append(g.onDigest, fn)
-}
 
 // Seed adds known peers as alive members without any network exchange
 // (bootstrap state, e.g. from the overlay leaf set after joining).
@@ -880,9 +867,6 @@ func (g *Gossip) apply(u update) {
 			g.setSuspect(m, u.Inc)
 		}
 		g.enqueue(u)
-		for _, fn := range g.onJoin {
-			fn(u.Node)
-		}
 		return
 	}
 	changed := false
@@ -942,9 +926,6 @@ func (g *Gossip) mergeDigest(m *member, d *Digest) bool {
 	}
 	m.Digest = *d
 	m.DigestAt = g.clk.Now()
-	for _, fn := range g.onDigest {
-		fn(m.Info, m.Digest.Report)
-	}
 	return true
 }
 

@@ -105,8 +105,7 @@ type healthStatus struct {
 	// Gossip summarizes the membership view (alive/suspect/dead counts
 	// and the stalest held digest age); absent when gossip is disabled.
 	Gossip *gossip.Summary `json:"gossip,omitempty"`
-	// Transport summarizes the resilient pipeline's circuit breakers;
-	// absent when resilience is disabled.
+	// Transport summarizes the resilient pipeline's circuit breakers.
 	Transport *transportHealth `json:"transport,omitempty"`
 	// Control summarizes the adaptation control plane: per-application
 	// last decision and gate posture. Absent until the engine has built a

@@ -18,7 +18,6 @@ import (
 	"rasc.dev/rasc/internal/discovery"
 	"rasc.dev/rasc/internal/federation"
 	"rasc.dev/rasc/internal/gossip"
-	"rasc.dev/rasc/internal/monitor"
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/services"
 	"rasc.dev/rasc/internal/spec"
@@ -93,8 +92,8 @@ type Config struct {
 	Clock clock.Clock
 	// Adaptation, when set, enables the event-driven adaptation control
 	// plane on the engine after the node joins: periodic delivery-rate
-	// checks plus incremental reallocation on member-dead, breaker-open
-	// and drop-spike events.
+	// checks plus incremental reallocation on member-dead and breaker-open
+	// events.
 	Adaptation *stream.AdaptationConfig
 	// Tenancy, when set, fronts this node's submission path with an
 	// admission gate (priority classes, fair-share caps, admission
@@ -341,11 +340,6 @@ func Start(cfg Config) (*Node, error) {
 			n.Gossip.OnMemberDead(func(info overlay.NodeInfo) {
 				ov.RemovePeer(info.ID)
 				eng.OnPeerDead(info.ID)
-			})
-			// Disseminated digests feed the control plane's drop-spike
-			// trigger (a no-op until an AdaptationConfig arms it).
-			n.Gossip.OnDigest(func(info overlay.NodeInfo, rep monitor.Report) {
-				eng.ObserveHostReport(info.ID, rep)
 			})
 			dir.SetView(n.Gossip)
 			eng.SetStatsProvider(n.Gossip.ReportFor)

@@ -7,7 +7,6 @@ import (
 
 	"rasc.dev/rasc/internal/control"
 	"rasc.dev/rasc/internal/core"
-	"rasc.dev/rasc/internal/monitor"
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/spec"
 )
@@ -15,74 +14,42 @@ import (
 // AdaptationConfig tunes the origin-side adaptation plane: the "dynamic"
 // half of dynamic rate allocation. The origin publishes typed events —
 // delivered rate below threshold (periodic sink check), member dead
-// (gossip), breaker open (transport), drop-ratio spike (disseminated
-// digests) — to a control.Controller, which reallocates rate
-// incrementally (core.MinCost.ComposeDelta shifts split ratios away from
-// the degraded hosts without restarting the stream) and falls back to a
-// full teardown-and-recompose when the delta solve is infeasible.
+// (gossip), breaker open (transport) — to a control.Controller, which
+// reallocates rate incrementally (core.MinCost.ComposeDelta shifts split
+// ratios away from the degraded hosts without restarting the stream) and
+// falls back to a full teardown-and-recompose when the delta solve is
+// infeasible.
 type AdaptationConfig struct {
-	// Interval between delivery-rate checks (default 5s).
+	// Interval between delivery-rate checks (default 5s). The
+	// controller's cooldown is two intervals, and the availability meter
+	// samples every min(Interval, 1s).
 	Interval time.Duration
-	// AvailabilityInterval is the sampling period of the per-application
-	// availability meter feeding rasc_app_time_below_requested_seconds_total
-	// and decision convergence marking (default min(Interval, 1s)). The
-	// meter samples faster than the adaptation check so the journal's
-	// convergence timestamps resolve recovery within a reallocation
-	// cooldown, not just at check granularity.
-	AvailabilityInterval time.Duration
-	// MinRateFraction of the required rate below which a substream
-	// publishes RateBelowThreshold (default 0.5).
-	MinRateFraction float64
 	// Composer used for re-composition (default MinCost). Composers
 	// implementing core.DeltaComposer get the incremental path; others
 	// always recompose in full.
 	Composer core.Composer
-	// UpgradeComposer is used for upgrade attempts of streams admitted
-	// below their desired rate (default MinCost with best-effort at
-	// 50%, so a failed upgrade still re-admits at the achievable rate).
-	UpgradeComposer core.Composer
-	// Timeout for the re-composition RPCs (default 10s).
-	Timeout time.Duration
-	// DropSpikeRatio is the disseminated drop ratio at or above which a
-	// host's digest publishes DropRatioSpike (0 disables the trigger).
-	DropSpikeRatio float64
-	// Control tunes the event controller (hysteresis, cooldown, retry
-	// backoff, concurrency). Clock is set by the engine; Cooldown
-	// defaults to 2×Interval and StrikeTTL to 2.5×Interval so strikes
-	// mean consecutive degraded checks.
-	Control control.Config
 }
+
+const (
+	// minRateFraction of the required rate below which a substream
+	// publishes RateBelowThreshold and the availability meter accrues
+	// time below the requested rate.
+	minRateFraction = 0.5
+	// adaptTimeout bounds the re-composition RPCs.
+	adaptTimeout = 10 * time.Second
+)
+
+// upgradeComposer re-composes streams admitted below their desired rate:
+// best-effort at 50 %, so a failed upgrade still re-admits at the
+// achievable rate.
+var upgradeComposer core.Composer = &core.MinCost{BestEffortFraction: 0.5}
 
 func (c *AdaptationConfig) defaults() {
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second
 	}
-	if c.MinRateFraction <= 0 {
-		c.MinRateFraction = 0.5
-	}
-	if c.AvailabilityInterval <= 0 {
-		c.AvailabilityInterval = c.Interval
-		if c.AvailabilityInterval > time.Second {
-			c.AvailabilityInterval = time.Second
-		}
-	}
 	if c.Composer == nil {
 		c.Composer = &core.MinCost{}
-	}
-	if c.UpgradeComposer == nil {
-		c.UpgradeComposer = &core.MinCost{BestEffortFraction: 0.5}
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
-	}
-	if c.Control.Cooldown <= 0 {
-		// A check measuring the recovery dip of a reallocation that just
-		// landed must fall inside the cooldown, or it would trigger a
-		// spurious follow-up.
-		c.Control.Cooldown = 2 * c.Interval
-	}
-	if c.Control.StrikeTTL <= 0 {
-		c.Control.StrikeTTL = 2*c.Interval + c.Interval/2
 	}
 }
 
@@ -125,24 +92,23 @@ func (e *Engine) EnableAdaptation(cfg AdaptationConfig) {
 	cfg.defaults()
 	e.DisableAdaptation()
 	e.adaptCfg = &cfg
-	cc := cfg.Control
-	cc.Clock = e.clk
-	if cc.Observer == nil {
-		cc.Observer = e.ensureTracker()
-	}
-	e.controller = control.New(cc, e)
+	e.controller = e.newController(&cfg)
 	var tick func()
 	tick = func() {
-		e.checkAdaptation(cfg)
+		e.checkAdaptation()
 		e.adaptCancel = e.clk.After(cfg.Interval, tick)
 	}
 	e.adaptCancel = e.clk.After(cfg.Interval, tick)
+	// The availability meter samples faster than the adaptation check so
+	// the journal's convergence timestamps resolve recovery within a
+	// reallocation cooldown, not just at check granularity.
+	availEvery := min(cfg.Interval, time.Second)
 	var sample func()
 	sample = func() {
-		e.sampleAvailability(cfg)
-		e.availCancel = e.clk.After(cfg.AvailabilityInterval, sample)
+		e.sampleAvailability()
+		e.availCancel = e.clk.After(availEvery, sample)
 	}
-	e.availCancel = e.clk.After(cfg.AvailabilityInterval, sample)
+	e.availCancel = e.clk.After(availEvery, sample)
 }
 
 // DisableAdaptation stops the check loop and closes the controller. The
@@ -180,19 +146,25 @@ func (e *Engine) adaptConfig() *AdaptationConfig {
 // EnableAdaptation (the member-dead fast path works regardless).
 func (e *Engine) ensureController() *control.Controller {
 	if e.controller == nil {
-		cfg := e.adaptConfig()
-		cc := cfg.Control
-		cc.Clock = e.clk
-		if cc.Observer == nil {
-			cc.Observer = e.ensureTracker()
-		}
-		e.controller = control.New(cc, e)
+		e.controller = e.newController(e.adaptConfig())
 	}
 	return e.controller
 }
 
+// newController builds the engine's event controller for cfg, observed by
+// the decision tracker. A check measuring the recovery dip of a
+// reallocation that just landed must fall inside the cooldown, or it would
+// trigger a spurious follow-up: the cooldown is two check intervals.
+func (e *Engine) newController(cfg *AdaptationConfig) *control.Controller {
+	return control.New(control.Config{
+		Clock:    e.clk,
+		Cooldown: 2 * cfg.Interval,
+		Observer: e.ensureTracker(),
+	}, e)
+}
+
 // Controller exposes the engine's adaptation controller (nil until an
-// event or EnableAdaptation builds one) for stats and tests.
+// event or EnableAdaptation builds one) for introspection and tests.
 func (e *Engine) Controller() *control.Controller { return e.controller }
 
 // Recompositions counts adaptation-triggered reallocation attempts, both
@@ -217,25 +189,10 @@ func (e *Engine) OnBreakerOpen(id overlay.ID) {
 	e.ensureController().Publish(control.Event{Kind: control.BreakerOpen, Host: id})
 }
 
-// ObserveHostReport feeds a disseminated monitoring digest into the
-// control plane: a drop ratio at or above the configured spike threshold
-// publishes DropRatioSpike for the host (the controller's hysteresis
-// absorbs isolated noisy digests).
-func (e *Engine) ObserveHostReport(id overlay.ID, rep monitor.Report) {
-	cfg := e.adaptConfig()
-	if cfg.DropSpikeRatio <= 0 || rep.DropRatio < cfg.DropSpikeRatio {
-		return
-	}
-	if len(e.origins) == 0 {
-		return
-	}
-	e.ensureController().Publish(control.Event{Kind: control.DropRatioSpike, Host: id})
-}
-
 // checkAdaptation measures every live origin application's delivered rate
 // and publishes the resulting events. Origins are visited in sorted order
 // so event order — and therefore controller scheduling — is deterministic.
-func (e *Engine) checkAdaptation(cfg AdaptationConfig) {
+func (e *Engine) checkAdaptation() {
 	now := e.clk.Now()
 	ids := make([]string, 0, len(e.origins))
 	for id := range e.origins {
@@ -257,7 +214,7 @@ func (e *Engine) checkAdaptation(cfg AdaptationConfig) {
 			got := sink.Received - st.lastReceived[l]
 			st.lastReceived[l] = sink.Received
 			rate := float64(got) / elapsed.Seconds()
-			if rate < cfg.MinRateFraction*float64(ss.Rate) {
+			if rate < minRateFraction*float64(ss.Rate) {
 				degraded = append(degraded, l)
 			}
 		}
@@ -291,12 +248,12 @@ func (e *Engine) checkAdaptation(cfg AdaptationConfig) {
 }
 
 // sampleAvailability measures every origin application's delivered rate
-// over the availability window. Time spent below MinRateFraction of the
+// over the availability window. Time spent below minRateFraction of the
 // live request accrues into rasc_app_time_below_requested_seconds_total —
 // the paper's availability objective as a directly scrapeable counter — and
 // a window back at or above threshold marks the application's completed
 // decisions converged in the journal.
-func (e *Engine) sampleAvailability(cfg AdaptationConfig) {
+func (e *Engine) sampleAvailability() {
 	now := e.clk.Now()
 	ids := make([]string, 0, len(e.origins))
 	for id := range e.origins {
@@ -340,7 +297,7 @@ func (e *Engine) sampleAvailability(cfg AdaptationConfig) {
 		}
 		st.availAt = now
 		rate := float64(got) / elapsed.Seconds()
-		if rate < cfg.MinRateFraction*float64(want) {
+		if rate < minRateFraction*float64(want) {
 			telAppTimeBelow.With(app).AddDuration(elapsed)
 		} else if e.journal != nil {
 			e.journal.Converge(app, now)
@@ -376,10 +333,9 @@ func (e *Engine) Recompose(app string, upgrade bool, done func(error)) {
 		done(control.ErrUnknownApp)
 		return
 	}
-	cfg := e.adaptConfig()
-	composer := cfg.Composer
+	composer := e.adaptConfig().Composer
 	if upgrade {
-		composer = cfg.UpgradeComposer
+		composer = upgradeComposer
 	}
 	e.recompositions++
 	req := st.desired
@@ -390,7 +346,7 @@ func (e *Engine) Recompose(app string, upgrade bool, done func(error)) {
 	desired := st.desired
 	// Internal teardown: the tenant keeps its admission through the
 	// recompose (the re-submit re-admits idempotently at the current cap).
-	e.teardown(st.graph, cfg.Timeout)
+	e.teardown(st.graph, adaptTimeout)
 	delete(e.origins, app)
 	// The application delivers nothing between teardown and the new
 	// graph's activation; charge that whole window to the availability
@@ -399,7 +355,7 @@ func (e *Engine) Recompose(app string, upgrade bool, done func(error)) {
 	// Route the re-composition's solver stats to the open decision trace:
 	// compose() picks the capture up by request ID.
 	e.composeCapture[app] = &core.ComposeStats{}
-	e.Submit(req, composer, cfg.Timeout, func(g *core.ExecutionGraph, err error) {
+	e.Submit(req, composer, adaptTimeout, func(g *core.ExecutionGraph, err error) {
 		delete(e.composeCapture, app)
 		if at, ok := e.availDown[app]; ok {
 			delete(e.availDown, app)

@@ -49,10 +49,7 @@ func TestKillStopsDelivery(t *testing.T) {
 func TestAdaptationRecoversFromFailure(t *testing.T) {
 	s := deploy.NewSystem(deploy.SystemOptions{Nodes: 12, Seed: 22})
 	origin := s.Engines[0]
-	origin.EnableAdaptation(stream.AdaptationConfig{
-		Interval:        3 * time.Second,
-		MinRateFraction: 0.5,
-	})
+	origin.EnableAdaptation(stream.AdaptationConfig{Interval: 3 * time.Second})
 	defer origin.DisableAdaptation()
 	req := simpleRequest("adapt-test", 10, "filter")
 	g := submit(t, s, 0, req, &core.MinCost{})

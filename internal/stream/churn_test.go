@@ -231,25 +231,23 @@ func TestFailedRecomposeRearmsWithBackoff(t *testing.T) {
 	origin := s.Engines[0]
 	req := simpleRequest("rearm", 5, "filter")
 	submit(t, s, 0, req, &core.MinCost{})
-	// A long interval separates the periodic checks by a full minute; a
-	// short RPC timeout keeps each doomed attempt brief.
-	origin.EnableAdaptation(stream.AdaptationConfig{
-		Interval: 30 * time.Second,
-		Timeout:  time.Second,
-	})
+	// A long interval separates the periodic checks by ten virtual
+	// minutes, far longer than any backoff.
+	const interval = 10 * time.Minute
+	start := s.Sim.Now()
+	origin.EnableAdaptation(stream.AdaptationConfig{Interval: interval})
 	defer origin.DisableAdaptation()
-	s.Sim.RunUntil(s.Sim.Now() + 5*time.Second)
+	s.Sim.RunUntil(start + 5*time.Second)
 	s.Kill(1)
-	// First check at ~30s sees the dead stream and publishes; every
-	// recompose attempt fails (no provider left). By 55s — still before
-	// the second periodic check — backoff must have driven several
-	// attempts.
-	s.Sim.RunUntil(s.Sim.Now() + 27*time.Second)
+	// The first check sees the dead stream and publishes; every recompose
+	// attempt fails (no provider left). Halfway to the second periodic
+	// check, backoff must have driven several attempts.
+	s.Sim.RunUntil(start + interval + time.Second)
 	first := origin.Recompositions()
 	if first == 0 {
 		t.Fatal("degraded stream never triggered a recompose")
 	}
-	s.Sim.RunUntil(s.Sim.Now() + 23*time.Second)
+	s.Sim.RunUntil(start + interval + interval/2)
 	got := origin.Recompositions()
 	if got < 3 {
 		t.Fatalf("failed recompose did not re-arm: %d attempts after %d initial, want ≥3 via backoff",

@@ -37,8 +37,6 @@ func eventCause(ev control.Event) string {
 		return "member dead: " + ev.Host.String()
 	case control.BreakerOpen:
 		return "breaker open: " + ev.Host.String()
-	case control.DropRatioSpike:
-		return "drop-ratio spike: " + ev.Host.String()
 	case control.RateBelowThreshold:
 		return fmt.Sprintf("substreams %v below threshold", ev.Substreams)
 	case control.UpgradePossible:
@@ -65,9 +63,6 @@ func eventAttrs(ev control.Event) []trace.Attr {
 // begin a trace; held events on an open trace become gate spans; dropped
 // events with nothing open leave no record.
 func (t *decisionTracker) OnEventGate(app string, ev control.Event, gate string, latched bool) {
-	if app == "" {
-		return // host-scoped hysteresis: no application resolved yet
-	}
 	now := t.clk.Now()
 	a := t.active[app]
 	if a == nil {

@@ -28,18 +28,12 @@ type Config struct {
 	// QueueCapacity bounds the scheduler's ready queue, and the buffer of
 	// units that arrived ahead of their component (default 128).
 	QueueCapacity int
-	// Window is the monitoring window size h (default monitor.DefaultWindow).
-	Window int
 	// SchedPolicy selects the scheduling discipline: "llf" (default),
 	// "edf" or "fifo".
 	SchedPolicy string
 	// ProcJitter is the fractional random variation of processing times
 	// (e.g. 0.2 for ±20%). Default 0.
 	ProcJitter float64
-	// TimelyFactor scales the period into the timeliness slack used by
-	// sinks (default 1.0: a unit more than one period late is not
-	// timely).
-	TimelyFactor float64
 	// StatsMaxAge makes the stats RPC serve a cached report refreshed at
 	// most this often — an ablation of §3.2's continuous monitoring
 	// ("it is essential to use feedback"). 0 serves fresh reports.
@@ -60,9 +54,6 @@ func (c *Config) defaults() {
 	}
 	if c.QueueCapacity == 0 {
 		c.QueueCapacity = 128
-	}
-	if c.TimelyFactor <= 0 {
-		c.TimelyFactor = 1
 	}
 	c.DataPlane.normalize()
 }
@@ -207,7 +198,7 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[s
 		clk:            clk,
 		rng:            rng,
 		cfg:            cfg,
-		Monitor:        monitor.NewNodeMonitor(cfg.InBps, cfg.OutBps, cfg.Window),
+		Monitor:        monitor.NewNodeMonitor(cfg.InBps, cfg.OutBps, monitor.DefaultWindow),
 		Dir:            dir,
 		shards:         make([]*engineShard, cfg.DataPlane.Shards),
 		batches:        make(map[transport.Addr]*unitBatch),

@@ -63,7 +63,7 @@ func (e *Engine) composeForFederation(h federation.HandoffRequest, done func(*co
 		done(nil, err)
 		return
 	}
-	e.gatherInput(h.Request, e.adaptConfig().Timeout, func(in core.Input, err error) {
+	e.gatherInput(h.Request, adaptTimeout, func(in core.Input, err error) {
 		if err != nil {
 			done(nil, err)
 			return

@@ -80,7 +80,7 @@ func (e *Engine) Reallocate(app string, degraded map[overlay.ID]bool, substreams
 	// the originally desired one: the delta solve relocates the rate the
 	// application actually carries.
 	req := st.graph.Request
-	e.gatherInput(req, cfg.Timeout, func(in core.Input, err error) {
+	e.gatherInput(req, adaptTimeout, func(in core.Input, err error) {
 		if err != nil {
 			done(err)
 			return
@@ -100,7 +100,7 @@ func (e *Engine) Reallocate(app string, degraded map[overlay.ID]bool, substreams
 			return
 		}
 		applyStart := e.clk.Now()
-		e.applyDelta(app, st, g, affectedSet, cfg.Timeout, func(err error) {
+		e.applyDelta(app, st, g, affectedSet, adaptTimeout, func(err error) {
 			e.observeApply(app, applyStart, err)
 			done(err)
 		})

@@ -345,8 +345,8 @@ func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec) 
 	e.reqs[g.Request.ID] = g.Request.ID
 	for l, ss := range g.Request.Substreams {
 		period := time.Duration(float64(time.Second) / float64(ss.Rate))
-		slack := time.Duration(float64(period) * e.cfg.TimelyFactor)
-		sink := newSink(g.Request.ID, l, len(ss.Services), period, slack, g.Request.PlayoutDelay)
+		// A unit more than one period late is not timely.
+		sink := newSink(g.Request.ID, l, len(ss.Services), period, period, g.Request.PlayoutDelay)
 		if e.cfg.KeepDelaySamples {
 			sink.Delays = &metrics.Histogram{}
 		}

@@ -32,7 +32,7 @@ var (
 
 	// telAppTimeBelow is the paper's availability objective as a counter:
 	// cumulative time each origin application's delivered rate sat below
-	// MinRateFraction of its live requirement, accrued by the adaptation
+	// minRateFraction of its requested rate, accrued by the adaptation
 	// plane's availability sampler.
 	telAppTimeBelow = telemetry.Default().FloatCounterVec(
 		"rasc_app_time_below_requested_seconds_total",

@@ -97,14 +97,13 @@ func (e *Engine) TenantPreempted(app string) {
 		if !ok {
 			return
 		}
-		cfg := e.adaptConfig()
 		// Remember the original (uncapped) request for the replay; only
 		// while the gate still tracks the tenant — a preemption into a
 		// full queue drops it entirely.
 		if e.tenantGate != nil && e.tenantGate.Has(app) {
-			e.pendingAdmission[app] = pendingSubmit{req: st.desired, composer: cfg.Composer, timeout: cfg.Timeout}
+			e.pendingAdmission[app] = pendingSubmit{req: st.desired, composer: e.adaptConfig().Composer, timeout: adaptTimeout}
 		}
-		e.teardown(st.graph, cfg.Timeout)
+		e.teardown(st.graph, adaptTimeout)
 		// The application delivers nothing while parked: charge the whole
 		// parked window to the availability meter.
 		e.availDown[app] = e.clk.Now()

@@ -63,7 +63,7 @@ func (r *refGate) solve(cand *refTenant, evict bool) (shares map[string]float64,
 	for {
 		demands := make([]Demand, len(pool))
 		for i, t := range pool {
-			demands[i] = Demand{App: t.app, Bps: t.demand, Weight: r.cfg.Weight(t.pri)}
+			demands[i] = Demand{App: t.app, Bps: t.demand, Weight: classWeight(t.pri)}
 		}
 		fs := FairShares(demands, r.capacity)
 		shares = make(map[string]float64, len(pool))

@@ -121,14 +121,9 @@ type Config struct {
 	// share falls below this fraction of its demand is not viable — a
 	// candidate is queued/rejected instead of admitted below it, and a
 	// running tenant pushed below it by contention is preempted
-	// (default 0.5, matching the adaptation plane's MinRateFraction;
+	// (default 0.5, matching the adaptation plane's rate threshold;
 	// clamped to at most 1).
 	MinShareFraction float64
-	// WeightCritical, WeightStandard and WeightBestEffort are the
-	// water-filling weights of the priority classes (defaults 4, 2, 1).
-	WeightCritical   float64
-	WeightStandard   float64
-	WeightBestEffort float64
 	// Clock timestamps journal spans and admissions (optional; zero times
 	// without it).
 	Clock clock.Clock
@@ -150,26 +145,18 @@ func (c *Config) defaults() {
 	if c.MinShareFraction > 1 {
 		c.MinShareFraction = 1
 	}
-	if c.WeightCritical <= 0 {
-		c.WeightCritical = 4
-	}
-	if c.WeightStandard <= 0 {
-		c.WeightStandard = 2
-	}
-	if c.WeightBestEffort <= 0 {
-		c.WeightBestEffort = 1
-	}
 }
 
-// Weight returns the configured water-filling weight of a class.
-func (c *Config) Weight(p spec.Priority) float64 {
+// classWeight is the water-filling weight of a priority class: critical 4,
+// standard 2, best-effort 1.
+func classWeight(p spec.Priority) float64 {
 	switch p {
 	case spec.Critical:
-		return c.WeightCritical
+		return 4
 	case spec.BestEffort:
-		return c.WeightBestEffort
+		return 1
 	}
-	return c.WeightStandard
+	return 2
 }
 
 // Decision is the gate's verdict on one admission attempt.
@@ -385,7 +372,7 @@ func (g *Gate) Admit(app string, pri spec.Priority, demandBps float64, owner Own
 	}
 
 	cand := &tenantState{
-		app: app, pri: pri, weight: g.cfg.Weight(pri),
+		app: app, pri: pri, weight: classWeight(pri),
 		demandBps: demandBps, owner: owner, seq: g.nextSeq,
 	}
 	g.nextSeq++

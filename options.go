@@ -47,20 +47,22 @@ func WithSchedPolicy(policy string) Option { return func(o *Options) { o.SchedPo
 // triggering immediate recomposition at the origins.
 func WithGossip(enabled bool) Option { return func(o *Options) { o.EnableGossip = enabled } }
 
-// AdaptationConfig tunes the event-driven adaptation control plane: the
-// periodic delivery-rate check interval and threshold, the composers used
-// for incremental and full re-composition, the drop-spike trigger, and
-// the controller's hysteresis/cooldown/backoff/concurrency knobs (the
-// Control field). The zero value selects the defaults documented on each
-// field.
+// AdaptationConfig tunes the event-driven adaptation control plane. Its
+// one setting is Interval, the period of the delivery-rate check (default
+// 5s); the controller's cooldown (two intervals), retry backoff (1s
+// doubling to 30s), concurrency limit (4) and rate threshold (half the
+// requested rate) follow from it or are fixed. Composer picks the
+// re-composition composer (default MinCost). The zero value selects the
+// defaults.
 type AdaptationConfig = stream.AdaptationConfig
 
 // WithAdaptation enables the adaptation control plane on every node of
 // the deployment. Origins then react to delivered-rate drops, gossip
-// member-dead events, transport breaker trips and disseminated drop-ratio
-// spikes by incrementally reallocating rate away from degraded hosts
-// (falling back to a full recompose when the delta solve is infeasible).
-// Pair it with WithGossip to arm the failure-detection triggers.
+// member-dead events and transport breaker trips by incrementally
+// reallocating rate away from degraded hosts (falling back to a full
+// recompose when the delta solve is infeasible). Every composition
+// already weighs each host's observed drop ratio. Pair it with WithGossip
+// to arm the failure-detection triggers.
 //
 // Adaptation loops reschedule forever, so virtual time must be advanced
 // with System.Run for a bounded duration (the event queue never drains).
@@ -69,10 +71,11 @@ func WithAdaptation(cfg AdaptationConfig) Option {
 }
 
 // TenancyConfig tunes the multi-tenant admission gate: the capacity
-// budget (0 derives it from the topology), the tenant and queue limits,
-// the guaranteed-share floor and the per-priority fairness weights. The
-// gate budgets one aggregate per cluster; a member's death shrinks it by
-// that member's proportional share. The zero value selects the defaults
+// budget (0 derives it from the topology), the tenant and queue limits and
+// the guaranteed-share floor. The priority classes' fairness weights are
+// fixed at 4 (critical), 2 (standard) and 1 (best-effort). The gate
+// budgets one aggregate per cluster; a member's death shrinks it by that
+// member's proportional share. The zero value selects the defaults
 // documented on each field.
 type TenancyConfig = tenant.Config
 
