@@ -52,6 +52,8 @@ type Network struct {
 	maxBacklog time.Duration
 	congJitter float64
 	partitions map[[2]NodeID]bool
+	// spare holds delivered and dropped flights for reuse.
+	spare []*flight
 
 	// Delivered and Lost count messages for diagnostics.
 	Delivered int64
@@ -157,12 +159,26 @@ func (n *Network) SendDroppable(from, to NodeID, size int, payload interface{}) 
 	return n.send(from, to, size, payload, true)
 }
 
+// flight is one message on its way, carried by two typed events: arrival
+// at the receiver's downlink, then (arrived set) delivery once the downlink
+// has serialized it. A local send is scheduled straight into delivery.
+// Flights are pooled per network: one is taken per message and returned
+// when the message is delivered or dropped at the downlink.
+type flight struct {
+	net       *Network
+	from, to  NodeID
+	size      int
+	payload   interface{}
+	droppable bool
+	arrived   bool
+}
+
 func (n *Network) send(from, to NodeID, size int, payload interface{}, droppable bool) bool {
 	if int(from) >= len(n.nodes) || int(to) >= len(n.nodes) || from < 0 || to < 0 {
 		panic(fmt.Sprintf("netsim: send between unknown nodes %d -> %d", from, to))
 	}
 	if from == to {
-		n.sim.Schedule(0, func() { n.deliver(from, to, size, payload) })
+		n.launch(n.sim.now, from, to, size, payload, droppable, true)
 		return true
 	}
 	if n.partitioned(from, to) {
@@ -193,31 +209,58 @@ func (n *Network) send(from, to NodeID, size int, payload interface{}, droppable
 			prop += time.Duration(n.sim.rng.Int63n(bound))
 		}
 	}
-	arrive := sent + prop
-	n.sim.At(arrive, func() {
-		dst := n.nodes[to]
-		if droppable && n.maxBacklog > 0 && dst.down.busyUntil-n.sim.Now() > n.maxBacklog {
+	n.launch(sent+prop, from, to, size, payload, droppable, false)
+	return true
+}
+
+// launch queues a pooled flight's first event at t.
+func (n *Network) launch(t time.Duration, from, to NodeID, size int, payload interface{}, droppable, arrived bool) {
+	var fl *flight
+	if k := len(n.spare); k > 0 {
+		fl = n.spare[k-1]
+		n.spare = n.spare[:k-1]
+	} else {
+		fl = &flight{net: n}
+	}
+	fl.from, fl.to, fl.size, fl.payload, fl.droppable, fl.arrived = from, to, size, payload, droppable, arrived
+	n.sim.at(t, event{fl: fl})
+}
+
+// step runs a flight's event: at arrival the receiver's downlink drops the
+// message or serializes it and schedules its delivery; at delivery the
+// receiver's handler gets it. The flight goes back to the pool before any
+// handler runs, so a handler that sends reuses it.
+func (n *Network) step(fl *flight) {
+	from, to, size, payload := fl.from, fl.to, fl.size, fl.payload
+	dst := n.nodes[to]
+	if !fl.arrived {
+		if fl.droppable && n.maxBacklog > 0 && dst.down.busyUntil-n.sim.now > n.maxBacklog {
 			n.Lost++
+			n.release(fl)
 			_, bg := payload.(backgroundMarker)
 			if dst.dropHandler != nil && !bg {
 				dst.dropHandler(from, size, payload)
 			}
 			return
 		}
-		done := dst.down.serialize(n.sim.Now(), size)
-		n.sim.At(done, func() { n.deliver(from, to, size, payload) })
-	})
-	return true
-}
-
-func (n *Network) deliver(from, to NodeID, size int, payload interface{}) {
+		fl.arrived = true
+		n.sim.at(dst.down.serialize(n.sim.now, size), event{fl: fl})
+		return
+	}
+	n.release(fl)
 	n.Delivered++
 	if _, bg := payload.(backgroundMarker); bg {
 		return // cross-traffic filler: consumes links, carries nothing
 	}
-	if h := n.nodes[to].handler; h != nil {
-		h(from, size, payload)
+	if dst.handler != nil {
+		dst.handler(from, size, payload)
 	}
+}
+
+// release returns a flight to the pool without the payload it carried.
+func (n *Network) release(fl *flight) {
+	fl.payload = nil
+	n.spare = append(n.spare, fl)
 }
 
 // SetPartition blocks (or restores) all traffic between a and b in both

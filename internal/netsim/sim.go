@@ -8,71 +8,139 @@
 package netsim
 
 import (
+	"math/bits"
 	"math/rand"
 	"time"
 )
 
-// event is a scheduled callback, held by value in the queue. cancelled is
-// set only for events scheduled through Timer: the callback is skipped when
-// it points at true.
+// key orders the event queue by (at, seq) and names the slab slot that
+// holds the event's payload. seq is unique, so (at, seq) is a total order
+// and any correct priority queue pops the same sequence. A key holds no
+// pointer: the heap's sifts move plain 24-byte values, which the garbage
+// collector neither scans nor guards with write barriers.
+type key struct {
+	at   time.Duration
+	seq  uint64
+	slot uint32
+}
+
+func (k key) before(o key) bool { return earlier(k, o) != 0 }
+
+// earlier is 1 when x orders before y and 0 otherwise, computed without a
+// branch: (at, seq) is compared as one 128-bit unsigned number, whose
+// subtraction borrows exactly when x is the smaller. at is never negative
+// (the clock starts at zero and at clamps to it), so its unsigned order is
+// its order. The heap's sifts select children with it arithmetically: the
+// comparisons of a pop are data-dependent coin flips a branch predictor
+// cannot learn.
+func earlier(x, y key) int {
+	_, borrow := bits.Sub64(x.seq, y.seq, 0)
+	_, borrow = bits.Sub64(uint64(x.at), uint64(y.at), borrow)
+	return int(borrow)
+}
+
+// event is what a queued key does: run fn, or move the message fl one
+// step on (Network.step). seq repeats the key's, so a Timer's cancel
+// recognises its own event and leaves a reused slot alone.
 type event struct {
-	at        time.Duration
-	seq       uint64
 	fn        func()
-	cancelled *bool
+	fl        *flight
+	seq       uint64
+	cancelled bool
 }
 
-// before orders events by (at, seq). seq is unique, so this is a total
-// order and any correct priority queue pops the same sequence.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// eventQueue is a 4-ary min-heap of keys over a slab of events. A popped
+// event's slot goes on the free list and is reused by a later push.
+type eventQueue struct {
+	heap []key
+	slab []event
+	free []uint32
+}
+
+// push queues ev at (at, ev.seq) and returns its slot.
+func (q *eventQueue) push(at time.Duration, ev event) uint32 {
+	var slot uint32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = ev
+	} else {
+		slot = uint32(len(q.slab))
+		q.slab = append(q.slab, ev)
 	}
-	return e.seq < o.seq
-}
-
-// eventQueue is a binary min-heap of events ordered by before.
-type eventQueue []event
-
-func (q *eventQueue) push(ev event) {
-	h := append(*q, ev)
+	k := key{at: at, seq: ev.seq, slot: slot}
+	h := append(q.heap, k)
 	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
+		parent := (i - 1) / 4
+		if !k.before(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
-	*q = h
+	h[i] = k
+	q.heap = h
+	return slot
 }
 
-// pop removes and returns the earliest event. The queue must not be empty.
-func (q *eventQueue) pop() event {
-	h := *q
-	n := len(h) - 1
+// pop removes the earliest key and returns its instant and event, freeing
+// the slot. The queue must not be empty. The hole left at the root sinks
+// along the least children to the bottom, and the last key rises from
+// there to its place: the last key belongs near the bottom, so this takes
+// fewer comparisons than sifting it down from the root.
+func (q *eventQueue) pop() (time.Duration, event) {
+	h := q.heap
 	top := h[0]
-	h[0] = h[n]
-	h[n] = event{} // release the callback
+	n := len(h) - 1
+	last := h[n]
 	h = h[:n]
-	for i := 0; ; {
-		least := i
-		if l := 2*i + 1; l < n && h[l].before(&h[least]) {
-			least = l
+	i := 0
+	for {
+		c := 4*i + 1
+		if c+3 < n {
+			a := c + earlier(h[c+1], h[c])
+			b := c + 2 + earlier(h[c+3], h[c+2])
+			a ^= (a ^ b) & -earlier(h[b], h[a])
+			h[i] = h[a]
+			i = a
+			continue
 		}
-		if r := 2*i + 2; r < n && h[r].before(&h[least]) {
-			least = r
-		}
-		if least == i {
+		if c >= n {
 			break
 		}
-		h[i], h[least] = h[least], h[i]
+		least := c
+		for j := c + 1; j < n; j++ {
+			if h[j].before(h[least]) {
+				least = j
+			}
+		}
+		h[i] = h[least]
 		i = least
 	}
-	*q = h
-	return top
+	if n > 0 {
+		for i > 0 {
+			parent := (i - 1) / 4
+			if !last.before(h[parent]) {
+				break
+			}
+			h[i] = h[parent]
+			i = parent
+		}
+		h[i] = last
+	}
+	q.heap = h
+	ev := q.slab[top.slot]
+	q.slab[top.slot] = event{} // release the callback and the message
+	q.free = append(q.free, top.slot)
+	return top.at, ev
 }
+
+// len is the number of queued events, cancelled timers included.
+func (q *eventQueue) len() int { return len(q.heap) }
+
+// next is the instant of the earliest event. The queue must not be empty.
+func (q *eventQueue) next() time.Duration { return q.heap[0].at }
 
 // Simulator is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; create one with New.
@@ -107,34 +175,52 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) {
 
 // At runs fn at absolute virtual time t. If t is in the past, fn runs "now"
 // (at the current time, after already-pending events for this instant).
-func (s *Simulator) At(t time.Duration, fn func()) { s.at(t, fn, nil) }
+func (s *Simulator) At(t time.Duration, fn func()) { s.at(t, event{fn: fn}) }
 
 // Timer is Schedule with cancellation: the returned function keeps fn from
 // running if the event has not fired yet, and does nothing after it has.
 // A cancelled event still holds its place in the queue (and advances the
-// clock when it is reached), so cancelling never reorders anything else.
+// clock when it is reached), so cancelling never reorders anything else:
+// Run ends at the last queued instant, cancelled or not, and every later
+// instant of a simulation inherits that clock.
 func (s *Simulator) Timer(delay time.Duration, fn func()) (cancel func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	cancelled := new(bool)
-	s.at(s.now+delay, fn, cancelled)
-	return func() { *cancelled = true }
+	return s.timer(s.now+delay, fn)
 }
 
-func (s *Simulator) at(t time.Duration, fn func(), cancelled *bool) {
+// timer queues fn at absolute time t (clamped to now) and returns its
+// cancel function.
+func (s *Simulator) timer(t time.Duration, fn func()) (cancel func()) {
+	slot := s.at(t, event{fn: fn})
+	seq := s.seq
+	return func() {
+		if ev := &s.events.slab[slot]; ev.seq == seq {
+			ev.cancelled = true
+		}
+	}
+}
+
+// at queues ev at absolute time t (clamped to now) under the next seq and
+// returns its slot.
+func (s *Simulator) at(t time.Duration, ev event) uint32 {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	s.events.push(event{at: t, seq: s.seq, fn: fn, cancelled: cancelled})
+	ev.seq = s.seq
+	return s.events.push(t, ev)
 }
 
 // step runs the earliest event.
 func (s *Simulator) step() {
-	ev := s.events.pop()
-	s.now = ev.at
-	if ev.cancelled == nil || !*ev.cancelled {
+	at, ev := s.events.pop()
+	s.now = at
+	switch {
+	case ev.fl != nil:
+		ev.fl.net.step(ev.fl)
+	case !ev.cancelled:
 		ev.fn()
 	}
 }
@@ -142,7 +228,7 @@ func (s *Simulator) step() {
 // Run executes events until the queue is empty or Stop is called.
 func (s *Simulator) Run() {
 	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
+	for s.events.len() > 0 && !s.stopped {
 		s.step()
 	}
 }
@@ -151,8 +237,8 @@ func (s *Simulator) Run() {
 // Events scheduled after t remain pending.
 func (s *Simulator) RunUntil(t time.Duration) {
 	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
-		if s.events[0].at > t {
+	for s.events.len() > 0 && !s.stopped {
+		if s.events.next() > t {
 			break
 		}
 		s.step()
@@ -166,4 +252,4 @@ func (s *Simulator) RunUntil(t time.Duration) {
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Pending reports the number of events still queued.
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return s.events.len() }

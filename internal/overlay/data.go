@@ -11,17 +11,44 @@ import "rasc.dev/rasc/internal/transport"
 // header (wire.go) names the app and the sender.
 const msgTypeData = "overlay-data"
 
-// sendData frames body for app with this node as the sender. The payload
-// is built with one exact-size allocation — the transport retains it until
-// delivery, so the buffer cannot be pooled here.
+// sendData frames body for app with this node as the sender. The transport
+// retains the frame until delivery, so it is never reused: a datagram frame
+// is cut from the node's current frame chunk (see frameBuf), any other is
+// one exact-size allocation.
 func (n *Node) sendData(to transport.Addr, app string, body []byte, pad int, datagram bool) error {
-	buf := make([]byte, 0, headerOverhead+len(app)+len(n.info.Addr)+len(n.info.Cluster)+len(body))
+	size := headerOverhead + len(app) + len(n.info.Addr) + len(n.info.Cluster) + len(body)
+	var buf []byte
+	if datagram {
+		buf = n.frameBuf(size)
+	} else {
+		buf = make([]byte, 0, size)
+	}
 	buf, err := appendHeader(buf, app, n.info)
 	if err != nil {
 		return err
 	}
 	buf = append(buf, body...)
 	return n.ep.Send(to, transport.Message{Type: msgTypeData, Payload: buf, Pad: pad, Datagram: datagram})
+}
+
+// frameChunk is the size of the chunks datagram frames are cut from.
+const frameChunk = 8 << 10
+
+// frameBuf returns an empty buffer of capacity size cut from the node's
+// current frame chunk, starting a new chunk when the current one is short.
+// Datagrams carry stream data units, which their receivers decode and let
+// go, so a chunk is garbage once its frames are delivered or dropped; a
+// frame too large for a chunk gets its own allocation.
+func (n *Node) frameBuf(size int) []byte {
+	if size > frameChunk/4 {
+		return make([]byte, 0, size)
+	}
+	if size > len(n.frames) {
+		n.frames = make([]byte, frameChunk)
+	}
+	buf := n.frames[:0:size]
+	n.frames = n.frames[size:]
+	return buf
 }
 
 // Direct sends body straight to a specific node, bypassing key routing and

@@ -72,6 +72,14 @@ type Node struct {
 	ProximityAware bool
 	rtts           map[ID]time.Duration
 	probing        map[ID]bool
+	// epoch counts the events after which learning a peer again can
+	// change state: a peer removed, a contested slot replaced, an RTT
+	// probe completed. learned holds every peer learn has run for, with
+	// the names and the epoch it last ran with (see learn).
+	epoch   uint64
+	learned map[ID]learnMark
+	// frames is the unused rest of the chunk datagram frames are cut from.
+	frames []byte
 	// Stats counters.
 	RoutedSent, RoutedDelivered, Forwarded int64
 }
@@ -92,6 +100,7 @@ func NewNode(id ID, ep transport.Endpoint, clk clock.Clock) *Node {
 		pendingAcks:     make(map[uint64]*pendingAck),
 		rtts:            make(map[ID]time.Duration),
 		probing:         make(map[ID]bool),
+		learned:         make(map[ID]learnMark),
 		MaxHops:         64,
 		RouteAckTimeout: 3 * time.Second,
 	}
@@ -189,20 +198,22 @@ func (n *Node) appName(name []byte) string {
 	return string(name)
 }
 
-// peer returns the node's own reference to id when its state holds it (the
-// node itself, a routing-table entry or a leaf-set member), or nil. n may
-// be nil.
-func (n *Node) peer(id ID) *NodeInfo {
+// known returns the node's own reference to a peer with this ID and these
+// names — itself, or a peer it has learned — so a frame naming it decodes
+// without allocating. n may be nil.
+func (n *Node) known(id ID, addr, cluster []byte) (NodeInfo, bool) {
 	if n == nil {
-		return nil
+		return NodeInfo{}, false
 	}
-	if id == n.info.ID {
-		return &n.info
+	info := n.info
+	if id != info.ID {
+		m, ok := n.learned[id]
+		if !ok {
+			return NodeInfo{}, false
+		}
+		info = m.info
 	}
-	if e := n.rt.lookup(n.rt.slotFor(id)); e != nil && e.ID == id {
-		return e
-	}
-	return n.leaf.get(id)
+	return info, string(info.Addr) == string(addr) && info.Cluster == string(cluster)
 }
 
 // Bootstrap marks this node as the first member of a new overlay.
@@ -268,15 +279,36 @@ func (n *Node) AddPeer(info NodeInfo) { n.learn(info) }
 func (n *Node) RemovePeer(id ID) {
 	n.rt.remove(id)
 	n.leaf.remove(id)
+	n.epoch++
+}
+
+// learnMark is a peer as last learned, and the epoch it was learned at.
+type learnMark struct {
+	info  NodeInfo
+	epoch uint64
 }
 
 // learn incorporates a peer reference into the routing table and leaf set.
-// It runs for every message received, so a peer already held or already
-// turned away costs no allocation.
+// It runs for every message received, so it remembers the peers it has
+// run for: learning a peer again with the same names changes nothing until
+// the epoch moves. Within an epoch slots and leaf-set sides only fill and
+// members only get closer, so a peer held stays held and a peer turned
+// away stays turned away, and an unsettled contest waits on probes that are
+// already in flight. What can change the outcome bumps the epoch:
+// RemovePeer, a slot replaced, and every RTT probe completing. The last is
+// what settles a contest whose two probes finished in the wrong order — a
+// later learn of the candidate finds both RTTs and installs the closer
+// peer.
 func (n *Node) learn(info NodeInfo) {
 	if info.ID == n.info.ID || info.Addr == "" {
 		return
 	}
+	if m, ok := n.learned[info.ID]; ok && m.epoch == n.epoch && m.info == info {
+		return
+	}
+	// The epoch read before running: if this learn bumps it, the mark is
+	// stale at once and the next learn runs in full.
+	mark := learnMark{info: info, epoch: n.epoch}
 	if !n.rt.add(info) && n.ProximityAware {
 		// Slot contested: keep the closer of the incumbent and the
 		// candidate, at once when both RTTs are cached, else once the
@@ -286,6 +318,7 @@ func (n *Node) learn(info NodeInfo) {
 		}
 	}
 	n.leaf.add(info)
+	n.learned[info.ID] = mark
 }
 
 // contest probes both peers competing for a slot and installs the closer
@@ -306,6 +339,7 @@ func (n *Node) settleSlot(incumbent, candidate NodeInfo) bool {
 	}
 	if rc < ri {
 		n.rt.replace(candidate)
+		n.epoch++
 	}
 	return true
 }
@@ -324,6 +358,7 @@ func (n *Node) probeRTT(peer NodeInfo, done func()) {
 	start := n.clk.Now()
 	n.Request(peer.Addr, pingApp, nil, 3*time.Second, func(_ []byte, err error) {
 		delete(n.probing, peer.ID)
+		n.epoch++
 		if err != nil {
 			n.rtts[peer.ID] = time.Hour // unreachable
 		} else {

@@ -129,3 +129,46 @@ func TestProbeRTTCachesAndMeasures(t *testing.T) {
 		t.Fatal("RTTOf returned a measurement for an unknown peer")
 	}
 }
+
+// learn is not idempotent: a contested slot whose probes finished in the
+// wrong order is only settled by a later learn of the candidate. Incumbent
+// Y holds the slot; candidates X1 and X2 contest it. X2's probe lands
+// before Y's, so its settle finds no RTT for Y and gives up, and the slot
+// keeps Y although X2 is closer. Learning X2 again must install it.
+func TestLearnSettlesContestAfterOutOfOrderProbes(t *testing.T) {
+	sim := netsim.New(1)
+	// One-way latencies from the owner (node 0): Y 50 ms, X1 100 ms, X2 5 ms.
+	oneWay := []time.Duration{0, 50 * time.Millisecond, 100 * time.Millisecond, 5 * time.Millisecond}
+	nw := netsim.NewNetwork(sim, netsim.Config{Latency: func(a, b netsim.NodeID) time.Duration {
+		return oneWay[a] + oneWay[b]
+	}})
+	mem := transport.NewMemNetwork(nw)
+	clk := clock.Sim{S: sim}
+	// Y, X1 and X2 differ from the owner in their first digit and share
+	// it, so they compete for the owner's slot (row 0, digit 8).
+	ids := []ID{{0x00, 1}, {0x80, 1}, {0x80, 2}, {0x80, 3}}
+	nodes := make([]*Node, len(ids))
+	for i, id := range ids {
+		nodes[i] = NewNode(id, mem.Endpoint(nw.AddNode(1e8, 1e8)), clk)
+	}
+	owner, y, x1, x2 := nodes[0], nodes[1], nodes[2], nodes[3]
+	owner.ProximityAware = true
+	slot := func() ID { return owner.rt.lookup(owner.rt.slotFor(y.ID())).ID }
+
+	owner.AddPeer(y.Info())  // an empty slot: Y takes it unprobed
+	owner.AddPeer(x1.Info()) // probes Y and X1
+	owner.AddPeer(x2.Info()) // Y's probe is in flight: probes X2 only
+	sim.Run()
+	for _, p := range []*Node{y, x1, x2} {
+		if _, ok := owner.RTTOf(p.ID()); !ok {
+			t.Fatalf("no RTT for %s after the probes", p.ID())
+		}
+	}
+	if slot() != y.ID() {
+		t.Fatalf("slot holds %s after the probes; want the incumbent Y (X2's settle ran before Y's RTT was known)", slot())
+	}
+	owner.AddPeer(x2.Info())
+	if slot() != x2.ID() {
+		t.Fatalf("slot holds %s after learning X2 again; want X2, the closest", slot())
+	}
+}

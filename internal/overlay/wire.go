@@ -48,8 +48,9 @@ func AppendNodeInfo(buf []byte, info NodeInfo) ([]byte, error) {
 func ParseNodeInfo(b []byte) (info NodeInfo, rest []byte, ok bool) { return parseNodeInfo(b, nil) }
 
 // parseNodeInfo is ParseNodeInfo on behalf of the receiving node n: a
-// reference to a node n holds comes back as n's own copy, so decoding it
-// allocates nothing. A nil n copies the names out of the frame.
+// reference to n itself or a peer n has learned comes back as n's own
+// copy, so decoding it allocates nothing. A nil n copies the names out of
+// the frame.
 func parseNodeInfo(b []byte, n *Node) (info NodeInfo, rest []byte, ok bool) {
 	if len(b) < 1 || len(b) < 1+int(b[0])+IDBytes+1 {
 		return NodeInfo{}, nil, false
@@ -63,8 +64,8 @@ func parseNodeInfo(b []byte, n *Node) (info NodeInfo, rest []byte, ok bool) {
 		return NodeInfo{}, nil, false
 	}
 	cluster := b[:cl]
-	if p := n.peer(info.ID); p != nil && string(p.Addr) == string(addr) && p.Cluster == string(cluster) {
-		return *p, b[cl:], true
+	if known, ok := n.known(info.ID, addr, cluster); ok {
+		return known, b[cl:], true
 	}
 	info.Addr = transport.Addr(addr)
 	info.Cluster = string(cluster)
@@ -83,8 +84,8 @@ func appendHeader(buf []byte, app string, src NodeInfo) ([]byte, error) {
 }
 
 // parseHeader decodes the shared header on behalf of the receiving node n
-// and returns what follows it. An app n registered and a sender n holds come
-// back as n's own strings, so the header of a message from a known peer to
+// and returns what follows it. An app n registered and a sender n has
+// learned come back as n's own strings, so the header of a message from a known peer to
 // a known app decodes without allocating. A nil n copies both out.
 func parseHeader(b []byte, n *Node) (app string, src NodeInfo, rest []byte, ok bool) {
 	if len(b) < 1 || len(b) < 1+int(b[0]) {

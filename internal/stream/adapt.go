@@ -207,7 +207,7 @@ func (e *Engine) checkAdaptation() {
 		}
 		var degraded []int
 		for l, ss := range st.graph.Request.Substreams {
-			sink := e.sinks[flowKey{reqID, l}]
+			sink := e.Sink(reqID, l)
 			if sink == nil {
 				continue
 			}
@@ -282,7 +282,7 @@ func (e *Engine) sampleAvailability() {
 		}
 		for l := range st.graph.Request.Substreams {
 			want += int64(wantSubs[l].Rate)
-			sink := e.sinks[flowKey{app, l}]
+			sink := e.Sink(app, l)
 			if sink == nil {
 				continue
 			}

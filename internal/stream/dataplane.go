@@ -99,10 +99,10 @@ func appendUnit(b []byte, m *dataMsg) []byte {
 	return b
 }
 
-// readUnit decodes one unit, returning the remaining buffer. A request ID
-// found in reqs comes back as reqs' own string, so a unit of a request live
-// on the receiving engine decodes without allocating.
-func readUnit(b []byte, m *dataMsg, reqs map[string]string) ([]byte, bool) {
+// readUnit decodes one unit, returning the remaining buffer. A unit of a
+// request found in reqs takes its ID from there, so it decodes without
+// allocating, and carries the request's state as m.local.
+func readUnit(b []byte, m *dataMsg, reqs map[string]*reqState) ([]byte, bool) {
 	if len(b) < 1 {
 		return nil, false
 	}
@@ -111,10 +111,10 @@ func readUnit(b []byte, m *dataMsg, reqs map[string]string) ([]byte, bool) {
 	if len(b) < rl+unitWireOverhead-1 {
 		return nil, false
 	}
-	if req, ok := reqs[string(b[:rl])]; ok {
-		m.Req = req
+	if r := reqs[string(b[:rl])]; r != nil {
+		m.Req, m.local = r.id, r
 	} else {
-		m.Req = string(b[:rl])
+		m.Req, m.local = string(b[:rl]), nil
 	}
 	b = b[rl:]
 	m.Substream = int(binary.BigEndian.Uint32(b))
@@ -138,7 +138,7 @@ func appendBatchUnits(b []byte, units []pendingUnit) []byte {
 // calls), interning request IDs against reqs (see readUnit; may be nil); it
 // returns nil on any framing error, bytes left over after the last unit
 // included.
-func decodeBatchUnits(b []byte, dst []dataMsg, reqs map[string]string) []dataMsg {
+func decodeBatchUnits(b []byte, dst []dataMsg, reqs map[string]*reqState) []dataMsg {
 	if len(b) < 2 {
 		return nil
 	}
@@ -281,9 +281,16 @@ func (e *Engine) queueLen() int {
 // Send path.
 
 // batchUnit appends one unit to the open batch for its destination and
-// flushes the batch when it is full; a batch of one is therefore sent
-// before batchUnit returns and never arms a flush timer.
+// flushes the batch when it is full. With BatchUnits ≤ 1 no batch is ever
+// left open, so the unit goes out at once as a batch of one, encoded on
+// the stack, without opening a batch object.
 func (e *Engine) batchUnit(to overlay.NodeInfo, pu pendingUnit) {
+	if e.cfg.DataPlane.BatchUnits <= 1 && len(e.batches) == 0 {
+		var buf [2 + unitWireOverhead + 64]byte // grows onto the heap only for a request ID over 64 bytes
+		units := [1]pendingUnit{pu}
+		e.sendUnits(to.Addr, units[:], pu.msg.Size, "full", buf[:0])
+		return
+	}
 	b := e.batches[to.Addr]
 	if b == nil {
 		b = e.openBatch(to)
@@ -316,8 +323,8 @@ func (e *Engine) openBatch(to overlay.NodeInfo) *unitBatch {
 	return b
 }
 
-// flushDest encodes and sends the open batch for addr, then settles every
-// unit's accounting according to the send outcome.
+// flushDest sends the open batch for addr and returns the batch object to
+// the spare list.
 func (e *Engine) flushDest(addr transport.Addr, cause string) {
 	b := e.batches[addr]
 	if b == nil {
@@ -328,29 +335,33 @@ func (e *Engine) flushDest(addr transport.Addr, cause string) {
 		b.cancel()
 	}
 	scratch := encodeScratch.Get().(*[]byte)
-	payload := appendBatchUnits((*scratch)[:0], b.units)
-	pad := b.simBytes - len(payload)
-	if pad < 0 {
-		pad = 0
-	}
-	err := e.node.DirectDataPadded(b.to.Addr, appDataBatch, payload, pad)
-	*scratch = payload[:0]
+	*scratch = e.sendUnits(b.to.Addr, b.units, b.simBytes, cause, (*scratch)[:0])
 	encodeScratch.Put(scratch)
+	clear(b.units) // a spare batch holds no request, flow or peer
+	b.units, b.simBytes, b.cancel, b.to = b.units[:0], 0, nil, overlay.NodeInfo{}
+	e.spareBatches = append(e.spareBatches, b)
+}
+
+// sendUnits encodes units into buf as one batch of simBytes simulated
+// bytes, sends it to addr, then settles every unit's accounting according
+// to the send outcome. It returns the encode buffer, emptied, for reuse.
+func (e *Engine) sendUnits(addr transport.Addr, units []pendingUnit, simBytes int, cause string, buf []byte) []byte {
+	payload := appendBatchUnits(buf, units)
+	pad := max(simBytes-len(payload), 0)
+	err := e.node.DirectDataPadded(addr, appDataBatch, payload, pad)
 	if err == nil {
 		// Charge the send meter only after the transport accepted the
 		// batch: units refused at the uplink never consumed send capacity,
 		// and counting them skewed OutBpsUsed upward exactly when the link
 		// was congested.
-		e.Monitor.ObserveSend(e.clk.Now(), b.simBytes)
+		e.Monitor.ObserveSend(e.clk.Now(), simBytes)
 		telBatchFlush(cause)
-		telBatchUnits.Observe(float64(len(b.units)))
+		telBatchUnits.Observe(float64(len(units)))
 	}
-	for i := range b.units {
-		e.settleUnit(&b.units[i], err)
+	for i := range units {
+		e.settleUnit(&units[i], err)
 	}
-	clear(b.units) // a spare batch holds no request, flow or peer
-	b.units, b.simBytes, b.cancel, b.to = b.units[:0], 0, nil, overlay.NodeInfo{}
-	e.spareBatches = append(e.spareBatches, b)
+	return payload[:0]
 }
 
 // flushAll flushes every open batch, oldest first (used when a request

@@ -35,7 +35,7 @@ func newEarlyRig(t *testing.T, cfg Config) *earlyRig {
 // sink installs, at engine 0, the sink of a one-service request.
 func (r *earlyRig) sink(req string) *Sink {
 	s := newSink(req, 0, 1, 100*time.Millisecond, 100*time.Millisecond, 0)
-	r.engines[0].sinks[flowKey{req, 0}] = s
+	r.engines[0].request(req).setSink(0, s)
 	return s
 }
 

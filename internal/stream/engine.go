@@ -58,6 +58,77 @@ func (c *Config) defaults() {
 	c.DataPlane.normalize()
 }
 
+// reqState is what an engine holds of one request. Arriving units take
+// their request ID from it instead of copying it off the wire, and
+// handleUnit finds their sink or component through it (readUnit attaches
+// it to the unit) instead of by a lookup keyed on that ID. A request's
+// state is never removed, like the sinks it holds.
+type reqState struct {
+	id string
+	// comps are the component instances hosted here.
+	comps []*component
+	// sinks are the request's sinks by substream when this engine is its
+	// origin. They outlive StopRequest so their statistics remain
+	// readable; a full recompose replaces them.
+	sinks []*Sink
+	// stopped is set while StopRequest has ended the request here and no
+	// instantiate or activation has revived it: a unit for it is stale,
+	// not early.
+	stopped bool
+}
+
+// request returns the state of req, creating it on first use.
+func (e *Engine) request(req string) *reqState {
+	r := e.reqs[req]
+	if r == nil {
+		r = &reqState{id: req}
+		e.reqs[req] = r
+	}
+	return r
+}
+
+// sink returns the sink of a substream, or nil; r may be nil.
+func (r *reqState) sink(substream int) *Sink {
+	if r == nil || substream < 0 || substream >= len(r.sinks) {
+		return nil
+	}
+	return r.sinks[substream]
+}
+
+// comp returns the component hosted for a substream stage, or nil; r may
+// be nil.
+func (r *reqState) comp(substream, stage int) *component {
+	if r == nil {
+		return nil
+	}
+	for _, c := range r.comps {
+		if c.msg.Substream == substream && c.msg.Stage == stage {
+			return c
+		}
+	}
+	return nil
+}
+
+// setComp installs a component, replacing any for the same substream
+// stage.
+func (r *reqState) setComp(c *component) {
+	for i, old := range r.comps {
+		if old.msg.Substream == c.msg.Substream && old.msg.Stage == c.msg.Stage {
+			r.comps[i] = c
+			return
+		}
+	}
+	r.comps = append(r.comps, c)
+}
+
+// setSink installs the sink of a substream, replacing any before it.
+func (r *reqState) setSink(substream int, s *Sink) {
+	for len(r.sinks) <= substream {
+		r.sinks = append(r.sinks, nil)
+	}
+	r.sinks[substream] = s
+}
+
 // component is a running instance of a service on this engine.
 type component struct {
 	key       string
@@ -104,22 +175,16 @@ type Engine struct {
 	batchSeq     uint64
 	flows        map[flowKey]*flowCounters
 
-	comps   map[compKey]*component
-	sinks   map[flowKey]*Sink
 	sources map[flowKey]*source
-	// reqs holds the ID of every request with a component, sink or source
-	// here that StopRequest has not ended, keyed by itself: arriving units
-	// take their request ID from it instead of copying it off the wire.
-	reqs map[string]string
+	// reqs holds, by ID, every request this engine has hosted a
+	// component, sink or source of, or stopped (see reqState).
+	reqs map[string]*reqState
 
 	// early holds, in arrival order, the units that reached this engine
 	// ahead of the instantiate message creating their component (sources
 	// start when that message is sent, and it may take a slower path than
 	// the first units); at most QueueCapacity of them, oldest out first.
-	// stopped names the requests StopRequest ended here and no instantiate
-	// has revived: a unit for one of those is stale, not early.
-	early   []dataMsg
-	stopped map[string]bool
+	early []dataMsg
 
 	// origins tracks applications submitted from this engine, for the
 	// adaptation plane.
@@ -203,11 +268,8 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[s
 		shards:         make([]*engineShard, cfg.DataPlane.Shards),
 		batches:        make(map[transport.Addr]*unitBatch),
 		flows:          make(map[flowKey]*flowCounters),
-		comps:          make(map[compKey]*component),
-		sinks:          make(map[flowKey]*Sink),
 		sources:        make(map[flowKey]*source),
-		reqs:           make(map[string]string),
-		stopped:        make(map[string]bool),
+		reqs:           make(map[string]*reqState),
 		origins:        make(map[string]*originState),
 		inflight:       make(map[string]*submission),
 		composeCapture: make(map[string]*core.ComposeStats),
@@ -241,7 +303,13 @@ func (e *Engine) Node() *overlay.Node { return e.node }
 func (e *Engine) Config() Config { return e.cfg }
 
 // Components returns the number of live component instances.
-func (e *Engine) Components() int { return len(e.comps) }
+func (e *Engine) Components() int {
+	n := 0
+	for _, r := range e.reqs {
+		n += len(r.comps)
+	}
+	return n
+}
 
 // HeldUnits returns the number of early units waiting for their component.
 func (e *Engine) HeldUnits() int { return len(e.early) }
@@ -318,7 +386,7 @@ func (e *Engine) SetStatsProvider(fn func(overlay.ID) (monitor.Report, bool)) {
 // nil. It is the accessor for delivery detail (delay, jitter, ordering,
 // timeliness, stalls); unit and byte counts are in Throughput.
 func (e *Engine) Sink(req string, substream int) *Sink {
-	return e.sinks[flowKey{req, substream}]
+	return e.reqs[req].sink(substream)
 }
 
 // onStats serves the monitoring report to composing nodes as a fixed-size
@@ -345,14 +413,14 @@ func (e *Engine) onInstantiate(_ overlay.NodeInfo, body []byte, respond func([]b
 		respond(nil, "stream: bad instantiate")
 		return
 	}
-	e.comps[compKey{m.Req, m.Substream, m.Stage}] = &component{
+	r := e.request(m.Req)
+	r.setComp(&component{
 		key:   componentKey(m.Req, m.Substream, m.Stage),
 		msg:   m,
 		split: newSplitter(m.Outs),
 		flow:  e.flowFor(m.Req, m.Substream),
-	}
-	e.reqs[m.Req] = m.Req
-	delete(e.stopped, m.Req)
+	})
+	r.stopped = false
 	e.replayEarly(m.Req, m.Substream, m.Stage)
 	respond([]byte("ok"), "")
 }
@@ -373,16 +441,12 @@ func (e *Engine) onTeardown(_ overlay.NodeInfo, body []byte, respond func([]byte
 // (and flow counters) are kept so their statistics remain readable.
 func (e *Engine) StopRequest(req string) {
 	e.StopSources(req)
-	for key, c := range e.comps {
-		if c.msg.Req == req {
-			delete(e.comps, key)
-		}
-	}
+	r := e.request(req)
+	r.comps = nil
 	for _, m := range e.takeEarly(func(m dataMsg) bool { return m.Req == req }) {
 		e.dropStale(m)
 	}
-	e.stopped[req] = true
-	delete(e.reqs, req)
+	r.stopped = true
 	e.Monitor.Forget(req + "/")
 	delete(e.origins, req)
 }
@@ -476,7 +540,11 @@ func (e *Engine) replayEarly(req string, substream, stage int) {
 // unit coming out of the early-unit buffer.
 func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 	now := e.clk.Now()
-	if s, ok := e.sinks[flowKey{m.Req, m.Substream}]; ok && m.Stage == s.Stages {
+	r := m.local
+	if r == nil {
+		r = e.reqs[m.Req] // decoded before the request was known here
+	}
+	if s := r.sink(m.Substream); s != nil && m.Stage == s.Stages {
 		e.Monitor.ObserveInbound(now, m.Size)
 		telDelivered.Inc()
 		telDeliveryDelay.ObserveDuration(now - m.Created)
@@ -484,11 +552,11 @@ func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 		s.observe(m, now)
 		return
 	}
-	c, ok := e.comps[compKey{m.Req, m.Substream, m.Stage}]
-	if !ok {
+	c := r.comp(m.Substream, m.Stage)
+	if c == nil {
 		// In flight when a teardown removed its component, or ahead of the
 		// instantiate message that will create it.
-		if e.stopped[m.Req] {
+		if r != nil && r.stopped {
 			e.dropStale(m)
 		} else {
 			e.holdEarly(m)

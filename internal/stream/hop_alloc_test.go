@@ -17,12 +17,13 @@ import (
 
 // unitHopAllocBudget is the most heap allocations one delivered unit may
 // cost on the simulator at steady state: source → a → b → sink is three
-// wire hops at four each (the frame, the mem transport's envelope, the
-// network's two delivery callbacks), two processing spans and one source
-// tick at two each (a simulator timer's cancel flag and function). The
-// engine and the overlay allocate nothing per unit. Half an allocation on
-// top absorbs the periodic non-unit work.
-const unitHopAllocBudget = 18
+// wire hops at none each (the frame is cut from the sender's frame chunk,
+// the mem transport's envelope and the network's flight are pooled), two
+// processing spans and one source tick at one each (a simulator timer's
+// cancel function). The engine and the overlay allocate nothing per unit.
+// Half an allocation on top absorbs the periodic non-unit work and the
+// frame chunks.
+const unitHopAllocBudget = 3
 
 // TestUnitHopAllocationBudget pins the data path's allocations per
 // delivered unit on a 3-node simulator streaming one substream.

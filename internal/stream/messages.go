@@ -167,18 +167,16 @@ type dataMsg struct {
 	Seq       int64
 	Created   time.Duration // source emission time (virtual clock)
 	Size      int
+	// local is Req's state on the engine that decoded the unit, when that
+	// engine knew the request then (readUnit); it is not on the wire.
+	local *reqState
 }
 
-// flowKey names a request substream and compKey a component instance: the
-// keys of the engine's tables, so a lookup builds no string.
+// flowKey names a request substream: the key of the engine's per-flow
+// tables, so a lookup builds no string.
 type flowKey struct {
 	req       string
 	substream int
-}
-
-type compKey struct {
-	req              string
-	substream, stage int
 }
 
 // componentKey names a component instance in the node monitor and in

@@ -341,8 +341,8 @@ func (e *Engine) instantiateMsgFor(g *core.ExecutionGraph, p core.Placement, byP
 func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec) {
 	// A recompose stopped the request here a moment ago; its new units are
 	// early at the origin's own components, not stale.
-	delete(e.stopped, g.Request.ID)
-	e.reqs[g.Request.ID] = g.Request.ID
+	r := e.request(g.Request.ID)
+	r.stopped = false
 	for l, ss := range g.Request.Substreams {
 		period := time.Duration(float64(time.Second) / float64(ss.Rate))
 		// A unit more than one period late is not timely.
@@ -350,7 +350,7 @@ func (e *Engine) activate(g *core.ExecutionGraph, sourceOuts map[int][]outSpec) 
 		if e.cfg.KeepDelaySamples {
 			sink.Delays = &metrics.Histogram{}
 		}
-		e.sinks[flowKey{g.Request.ID, l}] = sink
+		r.setSink(l, sink)
 		e.startSource(g.Request.ID, l, ss, g.Request.UnitBytes, sourceOuts[l])
 	}
 }

@@ -75,7 +75,7 @@ func (e *Engine) Throughput(req string, substream int) Throughput {
 		t.DroppedUnits = f.droppedUnits
 		t.DroppedBytes = f.droppedBytes
 	}
-	if s := e.sinks[flowKey{req, substream}]; s != nil {
+	if s := e.Sink(req, substream); s != nil {
 		t.DeliveredUnits = s.Received
 		t.DeliveredBytes = s.DeliveredBytes
 	}
@@ -85,7 +85,7 @@ func (e *Engine) Throughput(req string, substream int) Throughput {
 // Throughputs returns a snapshot for every substream this engine has
 // touched (source, component or sink), sorted by request then substream.
 func (e *Engine) Throughputs() []Throughput {
-	seen := make(map[flowKey]Throughput, len(e.flows)+len(e.sinks))
+	seen := make(map[flowKey]Throughput, len(e.flows))
 	add := func(req string, substream int) {
 		k := flowKey{req, substream}
 		if _, ok := seen[k]; !ok {
@@ -95,11 +95,15 @@ func (e *Engine) Throughputs() []Throughput {
 	for _, s := range e.sources {
 		add(s.req, s.substream)
 	}
-	for _, s := range e.sinks {
-		add(s.Req, s.Substream)
-	}
-	for _, c := range e.comps {
-		add(c.msg.Req, c.msg.Substream)
+	for _, r := range e.reqs {
+		for _, s := range r.sinks {
+			if s != nil {
+				add(s.Req, s.Substream)
+			}
+		}
+		for _, c := range r.comps {
+			add(c.msg.Req, c.msg.Substream)
+		}
 	}
 	out := make([]Throughput, 0, len(seen))
 	for _, t := range seen {

@@ -161,8 +161,8 @@ func FuzzParseInstantiate(f *testing.F) {
 		answers := 0
 		var refusal string
 		e.onInstantiate(stubPeer, body, func(_ []byte, errText string) { answers++; refusal = errText })
-		if answers != 1 || (refusal == "") != ok || len(e.comps) > 1 {
-			t.Fatalf("instantiate answered %d times with %q for a body with ok = %v; %d components", answers, refusal, ok, len(e.comps))
+		if answers != 1 || (refusal == "") != ok || e.Components() > 1 {
+			t.Fatalf("instantiate answered %d times with %q for a body with ok = %v; %d components", answers, refusal, ok, e.Components())
 		}
 		e.onTeardown(stubPeer, body, func([]byte, string) { answers++ })
 		if answers != 2 {
