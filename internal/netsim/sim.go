@@ -40,13 +40,13 @@ func earlier(x, y key) int {
 }
 
 // event is what a queued key does: run fn, or move the message fl one
-// step on (Network.step). seq repeats the key's, so a Timer's cancel
+// step on (Network.step); with neither it is a cancelled timer, which only
+// advances the clock. seq repeats the key's, so a Timer's cancel
 // recognises its own event and leaves a reused slot alone.
 type event struct {
-	fn        func()
-	fl        *flight
-	seq       uint64
-	cancelled bool
+	fn  func()
+	fl  *flight
+	seq uint64
 }
 
 // eventQueue is a 4-ary min-heap of keys over a slab of events. A popped
@@ -66,9 +66,15 @@ func (q *eventQueue) push(at time.Duration, ev event) uint32 {
 		q.slab[slot] = ev
 	} else {
 		slot = uint32(len(q.slab))
+		if len(q.slab) == cap(q.slab) {
+			q.slab = doubled(q.slab)
+		}
 		q.slab = append(q.slab, ev)
 	}
 	k := key{at: at, seq: ev.seq, slot: slot}
+	if len(q.heap) == cap(q.heap) {
+		q.heap = doubled(q.heap)
+	}
 	h := append(q.heap, k)
 	i := len(h) - 1
 	for i > 0 {
@@ -132,8 +138,21 @@ func (q *eventQueue) pop() (time.Duration, event) {
 	q.heap = h
 	ev := q.slab[top.slot]
 	q.slab[top.slot] = event{} // release the callback and the message
+	if len(q.free) == cap(q.free) {
+		q.free = doubled(q.free)
+	}
 	q.free = append(q.free, top.slot)
 	return top.at, ev
+}
+
+// doubled returns a copy of s with twice the capacity. The queue grows its
+// slices with it rather than append, which grows a long slice by only a
+// quarter: a queue that builds up hundreds of thousands of events would
+// copy itself dozens of times.
+func doubled[T any](s []T) []T {
+	g := make([]T, len(s), max(2*cap(s), 64))
+	copy(g, s)
+	return g
 }
 
 // len is the number of queued events, cancelled timers included.
@@ -197,7 +216,7 @@ func (s *Simulator) timer(t time.Duration, fn func()) (cancel func()) {
 	seq := s.seq
 	return func() {
 		if ev := &s.events.slab[slot]; ev.seq == seq {
-			ev.cancelled = true
+			ev.fn = nil
 		}
 	}
 }
@@ -220,7 +239,7 @@ func (s *Simulator) step() {
 	switch {
 	case ev.fl != nil:
 		ev.fl.net.step(ev.fl)
-	case !ev.cancelled:
+	case ev.fn != nil:
 		ev.fn()
 	}
 }
