@@ -66,15 +66,9 @@ func (q *eventQueue) push(at time.Duration, ev event) uint32 {
 		q.slab[slot] = ev
 	} else {
 		slot = uint32(len(q.slab))
-		if len(q.slab) == cap(q.slab) {
-			q.slab = doubled(q.slab)
-		}
 		q.slab = append(q.slab, ev)
 	}
 	k := key{at: at, seq: ev.seq, slot: slot}
-	if len(q.heap) == cap(q.heap) {
-		q.heap = doubled(q.heap)
-	}
 	h := append(q.heap, k)
 	i := len(h) - 1
 	for i > 0 {
@@ -138,21 +132,8 @@ func (q *eventQueue) pop() (time.Duration, event) {
 	q.heap = h
 	ev := q.slab[top.slot]
 	q.slab[top.slot] = event{} // release the callback and the message
-	if len(q.free) == cap(q.free) {
-		q.free = doubled(q.free)
-	}
 	q.free = append(q.free, top.slot)
 	return top.at, ev
-}
-
-// doubled returns a copy of s with twice the capacity. The queue grows its
-// slices with it rather than append, which grows a long slice by only a
-// quarter: a queue that builds up hundreds of thousands of events would
-// copy itself dozens of times.
-func doubled[T any](s []T) []T {
-	g := make([]T, len(s), max(2*cap(s), 64))
-	copy(g, s)
-	return g
 }
 
 // len is the number of queued events, cancelled timers included.

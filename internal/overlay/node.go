@@ -279,6 +279,7 @@ func (n *Node) AddPeer(info NodeInfo) { n.learn(info) }
 func (n *Node) RemovePeer(id ID) {
 	n.rt.remove(id)
 	n.leaf.remove(id)
+	delete(n.learned, id)
 	n.epoch++
 }
 

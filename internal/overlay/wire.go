@@ -85,8 +85,9 @@ func appendHeader(buf []byte, app string, src NodeInfo) ([]byte, error) {
 
 // parseHeader decodes the shared header on behalf of the receiving node n
 // and returns what follows it. An app n registered and a sender n has
-// learned come back as n's own strings, so the header of a message from a known peer to
-// a known app decodes without allocating. A nil n copies both out.
+// learned come back as n's own strings, so the header of a message from a
+// known peer to a known app decodes without allocating. A nil n copies both
+// out.
 func parseHeader(b []byte, n *Node) (app string, src NodeInfo, rest []byte, ok bool) {
 	if len(b) < 1 || len(b) < 1+int(b[0]) {
 		return "", NodeInfo{}, nil, false

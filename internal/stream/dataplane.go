@@ -281,11 +281,11 @@ func (e *Engine) queueLen() int {
 // Send path.
 
 // batchUnit appends one unit to the open batch for its destination and
-// flushes the batch when it is full. With BatchUnits ≤ 1 no batch is ever
-// left open, so the unit goes out at once as a batch of one, encoded on
-// the stack, without opening a batch object.
+// flushes the batch when it is full. With BatchUnits ≤ 1 every batch is
+// full at its first unit, so the unit goes out at once as a batch of one,
+// encoded on the stack, and no batch object is ever opened.
 func (e *Engine) batchUnit(to overlay.NodeInfo, pu pendingUnit) {
-	if e.cfg.DataPlane.BatchUnits <= 1 && len(e.batches) == 0 {
+	if e.cfg.DataPlane.BatchUnits <= 1 {
 		var buf [2 + unitWireOverhead + 64]byte // grows onto the heap only for a request ID over 64 bytes
 		units := [1]pendingUnit{pu}
 		e.sendUnits(to.Addr, units[:], pu.msg.Size, "full", buf[:0])
