@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -135,7 +134,7 @@ const worldNodes = 4
 
 // worldConfig draws a network small and slow enough that the programs below
 // congest it: downlink drops, uplink refusals and congestion jitter all
-// happen, and a few node pairs start partitioned.
+// happen.
 func worldConfig(seed int64) Config {
 	rng := rand.New(rand.NewSource(seed))
 	var lat [worldNodes][worldNodes]time.Duration
@@ -240,7 +239,7 @@ func randomProgram(w world, seed int64) *[]fired {
 			cancels = append(cancels, cancel)
 		}
 	}
-	w.partition(0, 1, true)
+	w.partition(0, 1, true) // some black-holes from the start
 	for i := 0; i < 1+rng.Intn(30); i++ {
 		schedule(0)
 	}
@@ -281,7 +280,7 @@ func TestEventQueueMatchesStableSort(t *testing.T) {
 	// little about it.
 	for _, k := range []byte("tdxu") {
 		if kinds[k] == 0 {
-			t.Fatalf("no program produced a %q step: %v", k, fmt.Sprint(kinds))
+			t.Fatalf("no program produced a %q step: %v", k, kinds)
 		}
 	}
 }
