@@ -278,8 +278,13 @@ func TestLearnKnownPeerDoesNotAllocate(t *testing.T) {
 			t.Errorf("learn of a %s peer allocates %v times, want 0", name, allocs)
 		}
 	}
-	if n.leaf.get(rejected.ID) != nil || n.rt.lookup(n.rt.slotFor(rejected.ID)).ID != before {
-		t.Fatal("the farther candidate displaced a member or the incumbent")
+	for _, m := range n.leaf.all() {
+		if m.ID == rejected.ID {
+			t.Fatal("the farther candidate displaced a leaf-set member")
+		}
+	}
+	if n.rt.lookup(n.rt.slotFor(rejected.ID)).ID != before {
+		t.Fatal("the farther candidate displaced the incumbent")
 	}
 	if len(n.probing) != 0 {
 		t.Fatalf("%d RTT probes started for peers whose RTTs were cached", len(n.probing))

@@ -246,18 +246,6 @@ func (l *leafSet) closest(key ID) (best NodeInfo, ok bool) {
 	return best, ok
 }
 
-// get returns the member with the given ID, or nil.
-func (l *leafSet) get(id ID) *NodeInfo {
-	for _, side := range [2][]NodeInfo{l.cw, l.ccw} {
-		for i := range side {
-			if side[i].ID == id {
-				return &side[i]
-			}
-		}
-	}
-	return nil
-}
-
 // all returns the members of both sides, deduplicated.
 func (l *leafSet) all() []NodeInfo {
 	seen := make(map[ID]bool, len(l.cw)+len(l.ccw))
