@@ -24,7 +24,6 @@ import (
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/sched"
 	"rasc.dev/rasc/internal/simnet"
-	"rasc.dev/rasc/internal/simplex"
 	"rasc.dev/rasc/internal/spec"
 )
 
@@ -203,22 +202,6 @@ func BenchmarkMultiResource(b *testing.B) {
 	b.ReportMetric(cpu, "delivered-cpu-aware")
 }
 
-// BenchmarkComposeLP compares the LP composer against the flow composer
-// on the same sweep (ratio-1 services: both must deliver the requirement;
-// LP additionally enforces exact per-node budgets).
-func BenchmarkComposeLP(b *testing.B) {
-	var last *experiment.Results
-	for i := 0; i < b.N; i++ {
-		last = benchSweep(b, int64(i+1), []string{"mincost", "lp"})
-	}
-	t, err := last.Figure(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(t.Get("mincost", 150), "flow@150k")
-	b.ReportMetric(t.Get("lp", 150), "lp@150k")
-}
-
 // --- Substrate micro-benchmarks ---
 
 func BenchmarkMinCostFlowSolve(b *testing.B) {
@@ -253,39 +236,9 @@ func BenchmarkMinCostFlowSolve(b *testing.B) {
 	}
 }
 
-func BenchmarkSimplexSolve(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := simplex.NewMinimize(make([]float64, 40))
-		row := make([]float64, 40)
-		for j := range row {
-			row[j] = 1
-		}
-		p.AddConstraint(row, simplex.EQ, 100)
-		for j := 0; j < 40; j++ {
-			r := make([]float64, 40)
-			r[j] = 1
-			p.AddConstraint(r, simplex.LE, float64(3+j%7))
-		}
-		if _, err := p.Solve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMinCostCompose(b *testing.B) {
 	in := benchComposeInput(16, 3, 20)
 	m := &core.MinCost{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Compose(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLPCompose(b *testing.B) {
-	in := benchComposeInput(8, 2, 10)
-	m := core.LP{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Compose(in); err != nil {

@@ -3,6 +3,8 @@ package rasc
 import (
 	"fmt"
 	"strings"
+
+	"rasc.dev/rasc/internal/core"
 )
 
 // Composer identifies a composition algorithm. Submit accepts the typed
@@ -12,8 +14,8 @@ type Composer string
 
 // The composition algorithms accepted by Submit. ComposerMinCost is the
 // paper's rate-splitting minimum-cost-flow composer; greedy and random are
-// its two baselines; the lp variants solve the allocation as a linear
-// program (required for catalogs with non-unit rate ratios).
+// its two baselines. Every one of them honours catalogs with non-unit rate
+// and byte ratios.
 const (
 	ComposerMinCost           Composer = "mincost"
 	ComposerMinCostNoSplit    Composer = "mincost-nosplit"
@@ -21,8 +23,6 @@ const (
 	ComposerMinCostBestEffort Composer = "mincost-besteffort"
 	ComposerGreedy            Composer = "greedy"
 	ComposerRandom            Composer = "random"
-	ComposerLP                Composer = "lp"
-	ComposerLPCPU             Composer = "lp-cpu"
 )
 
 // String returns the composer's wire name — the same string ParseComposer
@@ -31,11 +31,12 @@ func (c Composer) String() string { return string(c) }
 
 // Composers lists every composer Submit accepts, in documentation order.
 func Composers() []Composer {
-	return []Composer{
-		ComposerMinCost, ComposerMinCostNoSplit, ComposerMinCostCPU,
-		ComposerMinCostBestEffort, ComposerGreedy, ComposerRandom,
-		ComposerLP, ComposerLPCPU,
+	names := core.Names()
+	out := make([]Composer, len(names))
+	for i, n := range names {
+		out[i] = Composer(n)
 	}
+	return out
 }
 
 // ParseComposer maps a composer name, as given on a command line or in a

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rasc.dev/rasc/internal/overlay"
+	"rasc.dev/rasc/internal/spec"
 )
 
 // Random is the paper's first baseline: each service of each substream is
@@ -56,8 +57,9 @@ func (Greedy) Compose(in Input) (*ExecutionGraph, error) {
 }
 
 // composeSingleInstance implements the shared skeleton of both baselines:
-// one component per service, full rate, bandwidth-capacity checked, host
-// capacities decremented as components are placed.
+// one component per service at the substream's full rate, scaled per stage
+// and capacity-checked as MinCost charges it, host capacities decremented
+// as components are placed.
 func composeSingleInstance(in Input, name string, pick func(stage int, service string, feasible []Candidate) Candidate) (*ExecutionGraph, error) {
 	if err := in.Request.Validate(); err != nil {
 		return nil, err
@@ -76,12 +78,15 @@ func composeSingleInstance(in Input, name string, pick func(stage int, service s
 			caps.seed(c.Info.ID, maxRateUnits(c.Report, in))
 		}
 	}
+	var st []spec.Stage
 	for l, ss := range in.Request.Substreams {
-		rate := ss.Rate
-		if caps.get(in.Source.ID) < rate {
+		rate := int64(ss.Rate)
+		q := len(ss.Services)
+		st = spec.Chain(st[:0], in.Catalog, ss.Services, in.Request.UnitBytes)
+		if caps.units(in.Source.ID, st[0].In) < rate {
 			return nil, fmt.Errorf("%w: source uplink exhausted", ErrNoFeasiblePlacement)
 		}
-		if caps.get(in.Dest.ID) < rate {
+		if caps.units(in.Dest.ID, st[q-1].Out) < rate {
 			return nil, fmt.Errorf("%w: destination downlink exhausted", ErrNoFeasiblePlacement)
 		}
 		prev := in.Source
@@ -96,7 +101,7 @@ func composeSingleInstance(in Input, name string, pick func(stage int, service s
 			})
 			var feasible []Candidate
 			for _, c := range ordered {
-				if caps.get(c.Info.ID) >= rate {
+				if caps.units(c.Info.ID, st[j].Charge()) >= rate {
 					feasible = append(feasible, c)
 				}
 			}
@@ -106,22 +111,22 @@ func composeSingleInstance(in Input, name string, pick func(stage int, service s
 			}
 			chosen := pick(j, svc, feasible)
 			g.Placements = append(g.Placements, Placement{
-				Substream: l, Stage: j, Service: svc, Host: chosen.Info, Rate: float64(rate),
+				Substream: l, Stage: j, Service: svc, Host: chosen.Info, Rate: float64(rate) * st[j].Scale,
 			})
 			g.Edges = append(g.Edges, Edge{
 				Substream: l, FromStage: prevStage, ToStage: j,
-				From: prev, To: chosen.Info, Rate: float64(rate),
+				From: prev, To: chosen.Info, Rate: float64(rate) * st[j].Scale,
 			})
-			caps.consume(chosen.Info.ID, rate)
+			caps.consume(chosen.Info.ID, float64(rate), st[j].Charge())
 			prev = chosen.Info
 			prevStage = j
 		}
 		g.Edges = append(g.Edges, Edge{
-			Substream: l, FromStage: prevStage, ToStage: len(ss.Services),
+			Substream: l, FromStage: prevStage, ToStage: q,
 			From: prev, To: in.Dest, Rate: float64(rate),
 		})
-		caps.consume(in.Source.ID, rate)
-		caps.consume(in.Dest.ID, rate)
+		caps.consume(in.Source.ID, float64(rate), st[0].In)
+		caps.consume(in.Dest.ID, float64(rate), st[q-1].Out)
 	}
 	if in.Stats != nil {
 		in.Stats.Feasible = true

@@ -423,7 +423,7 @@ func TestMinCostPropertyRandomInstances(t *testing.T) {
 		// Within one substream the flow reduction bounds each
 		// (stage, host) component by the host capacity — the paper's
 		// approximation of eq. 3 (the exact per-node constraint is
-		// only enforced by the LP composer).
+		// only enforced by the LP oracle).
 		for _, p := range g.Placements {
 			if p.Rate > float64(capacity[p.Host.ID])+1e-9 {
 				t.Fatalf("trial %d: component overcommitted %g > %d", trial, p.Rate, capacity[p.Host.ID])

@@ -21,9 +21,9 @@ type DeltaComposer interface {
 // flow, pre-seeded as zero-cost residual capacity.
 type deltaCtx struct {
 	degraded map[overlay.ID]bool
-	// residual[stage] maps host ID to the prior flow units the host's
+	// residual[stage] maps host ID to the prior input rate the host's
 	// component instance at that stage still carries.
-	residual []map[overlay.ID]int64
+	residual []map[overlay.ID]float64
 	// endpointResidual is the substream's prior rate: the source is
 	// already transmitting it and the destination already receiving it,
 	// so it is credited back on top of the measured availability.
@@ -99,7 +99,7 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 	}
 	for l := range in.Request.Substreams {
 		if affectedSet != nil && !affectedSet[l] {
-			m.copySubstream(in, g, caps, prev, l)
+			m.copySubstream(in, g, caps, sc, prev, l)
 			if in.Stats != nil {
 				in.Stats.Copied++
 			}
@@ -120,25 +120,27 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 }
 
 // copySubstream carries an unaffected substream's placements and edges
-// over verbatim, deducting their capacity so the re-solved substreams
-// cannot double-book the same hosts.
-func (m *MinCost) copySubstream(in Input, g *ExecutionGraph, caps *capTracker, prev *ExecutionGraph, l int) {
-	rate := in.Request.Substreams[l].Rate
+// over verbatim, deducting their capacity as composeSubstream charges it
+// so the re-solved substreams cannot double-book the same hosts.
+func (m *MinCost) copySubstream(in Input, g *ExecutionGraph, caps *capTracker, sc *composeScratch, prev *ExecutionGraph, l int) {
+	ss := in.Request.Substreams[l]
+	sc.chain = spec.Chain(sc.chain[:0], in.Catalog, ss.Services, in.Request.UnitBytes)
+	st := sc.chain
 	for _, p := range prev.Placements {
 		if p.Substream != l {
 			continue
 		}
 		g.Placements = append(g.Placements, p)
-		caps.consume(p.Host.ID, int(p.Rate))
-		caps.consumeCPU(p.Host.ID, int(p.Rate), procFor(in, p.Service))
+		caps.consume(p.Host.ID, p.Rate/st[p.Stage].Scale, st[p.Stage].Charge())
+		caps.consumeCPU(p.Host.ID, p.Rate, procFor(in, p.Service))
 	}
 	for _, e := range prev.Edges {
 		if e.Substream == l {
 			g.Edges = append(g.Edges, e)
 		}
 	}
-	caps.consume(in.Source.ID, rate)
-	caps.consume(in.Dest.ID, rate)
+	caps.consume(in.Source.ID, float64(ss.Rate), st[0].In)
+	caps.consume(in.Dest.ID, float64(ss.Rate), st[len(st)-1].Out)
 }
 
 // deltaFor builds the residual context for re-solving substream l against
@@ -150,15 +152,15 @@ func deltaFor(prev *ExecutionGraph, degraded map[overlay.ID]bool, l int) *deltaC
 		return dc
 	}
 	q := len(prev.Request.Substreams[l].Services)
-	dc.residual = make([]map[overlay.ID]int64, q)
+	dc.residual = make([]map[overlay.ID]float64, q)
 	for _, p := range prev.Placements {
 		if p.Substream != l || p.Stage < 0 || p.Stage >= q || degraded[p.Host.ID] {
 			continue
 		}
 		if dc.residual[p.Stage] == nil {
-			dc.residual[p.Stage] = make(map[overlay.ID]int64)
+			dc.residual[p.Stage] = make(map[overlay.ID]float64)
 		}
-		dc.residual[p.Stage][p.Host.ID] += int64(p.Rate)
+		dc.residual[p.Stage][p.Host.ID] += p.Rate
 	}
 	dc.endpointResidual = int64(prev.Request.Substreams[l].Rate)
 	return dc

@@ -6,14 +6,16 @@ import (
 
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/simplex"
+	"rasc.dev/rasc/internal/spec"
 )
 
-// LP is the generalized composer the paper sketches for rate ratios ≠ 1
-// ("a linear programming method can be used to solve equations 1-4"). It
-// solves each substream as a linear program whose variables are the
-// per-component input rates and the per-edge flows, with exact per-node
-// bandwidth constraints (equation 3) — unlike the flow reduction, which
-// bounds each (stage, host) component separately.
+// LP is the test oracle for the composers: the linear program the paper
+// sketches for rate ratios ≠ 1 ("a linear programming method can be used
+// to solve equations 1-4"). It solves each substream as a linear program
+// whose variables are the per-component input rates and the per-edge
+// flows, with exact per-node bandwidth constraints (equation 3) — unlike
+// the flow reduction, which bounds each (stage, host) component
+// separately. Only tests build it.
 type LP struct {
 	// UseCPU adds exact per-host CPU rows to the program (the
 	// multi-resource extension): for every host, the summed CPU demand
@@ -81,27 +83,6 @@ func (lp LP) Compose(in Input) (*ExecutionGraph, error) {
 	return g, nil
 }
 
-// ratioFor returns the rate ratio R for a service (1 when unspecified).
-func ratioFor(in Input, svc string) float64 {
-	if in.Catalog != nil {
-		if def, ok := in.Catalog[svc]; ok && def.RateRatio > 0 {
-			return def.RateRatio
-		}
-	}
-	return 1
-}
-
-// bytesRatioFor returns the unit-size ratio for a service (1 when
-// unspecified).
-func bytesRatioFor(in Input, svc string) float64 {
-	if in.Catalog != nil {
-		if def, ok := in.Catalog[svc]; ok && def.BytesRatio > 0 {
-			return def.BytesRatio
-		}
-	}
-	return 1
-}
-
 func composeSubstreamLP(in Input, g *ExecutionGraph, budgets map[overlay.ID]*hostBudget, l int) error {
 	chain := stageServices(in.Request, l)
 	q := len(chain)
@@ -115,18 +96,13 @@ func composeSubstreamLP(in Input, g *ExecutionGraph, budgets map[overlay.ID]*hos
 			return fmt.Errorf("%w: no hosts offer %q", ErrNoFeasiblePlacement, svc)
 		}
 	}
-	// Unit sizes (bits) entering and leaving each stage.
+	// Rate ratios and the unit sizes (bits) entering and leaving each
+	// stage.
 	inBits := make([]float64, q)
 	outBits := make([]float64, q)
-	bits := unitBits(in.Request)
-	for j := 0; j < q; j++ {
-		inBits[j] = bits
-		bits *= bytesRatioFor(in, chain[j])
-		outBits[j] = bits
-	}
 	ratios := make([]float64, q)
-	for j := 0; j < q; j++ {
-		ratios[j] = ratioFor(in, chain[j])
+	for j, st := range spec.Chain(nil, in.Catalog, chain, in.Request.UnitBytes) {
+		inBits[j], outBits[j], ratios[j] = 8*st.InBytes, 8*st.OutBytes, st.Ratio
 	}
 
 	// Variable layout: x[j][k] input rates, then y[j][k][k'] inter-stage

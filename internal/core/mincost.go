@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"rasc.dev/rasc/internal/mincostflow"
 	"rasc.dev/rasc/internal/overlay"
+	"rasc.dev/rasc/internal/spec"
 )
 
 // costScale converts a drop ratio in [0,1] into an integer per-unit arc
@@ -29,6 +31,12 @@ const utilTieScale = 1_000
 // across several instances on different nodes ("rate splitting").
 // Capacities are decremented between substreams (Algorithm 1's update
 // step).
+//
+// The flow counts delivered units. Layer j runs at s_j times the flow
+// (spec.Stage.Scale), so its arcs' capacities are divided by the stage's
+// charge and their costs multiplied by s_j, and placements and edges are
+// read back at real rates: the reduction stays exact for rate and byte
+// ratios ≠ 1.
 type MinCost struct {
 	// NoSplit restricts every stage to a single component instance (an
 	// ablation knob: RASC without rate splitting). Implemented by
@@ -83,6 +91,7 @@ type composeScratch struct {
 	solver mincostflow.Solver
 	stages [][]comp
 	edges  []edgeRef
+	chain  []spec.Stage
 }
 
 var composeScratchPool = sync.Pool{New: func() interface{} {
@@ -134,6 +143,8 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 	chain := stageServices(in.Request, l)
 	rate := in.Request.Substreams[l].Rate
 	q := len(chain)
+	sc.chain = spec.Chain(sc.chain[:0], in.Catalog, chain, in.Request.UnitBytes)
+	st := sc.chain
 
 	// Gather candidates per stage; a host may appear at several stages.
 	stages := sc.stagesFor(q)
@@ -171,7 +182,7 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 	// substream is already flowing, so its prior rate — invisible in the
 	// endpoints' measured availability — is credited back as residual
 	// capacity.
-	srcCap, dstCap := int64(caps.get(in.Source.ID)), int64(caps.get(in.Dest.ID))
+	srcCap, dstCap := caps.units(in.Source.ID, st[0].In), caps.units(in.Dest.ID, st[q-1].Out)
 	if dc != nil {
 		srcCap += dc.endpointResidual
 		dstCap += dc.endpointResidual
@@ -184,14 +195,15 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 			c := &stages[j][k]
 			c.inNode = fg.AddNode()
 			c.outNode = fg.AddNode()
-			capUnits := int64(caps.capacityFor(c.host.ID, proc))
+			capUnits := caps.capacityFor(c.host.ID, proc, st[j])
 			cost := int64(c.drop*costScale) + int64(c.util*utilTieScale)
+			cost = int64(math.Round(float64(cost) * st[j].Scale))
 			c.internal = fg.AddArc(c.inNode, c.outNode, capUnits, cost)
 			if dc != nil && j < len(dc.residual) {
 				// Surviving prior placement: its current flow rides a
 				// zero-cost parallel arc, so keeping it costs nothing and
 				// the solver only re-routes the degraded share.
-				if r := dc.residual[j][c.host.ID]; r > 0 {
+				if r := int64(math.Round(dc.residual[j][c.host.ID] / st[j].Scale)); r > 0 {
 					c.residual = fg.AddArc(c.inNode, c.outNode, r, 0)
 					c.hasResidual = true
 				}
@@ -280,9 +292,10 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 		g.Request.Substreams[l].Rate = rate
 	}
 
-	// Read back placements and edges; update capacities. Residual flow is
-	// capacity the instance already holds, so only the newly routed share
-	// is deducted from the measured availability budget.
+	// Read back placements and edges at real rates (a layer runs at s_j
+	// times the flow); update capacities. Residual flow is capacity the
+	// instance already holds, so only the newly routed share is deducted
+	// from the measured availability budget.
 	for j := range stages {
 		proc := procFor(in, chain[j])
 		for k := range stages[j] {
@@ -297,10 +310,10 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 			}
 			g.Placements = append(g.Placements, Placement{
 				Substream: l, Stage: j, Service: chain[j],
-				Host: c.host, Rate: float64(f),
+				Host: c.host, Rate: float64(f) * st[j].Scale,
 			})
-			caps.consume(c.host.ID, int(fresh))
-			caps.consumeCPU(c.host.ID, int(fresh), proc)
+			caps.consume(c.host.ID, float64(fresh), st[j].Charge())
+			caps.consumeCPU(c.host.ID, float64(fresh)*st[j].Scale, proc)
 		}
 	}
 	for _, e := range edges {
@@ -308,12 +321,16 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 		if f <= 0 {
 			continue
 		}
+		scale := 1.0 // the sink's
+		if e.toStage < q {
+			scale = st[e.toStage].Scale
+		}
 		g.Edges = append(g.Edges, Edge{
 			Substream: l, FromStage: e.fromStage, ToStage: e.toStage,
-			From: e.from, To: e.to, Rate: float64(f),
+			From: e.from, To: e.to, Rate: float64(f) * scale,
 		})
 	}
-	caps.consume(in.Source.ID, rate)
-	caps.consume(in.Dest.ID, rate)
+	caps.consume(in.Source.ID, float64(rate), st[0].In)
+	caps.consume(in.Dest.ID, float64(rate), st[q-1].Out)
 	return nil
 }

@@ -7,14 +7,18 @@
 //
 // Three composers are provided: MinCost (RASC's algorithm: a reduction to
 // minimum-cost flow that can split a service across several component
-// instances), and the paper's two baselines, Random and Greedy.
-// A fourth, LP, generalizes MinCost to rate ratios ≠ 1 via linear
-// programming, the extension §3.5 sketches.
+// instances), and the paper's two baselines, Random and Greedy. All three
+// honour rate ratios ≠ 1 (the extension §3.5 sketches) through one
+// arithmetic, spec.Chain: a substream's rate is what it delivers at the
+// sink, and within a substream every instance of stage j runs at the same
+// multiple s_j of it, so the flow reduction stays exact once each layer is
+// rescaled.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -39,7 +43,8 @@ type Input struct {
 	SourceReport, DestReport monitor.Report
 	// Candidates lists the hosts offering each service.
 	Candidates map[string][]Candidate
-	// Catalog supplies service definitions (rate ratios for LP).
+	// Catalog supplies service definitions (per-unit costs, rate and
+	// byte ratios).
 	Catalog map[string]spec.ServiceDef
 	// Rand drives randomized composers; deterministic under a fixed
 	// seed.
@@ -111,29 +116,37 @@ type Composer interface {
 // cannot be met with the available capacity.
 var ErrNoFeasiblePlacement = errors.New("core: no feasible placement")
 
-// ByName builds a composer from its report name: "mincost",
-// "mincost-nosplit", "mincost-cpu", "greedy", "random", "lp" or "lp-cpu".
-func ByName(name string) (Composer, error) {
-	switch name {
-	case "mincost":
-		return &MinCost{}, nil
-	case "mincost-nosplit":
-		return &MinCost{NoSplit: true}, nil
-	case "mincost-cpu":
-		return &MinCost{UseCPU: true}, nil
-	case "mincost-besteffort":
-		return &MinCost{BestEffortFraction: 0.5}, nil
-	case "greedy":
-		return Greedy{}, nil
-	case "random":
-		return Random{}, nil
-	case "lp":
-		return LP{}, nil
-	case "lp-cpu":
-		return LP{UseCPU: true}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown composer %q", name)
+// composers is the one table of composer names: ByName builds from it,
+// and the facade's list of accepted names is Names().
+var composers = []struct {
+	name  string
+	build func() Composer
+}{
+	{"mincost", func() Composer { return &MinCost{} }},
+	{"mincost-nosplit", func() Composer { return &MinCost{NoSplit: true} }},
+	{"mincost-cpu", func() Composer { return &MinCost{UseCPU: true} }},
+	{"mincost-besteffort", func() Composer { return &MinCost{BestEffortFraction: 0.5} }},
+	{"greedy", func() Composer { return Greedy{} }},
+	{"random", func() Composer { return Random{} }},
+}
+
+// Names lists the composers ByName builds, in documentation order.
+func Names() []string {
+	names := make([]string, len(composers))
+	for i, c := range composers {
+		names[i] = c.name
 	}
+	return names
+}
+
+// ByName builds a composer from its report name, one of Names().
+func ByName(name string) (Composer, error) {
+	for _, c := range composers {
+		if c.name == name {
+			return c.build(), nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown composer %q", name)
 }
 
 // unitBits returns the bits per data unit for the request.
@@ -193,44 +206,52 @@ func (c *capTracker) seedCPU(id overlay.ID, speed, availFrac float64) {
 	c.cpuFrac[id] = availFrac
 }
 
-func (c *capTracker) get(id overlay.ID) int { return c.remaining[id] }
+// units returns how many delivered units/sec the host's remaining
+// bandwidth carries for a stage charging charge request units per
+// delivered unit.
+func (c *capTracker) units(id overlay.ID, charge float64) int64 {
+	return int64(float64(c.remaining[id])/charge + chargeEpsilon)
+}
 
-// capacityFor returns the host's remaining capacity in units/sec for a
-// component with the given per-unit reference processing cost: the
-// minimum of the bandwidth budget and (when CPU is tracked) the CPU
-// budget.
-func (c *capTracker) capacityFor(id overlay.ID, procPerUnit time.Duration) int {
-	units := c.remaining[id]
+// capacityFor returns the host's capacity in delivered units/sec for
+// stage st of a service with the given per-unit reference processing
+// cost: the minimum of the bandwidth budget and (when CPU is tracked) the
+// CPU budget, which the stage spends at its input rate.
+func (c *capTracker) capacityFor(id overlay.ID, procPerUnit time.Duration, st spec.Stage) int64 {
+	units := c.units(id, st.Charge())
 	speed, ok := c.speed[id]
 	if !ok || procPerUnit <= 0 {
 		return units
 	}
-	cpuUnits := int(c.cpuFrac[id] * speed * float64(time.Second) / float64(procPerUnit))
-	if cpuUnits < units {
-		return cpuUnits
-	}
-	return units
+	cpuUnits := int64(c.cpuFrac[id] * speed * float64(time.Second) / (float64(procPerUnit) * st.Scale))
+	return min(units, cpuUnits)
 }
 
-func (c *capTracker) consume(id overlay.ID, units int) {
-	c.remaining[id] -= units
+// consume charges the host for f delivered units/sec at charge request
+// units each.
+func (c *capTracker) consume(id overlay.ID, f, charge float64) {
+	c.remaining[id] -= int(math.Ceil(f*charge - chargeEpsilon))
 	if c.remaining[id] < 0 {
 		c.remaining[id] = 0
 	}
 }
 
 // consumeCPU deducts the CPU fraction a component consumes at the given
-// rate.
-func (c *capTracker) consumeCPU(id overlay.ID, units int, procPerUnit time.Duration) {
+// input rate.
+func (c *capTracker) consumeCPU(id overlay.ID, rate float64, procPerUnit time.Duration) {
 	speed, ok := c.speed[id]
 	if !ok || procPerUnit <= 0 {
 		return
 	}
-	c.cpuFrac[id] -= float64(units) * float64(procPerUnit) / (speed * float64(time.Second))
+	c.cpuFrac[id] -= rate * float64(procPerUnit) / (speed * float64(time.Second))
 	if c.cpuFrac[id] < 0 {
 		c.cpuFrac[id] = 0
 	}
 }
+
+// chargeEpsilon absorbs float rounding when a ratio's scale turns a whole
+// number of units into a product a hair off it.
+const chargeEpsilon = 1e-9
 
 // Stages returns the service chain of substream l.
 func stageServices(req spec.Request, l int) []string { return req.Substreams[l].Services }
@@ -251,8 +272,10 @@ func procFor(in Input, svc string) time.Duration {
 // between adjacent stages. A nil catalog assumes every rate ratio is 1.
 func CheckGraph(g *ExecutionGraph, catalog map[string]spec.ServiceDef) error {
 	const tol = 1e-6
+	var stages []spec.Stage
 	for l, ss := range g.Request.Substreams {
 		q := len(ss.Services)
+		stages = spec.Chain(stages[:0], catalog, ss.Services, g.Request.UnitBytes)
 		inflow := make(map[int]map[overlay.ID]float64)  // stage -> host -> in
 		outflow := make(map[int]map[overlay.ID]float64) // stage -> host -> out
 		add := func(m map[int]map[overlay.ID]float64, stage int, id overlay.ID, v float64) {
@@ -297,10 +320,8 @@ func CheckGraph(g *ExecutionGraph, catalog map[string]spec.ServiceDef) error {
 					l, p.Stage, p.Host.ID, in, p.Rate)
 			}
 			ratio := 1.0
-			if catalog != nil {
-				if def, ok := catalog[p.Service]; ok && def.RateRatio > 0 {
-					ratio = def.RateRatio
-				}
+			if p.Stage >= 0 && p.Stage < q {
+				ratio = stages[p.Stage].Ratio
 			}
 			out := outflow[p.Stage][p.Host.ID]
 			if diff := out - p.Rate*ratio; diff > tol || diff < -tol {

@@ -16,7 +16,7 @@ type Catalog map[string]spec.ServiceDef
 
 // Standard returns the ten unit-ratio services used in the paper-style
 // experiments (10 unique services, §4.1). All have RateRatio and
-// BytesRatio 1 so the min-cost flow reduction applies exactly.
+// BytesRatio 1, so every stage runs at the substream's rate.
 func Standard() Catalog {
 	defs := []spec.ServiceDef{
 		{Name: "filter", ProcPerUnit: 800 * time.Microsecond, RateRatio: 1, BytesRatio: 1},
@@ -37,8 +37,9 @@ func Standard() Catalog {
 	return c
 }
 
-// Extended returns Standard plus services with non-unit ratios that
-// exercise the LP composer (the paper's future-work case).
+// Extended returns Standard plus services with non-unit rate and byte
+// ratios (the paper's future-work case), which every composer honours
+// through spec.Chain.
 func Extended() Catalog {
 	c := Standard()
 	for _, d := range []spec.ServiceDef{

@@ -202,3 +202,22 @@ func TestAgainstBruteForce2D(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkSimplexSolve(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		p := NewMinimize(make([]float64, 40))
+		row := make([]float64, 40)
+		for j := range row {
+			row[j] = 1
+		}
+		p.AddConstraint(row, EQ, 100)
+		for j := 0; j < 40; j++ {
+			r := make([]float64, 40)
+			r[j] = 1
+			p.AddConstraint(r, LE, float64(3+j%7))
+		}
+		if _, err := p.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

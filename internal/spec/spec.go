@@ -6,6 +6,7 @@ package spec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -17,12 +18,92 @@ type ServiceDef struct {
 	// ProcPerUnit is the CPU time to process one data unit on a
 	// reference node (t_ci at speed factor 1).
 	ProcPerUnit time.Duration `json:"procPerUnit"`
-	// RateRatio is R_ci = r_out/r_in. The min-cost composer requires 1;
-	// the LP composer accepts any positive value.
+	// RateRatio is R_ci = r_out/r_in, in (0, MaxRateRatio]. 0 means
+	// unset and reads as 1. Every composer honours it through Chain.
 	RateRatio float64 `json:"rateRatio"`
 	// BytesRatio scales the output data unit size relative to the input
-	// (e.g. 0.5 for a transcoder halving the bit rate).
+	// (e.g. 0.5 for a transcoder halving the bit rate). 0 means unset and
+	// reads as 1.
 	BytesRatio float64 `json:"bytesRatio"`
+}
+
+// MaxRateRatio bounds a service's RateRatio: a component emits at most
+// this many output units per input unit. The origin refuses a catalogue
+// entry above it, and a host refuses an instantiate that carries one.
+const MaxRateRatio = 1024
+
+// ValidRateRatio reports whether a component may run with rate ratio r:
+// finite, positive and at most MaxRateRatio.
+func ValidRateRatio(r float64) bool { return r > 0 && r <= MaxRateRatio }
+
+// ErrInvalidService reports a service definition whose ratios a component
+// cannot run with. Match it with errors.Is.
+var ErrInvalidService = errors.New("spec: invalid service definition")
+
+// Validate checks a service definition's ratios: each is unset (0) or
+// finite and positive, and RateRatio is at most MaxRateRatio.
+func (d ServiceDef) Validate() error {
+	if d.RateRatio != 0 && !ValidRateRatio(d.RateRatio) {
+		return fmt.Errorf("%w: %s rate ratio %g outside (0, %d]", ErrInvalidService, d.Name, d.RateRatio, MaxRateRatio)
+	}
+	if d.BytesRatio != 0 && !(d.BytesRatio > 0 && d.BytesRatio <= math.MaxFloat64) {
+		return fmt.Errorf("%w: %s bytes ratio %g is not finite and positive", ErrInvalidService, d.Name, d.BytesRatio)
+	}
+	return nil
+}
+
+// Stage is one stage of a substream's chain under a catalogue: the one
+// rate and size arithmetic that the composers, CheckGraph and the data
+// plane share. Rates are per unit delivered at the sink, which is what
+// Substream.Rate counts.
+type Stage struct {
+	// Ratio is the service's R = r_out/r_in.
+	Ratio float64
+	// Scale is the stage's input rate per delivered unit,
+	// s_j = 1/∏_{i≥j} R_i: a substream delivering r units/s feeds
+	// stage j at r·Scale.
+	Scale float64
+	// InBytes and OutBytes are the stage's input and output unit sizes.
+	InBytes, OutBytes float64
+	// In and Out are the bandwidth the stage receives and sends per
+	// delivered unit, counted in units of the request's own size.
+	In, Out float64
+}
+
+// Charge is the stage's share of a host's min(in, out) budget per
+// delivered unit: the larger of what it receives and what it sends.
+func (s Stage) Charge() float64 { return max(s.In, s.Out) }
+
+// Chain appends to dst the stages of a chain of services for a request
+// whose units are unitBytes long. A service the catalogue lacks, or whose
+// ratios are unset, has ratio 1 and keeps the unit size.
+func Chain(dst []Stage, catalog map[string]ServiceDef, services []string, unitBytes int) []Stage {
+	first := len(dst)
+	size := float64(unitBytes)
+	for _, svc := range services {
+		def := catalog[svc]
+		st := Stage{Ratio: 1, InBytes: size}
+		if def.RateRatio > 0 {
+			st.Ratio = def.RateRatio
+		}
+		if def.BytesRatio > 0 {
+			size *= def.BytesRatio
+		}
+		st.OutBytes = size
+		dst = append(dst, st)
+	}
+	stages := dst[first:]
+	unit := float64(unitBytes)
+	prod, next := 1.0, 1.0 // ∏_{i>j} R_i and s_{j+1}; the sink's scale is 1
+	for j := len(stages) - 1; j >= 0; j-- {
+		st := &stages[j]
+		prod *= st.Ratio
+		st.Scale = 1 / prod
+		st.In = st.Scale * st.InBytes / unit
+		st.Out = next * st.OutBytes / unit
+		next = st.Scale
+	}
+	return dst
 }
 
 // Priority is an application's tenancy class. It decides the weight the

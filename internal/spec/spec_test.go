@@ -2,6 +2,8 @@ package spec
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -76,5 +78,58 @@ func TestBitsPerSecond(t *testing.T) {
 	// 1250 bytes = 10000 bits; 5 units/sec = 50 kbit/s.
 	if got := r.BitsPerSecond(5); got != 50000 {
 		t.Fatalf("BitsPerSecond = %g", got)
+	}
+}
+
+func TestServiceDefValidate(t *testing.T) {
+	for _, d := range []ServiceDef{
+		{Name: "unset"},
+		{Name: "unit", RateRatio: 1, BytesRatio: 1},
+		{Name: "bound", RateRatio: MaxRateRatio, BytesRatio: 0.001},
+	} {
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: %v", d.Name, err)
+		}
+	}
+	for _, d := range []ServiceDef{
+		{Name: "infinite", RateRatio: math.Inf(1)},
+		{Name: "NaN", RateRatio: math.NaN()},
+		{Name: "negative", RateRatio: -1},
+		{Name: "above bound", RateRatio: 2 * MaxRateRatio},
+		{Name: "infinite bytes", RateRatio: 1, BytesRatio: math.Inf(1)},
+		{Name: "negative bytes", RateRatio: 1, BytesRatio: -0.5},
+	} {
+		if err := d.Validate(); !errors.Is(err, ErrInvalidService) {
+			t.Errorf("%s: err = %v, want ErrInvalidService", d.Name, err)
+		}
+	}
+}
+
+// TestChainScalesEachStage works a downsample → upsample → shrink → plain
+// chain by hand: delivering one unit takes 1/(0.5·2·1·1) = 1 unit into
+// stage 0, which emits 0.5 into stage 1, which doubles it back to 1 for
+// stages 2 and 3; shrink halves the unit size for everything after it.
+// Alone in front of a plain stage, downsample takes two units in per unit
+// delivered, so it charges 2.
+func TestChainScalesEachStage(t *testing.T) {
+	catalog := map[string]ServiceDef{
+		"down":   {RateRatio: 0.5, BytesRatio: 1},
+		"up":     {RateRatio: 2},
+		"shrink": {RateRatio: 1, BytesRatio: 0.5},
+	}
+	prefix := []Stage{{Ratio: 7}}
+	got := Chain(prefix, catalog, []string{"down", "up", "shrink", "plain"}, 1000)
+	want := []Stage{
+		{Ratio: 7},
+		{Ratio: 0.5, Scale: 1, InBytes: 1000, OutBytes: 1000, In: 1, Out: 0.5},
+		{Ratio: 2, Scale: 0.5, InBytes: 1000, OutBytes: 1000, In: 0.5, Out: 1},
+		{Ratio: 1, Scale: 1, InBytes: 1000, OutBytes: 500, In: 1, Out: 0.5},
+		{Ratio: 1, Scale: 1, InBytes: 500, OutBytes: 500, In: 0.5, Out: 0.5},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Chain:\n got %+v\nwant %+v", got, want)
+	}
+	if c := Chain(nil, catalog, []string{"down", "plain"}, 1000)[0].Charge(); c != 2 {
+		t.Fatalf("downsample charge = %g, want 2", c)
 	}
 }

@@ -681,13 +681,10 @@ const creditEpsilon = 1e-9
 
 // forward produces the component's output units and batches them for their
 // downstream hosts according to the composed rate split. The rate ratio
-// accumulates as a credit so non-unit ratios emit the right long-run rate.
+// (positive and bounded: parseInstantiate checked it) accumulates as a
+// credit so non-unit ratios emit the right long-run rate.
 func (e *Engine) forward(c *component, in dataMsg) {
-	ratio := c.msg.RateRatio
-	if ratio <= 0 {
-		ratio = 1
-	}
-	c.outCredit += ratio
+	c.outCredit += c.msg.RateRatio
 	for c.outCredit >= 1-creditEpsilon {
 		c.outCredit--
 		out := c.split.next()

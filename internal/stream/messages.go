@@ -114,8 +114,11 @@ func appendInstantiate(b []byte, m instantiateMsg) ([]byte, error) {
 }
 
 // parseInstantiate decodes an instantiate body. It rejects length prefixes
-// that run past the end and trailing bytes, and checks the out count
-// against the bytes that remain before allocating for it.
+// that run past the end and trailing bytes, checks the out count against
+// the bytes that remain before allocating for it, and rejects rates a
+// component cannot run with: a rate or rate ratio that is not finite and
+// positive, a ratio above spec.MaxRateRatio, or an out rate that is not
+// finite and non-negative.
 func parseInstantiate(b []byte) (m instantiateMsg, ok bool) {
 	if m.Req, b, ok = readString(b); !ok || len(b) < 8 {
 		return instantiateMsg{}, false
@@ -130,6 +133,9 @@ func parseInstantiate(b []byte) (m instantiateMsg, ok bool) {
 	m.ProcHint = time.Duration(binary.BigEndian.Uint64(b[12:]))
 	m.RateRatio = math.Float64frombits(binary.BigEndian.Uint64(b[20:]))
 	m.BytesOut = int(binary.BigEndian.Uint32(b[28:]))
+	if !(m.Rate > 0 && m.Rate <= math.MaxFloat64) || !spec.ValidRateRatio(m.RateRatio) {
+		return instantiateMsg{}, false
+	}
 	count := binary.BigEndian.Uint32(b[32:])
 	b = b[36:]
 	if uint64(count)*outWireOverhead > uint64(len(b)) {
@@ -145,6 +151,9 @@ func parseInstantiate(b []byte) (m instantiateMsg, ok bool) {
 		}
 		o.ToStage = int(binary.BigEndian.Uint32(b))
 		o.Rate = math.Float64frombits(binary.BigEndian.Uint64(b[4:]))
+		if !(o.Rate >= 0 && o.Rate <= math.MaxFloat64) {
+			return instantiateMsg{}, false
+		}
 		b = b[12:]
 	}
 	return m, len(b) == 0

@@ -7,10 +7,11 @@ import (
 	"rasc.dev/rasc/internal/trace"
 )
 
-// source emits a substream's data units at the requested rate, spreading
-// them across the stage-0 component instances according to the composed
-// split. A bursty source varies unit sizes (VBR) while keeping the unit
-// rate constant.
+// source emits a substream's data units at the graph's stage-0 inflow (the
+// delivered rate Substream.Rate times the stage's scale, spec.Stage),
+// spreading them across the stage-0 component instances according to the
+// composed split. A bursty source varies unit sizes (VBR) while keeping
+// the unit rate constant.
 type source struct {
 	req        string
 	substream  int
@@ -65,7 +66,7 @@ func (e *Engine) startSource(req string, substream int, ss spec.Substream, unitB
 		flow:       e.flowFor(req, substream),
 	}
 	e.sources[flowKey{req, substream}] = s
-	period := time.Duration(float64(time.Second) / float64(ss.Rate))
+	period := time.Duration(float64(time.Second) / s.split.total)
 	tickEvery := max(period, e.cfg.DataPlane.FlushInterval, e.clk.Resolution())
 	key := "source:" + req + "/" + itoa(substream)
 	emit := func() {

@@ -40,6 +40,12 @@ func (e *Engine) Submit(req spec.Request, composer core.Composer, timeout time.D
 		cb(nil, err)
 		return
 	}
+	for _, svc := range req.Services() {
+		if err := e.Catalog[svc].Validate(); err != nil {
+			cb(nil, err)
+			return
+		}
+	}
 	if e.Dir == nil {
 		cb(nil, ErrNoDirectory)
 		return
@@ -233,22 +239,6 @@ func (e *Engine) compose(in core.Input, desired spec.Request, composer core.Comp
 	e.instantiate(g, desired, timeout, sub, cb)
 }
 
-// stageUnitBytes computes the input unit size at every stage of a
-// substream, applying the services' byte ratios.
-func (e *Engine) stageUnitBytes(req spec.Request, substream int) []int {
-	chain := req.Substreams[substream].Services
-	sizes := make([]int, len(chain)+1)
-	size := float64(req.UnitBytes)
-	for j, svc := range chain {
-		sizes[j] = int(size)
-		if def, ok := e.Catalog[svc]; ok && def.BytesRatio > 0 {
-			size *= def.BytesRatio
-		}
-	}
-	sizes[len(chain)] = int(size)
-	return sizes
-}
-
 // instantiate ships every placement to its host and, in the same instant,
 // creates the request's sinks and starts its sources: the first units
 // travel while the acks do, and a host they reach ahead of its instantiate
@@ -315,22 +305,17 @@ func (e *Engine) requestInstantiate(g *core.ExecutionGraph, p core.Placement, by
 // instantiateMsgFor builds the instantiation message for one placement of
 // an execution graph.
 func (e *Engine) instantiateMsgFor(g *core.ExecutionGraph, p core.Placement, byPlacement map[string][]outSpec) instantiateMsg {
-	sizes := e.stageUnitBytes(g.Request, p.Substream)
-	def := e.Catalog[p.Service]
-	ratio := def.RateRatio
-	if ratio <= 0 {
-		ratio = 1
-	}
+	st := spec.Chain(nil, e.Catalog, g.Request.Substreams[p.Substream].Services, g.Request.UnitBytes)[p.Stage]
 	return instantiateMsg{
 		Req:       g.Request.ID,
 		Substream: p.Substream,
 		Stage:     p.Stage,
 		Service:   p.Service,
 		Rate:      p.Rate,
-		UnitBytes: sizes[p.Stage],
-		ProcHint:  def.ProcPerUnit,
-		RateRatio: ratio,
-		BytesOut:  sizes[p.Stage+1],
+		UnitBytes: int(st.InBytes),
+		ProcHint:  e.Catalog[p.Service].ProcPerUnit,
+		RateRatio: st.Ratio,
+		BytesOut:  int(st.OutBytes),
 		Outs:      byPlacement[componentKey(g.Request.ID, p.Substream, p.Stage)+"@"+p.Host.ID.String()],
 	}
 }

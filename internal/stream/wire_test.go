@@ -60,10 +60,10 @@ func TestInstantiateRoundTripsEveryField(t *testing.T) {
 	long := strings.Repeat("n", 256)
 	edge := overlay.NodeInfo{ID: overlay.HashID("edge"), Addr: transport.Addr(long[:255]), Cluster: long[:255]}
 	for name, m := range map[string]instantiateMsg{
-		"full":      fullInstantiate(),
-		"zero":      {},
-		"no outs":   {Req: "r", Service: "filter", Rate: 10, RateRatio: 1},
-		"255 bytes": {Req: long[:255], Service: long[:255], Outs: []outSpec{{To: edge}}},
+		"full":       fullInstantiate(),
+		"least rate": {Rate: math.SmallestNonzeroFloat64, RateRatio: spec.MaxRateRatio},
+		"no outs":    {Req: "r", Service: "filter", Rate: 10, RateRatio: 1},
+		"255 bytes":  {Req: long[:255], Service: long[:255], Rate: 1, RateRatio: 1, Outs: []outSpec{{To: edge}}},
 	} {
 		b, err := appendInstantiate(nil, m)
 		if err != nil {
@@ -102,10 +102,44 @@ func TestInstantiateRoundTripsEveryField(t *testing.T) {
 	}
 }
 
+// A host refuses an instantiate whose rates a component cannot run with.
+// An infinite rate ratio with one positive out would otherwise hang the
+// shard in forward's credit loop on the first unit, since Inf-1 is Inf.
+func TestInstantiateWithUnrunnableRatesIsRefused(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for name, mutate := range map[string]func(*instantiateMsg){
+		"infinite ratio":    func(m *instantiateMsg) { m.RateRatio = inf },
+		"ratio above bound": func(m *instantiateMsg) { m.RateRatio = 2 * spec.MaxRateRatio },
+		"NaN ratio":         func(m *instantiateMsg) { m.RateRatio = nan },
+		"zero ratio":        func(m *instantiateMsg) { m.RateRatio = 0 },
+		"negative ratio":    func(m *instantiateMsg) { m.RateRatio = -1 },
+		"infinite rate":     func(m *instantiateMsg) { m.Rate = inf },
+		"NaN rate":          func(m *instantiateMsg) { m.Rate = nan },
+		"zero rate":         func(m *instantiateMsg) { m.Rate = 0 },
+		"negative out":      func(m *instantiateMsg) { m.Outs[1].Rate = -1 },
+		"infinite out":      func(m *instantiateMsg) { m.Outs[0].Rate = inf },
+		"NaN out":           func(m *instantiateMsg) { m.Outs[0].Rate = nan },
+	} {
+		m := fullInstantiate()
+		m.Outs = m.Outs[:1:1]
+		m.Outs = append(m.Outs, outSpec{To: m.Outs[0].To, ToStage: 3, Rate: 0})
+		mutate(&m)
+		e := newStubEngine(&testClock{}, &stubEndpoint{addr: "stub"}, DataPlaneConfig{})
+		var refusal string
+		e.onInstantiate(stubPeer, instantiateBytes(m), func(_ []byte, errText string) { refusal = errText })
+		if refusal != "stream: bad instantiate" || e.Components() != 0 {
+			t.Fatalf("%s: answered %q with %d components", name, refusal, e.Components())
+		}
+	}
+	if _, ok := parseInstantiate(instantiateBytes(fullInstantiate())); !ok {
+		t.Fatal("the well-formed body was refused")
+	}
+}
+
 // An out count is checked against the bytes that remain before anything is
 // allocated for it.
 func TestParseInstantiateBoundsOutCount(t *testing.T) {
-	b := instantiateBytes(instantiateMsg{Req: "r", Service: "filter"})
+	b := instantiateBytes(instantiateMsg{Req: "r", Service: "filter", Rate: 1, RateRatio: 1})
 	binary.BigEndian.PutUint32(b[len(b)-4:], 0xffffffff)
 	b = append(b, make([]byte, 40)...)
 	if _, ok := parseInstantiate(b); ok {
@@ -151,6 +185,9 @@ func FuzzParseInstantiate(f *testing.F) {
 	f.Add([]byte(`{"req":"app-7","service":"filter","rate":10}`)) // the parent's wire: rejected now
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m, ok := parseInstantiate(body)
+		if ok && !spec.ValidRateRatio(m.RateRatio) {
+			t.Fatalf("accepted rate ratio %g outside (0, %d]", m.RateRatio, spec.MaxRateRatio)
+		}
 		if ok {
 			back, err := appendInstantiate(nil, m)
 			if err != nil || !bytes.Equal(back, body) {

@@ -74,8 +74,8 @@ type Catalog = services.Catalog
 // experiments.
 func StandardCatalog() Catalog { return services.Standard() }
 
-// ExtendedCatalog adds services with non-unit rate ratios for the LP
-// composer.
+// ExtendedCatalog adds services with non-unit rate and byte ratios
+// (downsample, upsample, shrink); every composer accepts them.
 func ExtendedCatalog() Catalog { return services.Extended() }
 
 // Options is the configuration of a simulated RASC deployment that the

@@ -50,7 +50,7 @@ func TestSubmitAndStream(t *testing.T) {
 }
 
 func TestSubmitAllComposers(t *testing.T) {
-	for _, composer := range []Composer{ComposerMinCost, ComposerMinCostNoSplit, ComposerGreedy, ComposerRandom, ComposerLP} {
+	for _, composer := range Composers() {
 		sys := New(WithNodes(12), WithSeed(3))
 		req := Request{
 			ID:         "t-" + composer.String(),
