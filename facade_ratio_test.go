@@ -14,12 +14,15 @@ import (
 // the rate delivered at the sink whatever the chain's rate ratios: a
 // downsample (R = 0.5) or upsample (R = 2) stage makes the source emit
 // twice or half the requested rate, and the sink still receives 10
-// units/s, on every composer that places whole chains.
+// units/s, on every composer that places whole chains. Stats counts the
+// emissions in sink units, so the delivered fraction reads 1 too.
 func TestRatioChainsDeliverTheRequestedRate(t *testing.T) {
 	const (
 		rate   = 10
 		window = 20 * time.Second
 		slack  = 0.3 // units/s
+		// fracSlack covers the units still in flight when Stats reads.
+		fracSlack = 0.03
 	)
 	for _, composer := range []Composer{ComposerMinCost, ComposerGreedy, ComposerRandom} {
 		for _, chain := range [][]string{
@@ -44,6 +47,9 @@ func TestRatioChainsDeliverTheRequestedRate(t *testing.T) {
 				got := float64(comp.Stats().Received-before) / window.Seconds()
 				if got < rate-slack || got > rate+slack {
 					t.Fatalf("delivered %.2f units/s, want %d ± %.1f", got, rate, slack)
+				}
+				if f := comp.Stats().DeliveredFraction(); math.Abs(f-1) > fracSlack {
+					t.Fatalf("delivered fraction %.3f, want 1 ± %.2f", f, fracSlack)
 				}
 			})
 		}

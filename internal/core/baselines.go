@@ -70,23 +70,17 @@ func composeSingleInstance(in Input, name string, pick func(stage int, service s
 		Source:   in.Source,
 		Dest:     in.Dest,
 	}
-	caps := newCapTracker()
-	caps.seed(in.Source.ID, int(in.SourceReport.AvailOut()*in.headroom()/unitBits(in.Request)))
-	caps.seed(in.Dest.ID, int(in.DestReport.AvailIn()*in.headroom()/unitBits(in.Request)))
-	for _, cands := range in.Candidates {
-		for _, c := range cands {
-			caps.seed(c.Info.ID, maxRateUnits(c.Report, in))
-		}
-	}
+	var caps capTracker
+	caps.seedInput(in, false)
 	var st []spec.Stage
 	for l, ss := range in.Request.Substreams {
 		rate := int64(ss.Rate)
 		q := len(ss.Services)
 		st = spec.Chain(st[:0], in.Catalog, ss.Services, in.Request.UnitBytes)
-		if caps.units(in.Source.ID, st[0].In) < rate {
+		if caps.units(caps.src, st[0].In) < rate {
 			return nil, fmt.Errorf("%w: source uplink exhausted", ErrNoFeasiblePlacement)
 		}
-		if caps.units(in.Dest.ID, st[q-1].Out) < rate {
+		if caps.units(caps.dst, st[q-1].Out) < rate {
 			return nil, fmt.Errorf("%w: destination downlink exhausted", ErrNoFeasiblePlacement)
 		}
 		prev := in.Source
@@ -101,7 +95,7 @@ func composeSingleInstance(in Input, name string, pick func(stage int, service s
 			})
 			var feasible []Candidate
 			for _, c := range ordered {
-				if caps.units(c.Info.ID, st[j].Charge()) >= rate {
+				if s, _ := caps.slot(c.Info.ID); caps.units(s, st[j].Charge()) >= rate {
 					feasible = append(feasible, c)
 				}
 			}
@@ -117,7 +111,8 @@ func composeSingleInstance(in Input, name string, pick func(stage int, service s
 				Substream: l, FromStage: prevStage, ToStage: j,
 				From: prev, To: chosen.Info, Rate: float64(rate) * st[j].Scale,
 			})
-			caps.consume(chosen.Info.ID, float64(rate), st[j].Charge())
+			s, _ := caps.slot(chosen.Info.ID)
+			caps.consume(s, float64(rate), st[j].Charge())
 			prev = chosen.Info
 			prevStage = j
 		}
@@ -125,8 +120,8 @@ func composeSingleInstance(in Input, name string, pick func(stage int, service s
 			Substream: l, FromStage: prevStage, ToStage: q,
 			From: prev, To: in.Dest, Rate: float64(rate),
 		})
-		caps.consume(in.Source.ID, float64(rate), st[0].In)
-		caps.consume(in.Dest.ID, float64(rate), st[q-1].Out)
+		caps.consume(caps.src, float64(rate), st[0].In)
+		caps.consume(caps.dst, float64(rate), st[q-1].Out)
 	}
 	if in.Stats != nil {
 		in.Stats.Feasible = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rasc.dev/rasc/internal/overlay"
@@ -52,8 +53,8 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 	if err := in.Request.Validate(); err != nil {
 		return nil, err
 	}
-	sc := composeScratchPool.Get().(*composeScratch)
-	defer composeScratchPool.Put(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	if sc.solver.Reused() {
 		telSolverReuse.Inc()
 	}
@@ -66,28 +67,8 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 	// Best-effort admission may lower substream rates in the returned
 	// graph; copy the slice so the caller's request stays untouched.
 	g.Request.Substreams = append([]spec.Substream(nil), in.Request.Substreams...)
-	// Pre-size the output: at least one placement per stage and one edge
-	// per stage boundary; rate splitting can append beyond the hint.
-	total := 0
-	for _, ss := range in.Request.Substreams {
-		total += len(ss.Services)
-	}
-	g.Placements = make([]Placement, 0, total)
-	g.Edges = make([]Edge, 0, total+2*len(in.Request.Substreams))
-	caps := newCapTracker()
-	// Seed endpoint capacities. The source only transmits; the
-	// destination only receives — but we apply the paper's r_max(n)
-	// uniformly.
-	caps.seed(in.Source.ID, int(in.SourceReport.AvailOut()*in.headroom()/unitBits(in.Request)))
-	caps.seed(in.Dest.ID, int(in.DestReport.AvailIn()*in.headroom()/unitBits(in.Request)))
-	for _, cands := range in.Candidates {
-		for _, c := range cands {
-			caps.seed(c.Info.ID, maxRateUnits(c.Report, in))
-			if m.UseCPU {
-				caps.seedCPU(c.Info.ID, c.Report.SpeedFactor, c.Report.AvailCPU()*in.headroom())
-			}
-		}
-	}
+	sc.caps.seedInput(in, m.UseCPU)
+	sc.placements, sc.edges = sc.placements[:0], sc.edges[:0]
 	// Without a prev there is nothing to copy, so affected only matters
 	// alongside one; a plain compose builds no set and no delta context.
 	var affectedSet map[int]bool
@@ -99,7 +80,7 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 	}
 	for l := range in.Request.Substreams {
 		if affectedSet != nil && !affectedSet[l] {
-			m.copySubstream(in, g, caps, sc, prev, l)
+			m.copySubstream(in, sc, prev, l)
 			if in.Stats != nil {
 				in.Stats.Copied++
 			}
@@ -109,10 +90,12 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 		if prev != nil || len(degraded) > 0 {
 			dc = deltaFor(prev, degraded, l)
 		}
-		if err := m.composeSubstream(in, g, caps, sc, l, dc); err != nil {
+		if err := m.composeSubstream(in, g, sc, l, dc); err != nil {
 			return nil, fmt.Errorf("substream %d: %w", l, err)
 		}
 	}
+	// The output is the one allocation per slice the composition makes.
+	g.Placements, g.Edges = slices.Clone(sc.placements), slices.Clone(sc.edges)
 	if in.Stats != nil {
 		in.Stats.Feasible = true
 	}
@@ -121,8 +104,10 @@ func (m *MinCost) ComposeDelta(in Input, prev *ExecutionGraph, degraded map[over
 
 // copySubstream carries an unaffected substream's placements and edges
 // over verbatim, deducting their capacity as composeSubstream charges it
-// so the re-solved substreams cannot double-book the same hosts.
-func (m *MinCost) copySubstream(in Input, g *ExecutionGraph, caps *capTracker, sc *composeScratch, prev *ExecutionGraph, l int) {
+// so the re-solved substreams cannot double-book the same hosts. A prior
+// host that is no longer a candidate has no capacity left to deduct.
+func (m *MinCost) copySubstream(in Input, sc *composeScratch, prev *ExecutionGraph, l int) {
+	caps := &sc.caps
 	ss := in.Request.Substreams[l]
 	sc.chain = spec.Chain(sc.chain[:0], in.Catalog, ss.Services, in.Request.UnitBytes)
 	st := sc.chain
@@ -130,17 +115,19 @@ func (m *MinCost) copySubstream(in Input, g *ExecutionGraph, caps *capTracker, s
 		if p.Substream != l {
 			continue
 		}
-		g.Placements = append(g.Placements, p)
-		caps.consume(p.Host.ID, p.Rate/st[p.Stage].Scale, st[p.Stage].Charge())
-		caps.consumeCPU(p.Host.ID, p.Rate, procFor(in, p.Service))
+		sc.placements = append(sc.placements, p)
+		if s, ok := caps.slot(p.Host.ID); ok {
+			caps.consume(s, p.Rate/st[p.Stage].Scale, st[p.Stage].Charge())
+			caps.consumeCPU(s, p.Rate, procFor(in, p.Service))
+		}
 	}
 	for _, e := range prev.Edges {
 		if e.Substream == l {
-			g.Edges = append(g.Edges, e)
+			sc.edges = append(sc.edges, e)
 		}
 	}
-	caps.consume(in.Source.ID, float64(ss.Rate), st[0].In)
-	caps.consume(in.Dest.ID, float64(ss.Rate), st[len(st)-1].Out)
+	caps.consume(caps.src, float64(ss.Rate), st[0].In)
+	caps.consume(caps.dst, float64(ss.Rate), st[len(st)-1].Out)
 }
 
 // deltaFor builds the residual context for re-solving substream l against

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"rasc.dev/rasc/internal/mincostflow"
 	"rasc.dev/rasc/internal/overlay"
@@ -61,6 +62,7 @@ type MinCost struct {
 // comp is one candidate component instance in a substream's flow graph.
 type comp struct {
 	host     overlay.NodeInfo
+	slot     int // the host's capTracker slot
 	drop     float64
 	util     float64
 	inNode   int
@@ -71,32 +73,53 @@ type comp struct {
 	// hasResidual gates it because the zero ArcID is a valid arc.
 	residual    mincostflow.ArcID
 	hasResidual bool
+	// flow is the instance's solved flow, both arcs together.
+	flow int64
 }
 
-// edgeRef remembers an inter-stage arc so its flow can be read back.
-type edgeRef struct {
-	fromStage int
-	toStage   int
-	from, to  overlay.NodeInfo
-	id        mincostflow.ArcID
-}
-
-// composeScratch carries the per-substream working state of one
-// composition — the flow graph arena, the solver scratch and the
-// stage/edge buffers — and is recycled across compositions through a pool,
-// so the composition hot path stops allocating a fresh graph and solver
-// per substream.
+// composeScratch carries the working state of one composition — the flow
+// graph arena, the solver scratch, the capacity tracker, the stage and
+// arc buffers and the placements and edges read back so far — and is
+// recycled across compositions through a pool, so the composition hot
+// path allocates only the graph it returns.
 type composeScratch struct {
 	graph  *mincostflow.Graph
 	solver mincostflow.Solver
+	caps   capTracker
 	stages [][]comp
-	edges  []edgeRef
-	chain  []spec.Stage
+	// arcs holds a substream's inter-stage arcs in the order the build
+	// loops add them (source → stage 0, stage j → j+1 by candidate
+	// pairs, last stage → destination); the read-back walks the same
+	// loops, so an arc's endpoints are its loop position.
+	arcs       []mincostflow.ArcID
+	chain      []spec.Stage
+	placements []Placement
+	edges      []Edge
 }
 
 var composeScratchPool = sync.Pool{New: func() interface{} {
 	return &composeScratch{graph: mincostflow.NewGraph(0)}
 }}
+
+// warmScratch holds one scratch outside the pool. A pool hands out a cold
+// scratch, whose graph arena must grow again, whenever the calling
+// goroutine has moved to another P or two garbage collections have
+// passed; a sequential caller that composes again takes this one instead.
+var warmScratch atomic.Pointer[composeScratch]
+
+// getScratch returns a scratch for one composition; putScratch returns it.
+func getScratch() *composeScratch {
+	if sc := warmScratch.Swap(nil); sc != nil {
+		return sc
+	}
+	return composeScratchPool.Get().(*composeScratch)
+}
+
+func putScratch(sc *composeScratch) {
+	if !warmScratch.CompareAndSwap(nil, sc) {
+		composeScratchPool.Put(sc)
+	}
+}
 
 // stagesFor returns the stage buffer resized to q empty stages, reusing
 // the per-stage slices' backing arrays.
@@ -135,11 +158,13 @@ func (m *MinCost) Compose(in Input) (*ExecutionGraph, error) {
 }
 
 // composeSubstream reduces substream l to a min-cost flow instance and
-// reads the placements and edges back from the arc flows. dc is nil for a
-// full composition; an incremental re-composition (ComposeDelta) passes
-// the surviving prior flow, which is pre-seeded as zero-cost residual
-// arcs, and the degraded hosts, which are excluded from candidacy.
-func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker, sc *composeScratch, l int, dc *deltaCtx) error {
+// reads the placements and edges back from the arc flows into the
+// scratch. dc is nil for a full composition; an incremental
+// re-composition (ComposeDelta) passes the surviving prior flow, which is
+// pre-seeded as zero-cost residual arcs, and the degraded hosts, which
+// are excluded from candidacy.
+func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, sc *composeScratch, l int, dc *deltaCtx) error {
+	caps := &sc.caps
 	chain := stageServices(in.Request, l)
 	rate := in.Request.Substreams[l].Rate
 	q := len(chain)
@@ -153,11 +178,13 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 		if len(cands) == 0 {
 			return fmt.Errorf("%w: no hosts offer %q", ErrNoFeasiblePlacement, svc)
 		}
-		for _, c := range cands {
+		for i := range cands {
+			c := &cands[i]
 			if dc != nil && dc.degraded[c.Info.ID] {
 				continue
 			}
-			stages[j] = append(stages[j], comp{host: c.Info, drop: c.Report.DropRatio, util: c.Report.Utilization()})
+			slot, _ := caps.slot(c.Info.ID) // every candidate is seeded
+			stages[j] = append(stages[j], comp{host: c.Info, slot: slot, drop: c.Report.DropRatio, util: c.Report.Utilization()})
 		}
 		if len(stages[j]) == 0 {
 			return fmt.Errorf("%w: every host offering %q is degraded", ErrNoFeasiblePlacement, svc)
@@ -182,7 +209,7 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 	// substream is already flowing, so its prior rate — invisible in the
 	// endpoints' measured availability — is credited back as residual
 	// capacity.
-	srcCap, dstCap := caps.units(in.Source.ID, st[0].In), caps.units(in.Dest.ID, st[q-1].Out)
+	srcCap, dstCap := caps.units(caps.src, st[0].In), caps.units(caps.dst, st[q-1].Out)
 	if dc != nil {
 		srcCap += dc.endpointResidual
 		dstCap += dc.endpointResidual
@@ -195,7 +222,7 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 			c := &stages[j][k]
 			c.inNode = fg.AddNode()
 			c.outNode = fg.AddNode()
-			capUnits := caps.capacityFor(c.host.ID, proc, st[j])
+			capUnits := caps.capacityFor(c.slot, proc, st[j])
 			cost := int64(c.drop*costScale) + int64(c.util*utilTieScale)
 			cost = int64(math.Round(float64(cost) * st[j].Scale))
 			c.internal = fg.AddArc(c.inNode, c.outNode, capUnits, cost)
@@ -211,38 +238,25 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 		}
 	}
 	const unbounded = int64(1) << 40
-	// Pre-size the edge buffer: C₀ + Σⱼ CⱼCⱼ₊₁ + C_q₋₁ inter-stage arcs.
-	edgeCap := len(stages[0]) + len(stages[q-1])
-	for j := 0; j+1 < q; j++ {
-		edgeCap += len(stages[j]) * len(stages[j+1])
-	}
-	if cap(sc.edges) < edgeCap {
-		sc.edges = make([]edgeRef, 0, edgeCap)
-	}
-	edges := sc.edges[:0]
-	// Source to stage 0.
+	// The inter-stage arcs, C₀ + Σⱼ CⱼCⱼ₊₁ + C_q₋₁ of them; their order
+	// decides the solver's tie-breaking, so it is fixed: source to stage
+	// 0, then stage j to stage j+1 by (k, k2), then last stage to
+	// destination.
+	arcs := sc.arcs[:0]
 	for k := range stages[0] {
-		c := &stages[0][k]
-		id := fg.AddArc(srcOut, c.inNode, unbounded, 0)
-		edges = append(edges, edgeRef{fromStage: -1, toStage: 0, from: in.Source, to: c.host, id: id})
+		arcs = append(arcs, fg.AddArc(srcOut, stages[0][k].inNode, unbounded, 0))
 	}
-	// Stage j to stage j+1.
 	for j := 0; j+1 < q; j++ {
 		for k := range stages[j] {
 			for k2 := range stages[j+1] {
-				a, b := &stages[j][k], &stages[j+1][k2]
-				id := fg.AddArc(a.outNode, b.inNode, unbounded, 0)
-				edges = append(edges, edgeRef{fromStage: j, toStage: j + 1, from: a.host, to: b.host, id: id})
+				arcs = append(arcs, fg.AddArc(stages[j][k].outNode, stages[j+1][k2].inNode, unbounded, 0))
 			}
 		}
 	}
-	// Last stage to destination.
 	for k := range stages[q-1] {
-		c := &stages[q-1][k]
-		id := fg.AddArc(c.outNode, dstIn, unbounded, 0)
-		edges = append(edges, edgeRef{fromStage: q - 1, toStage: q, from: c.host, to: in.Dest, id: id})
+		arcs = append(arcs, fg.AddArc(stages[q-1][k].outNode, dstIn, unbounded, 0))
 	}
-	sc.edges = edges
+	sc.arcs = arcs
 
 	if m.NoSplit {
 		// Ablation: keep only the cheapest feasible host per stage
@@ -301,36 +315,63 @@ func (m *MinCost) composeSubstream(in Input, g *ExecutionGraph, caps *capTracker
 		for k := range stages[j] {
 			c := &stages[j][k]
 			fresh := fg.Flow(c.internal)
-			f := fresh
+			c.flow = fresh
 			if c.hasResidual {
-				f += fg.Flow(c.residual)
+				c.flow += fg.Flow(c.residual)
 			}
-			if f <= 0 {
+			if c.flow <= 0 {
 				continue
 			}
-			g.Placements = append(g.Placements, Placement{
+			sc.placements = append(sc.placements, Placement{
 				Substream: l, Stage: j, Service: chain[j],
-				Host: c.host, Rate: float64(f) * st[j].Scale,
+				Host: c.host, Rate: float64(c.flow) * st[j].Scale,
 			})
-			caps.consume(c.host.ID, float64(fresh), st[j].Charge())
-			caps.consumeCPU(c.host.ID, float64(fresh)*st[j].Scale, proc)
+			caps.consume(c.slot, float64(fresh), st[j].Charge())
+			caps.consumeCPU(c.slot, float64(fresh)*st[j].Scale, proc)
 		}
 	}
-	for _, e := range edges {
-		f := fg.Flow(e.id)
-		if f <= 0 {
-			continue
-		}
+	// Edges, walking the arcs in build order. Flow is conserved at every
+	// instance, so an instance without flow has none on its out-arcs
+	// either, and its block of arcs is skipped.
+	edge := func(from, to int, a, b overlay.NodeInfo, f int64) {
 		scale := 1.0 // the sink's
-		if e.toStage < q {
-			scale = st[e.toStage].Scale
+		if to < q {
+			scale = st[to].Scale
 		}
-		g.Edges = append(g.Edges, Edge{
-			Substream: l, FromStage: e.fromStage, ToStage: e.toStage,
-			From: e.from, To: e.to, Rate: float64(f) * scale,
+		sc.edges = append(sc.edges, Edge{
+			Substream: l, FromStage: from, ToStage: to,
+			From: a, To: b, Rate: float64(f) * scale,
 		})
 	}
-	caps.consume(in.Source.ID, float64(rate), st[0].In)
-	caps.consume(in.Dest.ID, float64(rate), st[q-1].Out)
+	i := 0
+	for k := range stages[0] {
+		if f := fg.Flow(arcs[i]); f > 0 {
+			edge(-1, 0, in.Source, stages[0][k].host, f)
+		}
+		i++
+	}
+	for j := 0; j+1 < q; j++ {
+		for k := range stages[j] {
+			a, next := &stages[j][k], stages[j+1]
+			if a.flow <= 0 {
+				i += len(next)
+				continue
+			}
+			for k2 := range next {
+				if f := fg.Flow(arcs[i]); f > 0 {
+					edge(j, j+1, a.host, next[k2].host, f)
+				}
+				i++
+			}
+		}
+	}
+	for k := range stages[q-1] {
+		if f := fg.Flow(arcs[i]); f > 0 {
+			edge(q-1, q, stages[q-1][k].host, in.Dest, f)
+		}
+		i++
+	}
+	caps.consume(caps.src, float64(rate), st[0].In)
+	caps.consume(caps.dst, float64(rate), st[q-1].Out)
 	return nil
 }

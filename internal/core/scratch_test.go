@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -48,4 +49,41 @@ func TestComposeScratchReuseDeterministic(t *testing.T) {
 			t.Fatalf("iter %d (%v): warm scratch diverged from cold compose", i, chain)
 		}
 	}
+}
+
+// TestComposeConcurrentMatchesSerial composes from several goroutines at
+// once: each call must get a scratch of its own (the warm one or a pooled
+// one) and produce the graph a serial compose does.
+func TestComposeConcurrentMatchesSerial(t *testing.T) {
+	inputs := make([]Input, 8)
+	want := make([]*ExecutionGraph, len(inputs))
+	for i := range inputs {
+		inputs[i] = wideInput(4+i, 5+i, "filter", "transcode", "encrypt")
+		g, err := (&MinCost{}).Compose(inputs[i])
+		if err != nil {
+			t.Fatalf("input %d: %v", i, err)
+		}
+		want[i] = g
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := &MinCost{}
+			for n := 0; n < 50; n++ {
+				i := n % len(inputs)
+				g, err := m.Compose(inputs[i])
+				if err != nil {
+					t.Errorf("input %d: %v", i, err)
+					return
+				}
+				if !reflect.DeepEqual(g, want[i]) {
+					t.Errorf("input %d: concurrent compose diverged from the serial one", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -165,88 +165,121 @@ func maxRateUnits(rep monitor.Report, in Input) int {
 
 // capTracker tracks remaining per-host capacity across the substreams of
 // one composition, mirroring the "update the node capacities" step of
-// Algorithm 1. Bandwidth is tracked in data units/sec; when CPU tracking
-// is seeded (the multi-resource extension), remaining CPU fractions are
-// tracked alongside and a component's capacity is the minimum over both
-// resource classes.
+// Algorithm 1. Each host seen gets a dense slot at seed time, and every
+// other method takes the slot, so the per-arc capacity reads and the
+// read-back's deductions index slices instead of hashing host IDs.
+// Bandwidth is tracked in data units/sec; when CPU tracking is seeded
+// (the multi-resource extension), remaining CPU fractions are tracked
+// alongside and a component's capacity is the minimum over both resource
+// classes.
 type capTracker struct {
-	remaining map[overlay.ID]int
-	cpuFrac   map[overlay.ID]float64
-	speed     map[overlay.ID]float64
+	slots     map[overlay.ID]int
+	remaining []int
+	cpuFrac   []float64
+	// speed is the host's CPU speed factor; 0 leaves the host
+	// bandwidth-only.
+	speed []float64
+	// src and dst are the endpoints' slots (the same one when the
+	// source is the destination).
+	src, dst int
 }
 
-func newCapTracker() *capTracker {
-	return &capTracker{
-		remaining: make(map[overlay.ID]int),
-		cpuFrac:   make(map[overlay.ID]float64),
-		speed:     make(map[overlay.ID]float64),
+// reset empties the tracker for a new composition, keeping its storage.
+func (c *capTracker) reset() {
+	if c.slots == nil {
+		c.slots = make(map[overlay.ID]int)
 	}
+	clear(c.slots)
+	c.remaining = c.remaining[:0]
+	c.cpuFrac = c.cpuFrac[:0]
+	c.speed = c.speed[:0]
 }
 
 // seed records a host's initial bandwidth capacity the first time it is
-// seen.
-func (c *capTracker) seed(id overlay.ID, units int) {
-	if _, ok := c.remaining[id]; !ok {
-		if units < 0 {
-			units = 0
+// seen, and returns the host's slot.
+func (c *capTracker) seed(id overlay.ID, units int) int {
+	if s, ok := c.slots[id]; ok {
+		return s
+	}
+	s := len(c.remaining)
+	c.slots[id] = s
+	c.remaining = append(c.remaining, max(units, 0))
+	c.cpuFrac = append(c.cpuFrac, 0)
+	c.speed = append(c.speed, 0)
+	return s
+}
+
+// seedInput resets the tracker for a composition of in: the source's
+// uplink and the destination's downlink into slots src and dst, then
+// every candidate's r_max(n), and with cpu its CPU budget too. Seeded
+// first, an endpoint's budget wins when it also offers a service.
+func (c *capTracker) seedInput(in Input, cpu bool) {
+	c.reset()
+	c.src = c.seed(in.Source.ID, int(in.SourceReport.AvailOut()*in.headroom()/unitBits(in.Request)))
+	c.dst = c.seed(in.Dest.ID, int(in.DestReport.AvailIn()*in.headroom()/unitBits(in.Request)))
+	for _, cands := range in.Candidates {
+		for i := range cands {
+			cd := &cands[i]
+			s := c.seed(cd.Info.ID, maxRateUnits(cd.Report, in))
+			if cpu {
+				c.seedCPU(s, cd.Report.SpeedFactor, cd.Report.AvailCPU()*in.headroom())
+			}
 		}
-		c.remaining[id] = units
 	}
 }
 
-// seedCPU records a host's CPU speed factor and available CPU fraction.
-func (c *capTracker) seedCPU(id overlay.ID, speed, availFrac float64) {
-	if _, ok := c.speed[id]; ok || speed <= 0 {
+// slot returns a seeded host's slot; ok is false for a host never seeded,
+// which has no capacity.
+func (c *capTracker) slot(id overlay.ID) (s int, ok bool) {
+	s, ok = c.slots[id]
+	return s, ok
+}
+
+// seedCPU records a host's CPU speed factor and available CPU fraction
+// the first time a positive speed is seen for it.
+func (c *capTracker) seedCPU(s int, speed, availFrac float64) {
+	if c.speed[s] > 0 || speed <= 0 {
 		return
 	}
-	if availFrac < 0 {
-		availFrac = 0
-	}
-	c.speed[id] = speed
-	c.cpuFrac[id] = availFrac
+	c.speed[s] = speed
+	c.cpuFrac[s] = max(availFrac, 0)
 }
 
 // units returns how many delivered units/sec the host's remaining
 // bandwidth carries for a stage charging charge request units per
 // delivered unit.
-func (c *capTracker) units(id overlay.ID, charge float64) int64 {
-	return int64(float64(c.remaining[id])/charge + chargeEpsilon)
+func (c *capTracker) units(s int, charge float64) int64 {
+	return int64(float64(c.remaining[s])/charge + chargeEpsilon)
 }
 
 // capacityFor returns the host's capacity in delivered units/sec for
 // stage st of a service with the given per-unit reference processing
 // cost: the minimum of the bandwidth budget and (when CPU is tracked) the
 // CPU budget, which the stage spends at its input rate.
-func (c *capTracker) capacityFor(id overlay.ID, procPerUnit time.Duration, st spec.Stage) int64 {
-	units := c.units(id, st.Charge())
-	speed, ok := c.speed[id]
-	if !ok || procPerUnit <= 0 {
+func (c *capTracker) capacityFor(s int, procPerUnit time.Duration, st spec.Stage) int64 {
+	units := c.units(s, st.Charge())
+	speed := c.speed[s]
+	if speed == 0 || procPerUnit <= 0 {
 		return units
 	}
-	cpuUnits := int64(c.cpuFrac[id] * speed * float64(time.Second) / (float64(procPerUnit) * st.Scale))
+	cpuUnits := int64(c.cpuFrac[s] * speed * float64(time.Second) / (float64(procPerUnit) * st.Scale))
 	return min(units, cpuUnits)
 }
 
 // consume charges the host for f delivered units/sec at charge request
 // units each.
-func (c *capTracker) consume(id overlay.ID, f, charge float64) {
-	c.remaining[id] -= int(math.Ceil(f*charge - chargeEpsilon))
-	if c.remaining[id] < 0 {
-		c.remaining[id] = 0
-	}
+func (c *capTracker) consume(s int, f, charge float64) {
+	c.remaining[s] = max(c.remaining[s]-int(math.Ceil(f*charge-chargeEpsilon)), 0)
 }
 
 // consumeCPU deducts the CPU fraction a component consumes at the given
 // input rate.
-func (c *capTracker) consumeCPU(id overlay.ID, rate float64, procPerUnit time.Duration) {
-	speed, ok := c.speed[id]
-	if !ok || procPerUnit <= 0 {
+func (c *capTracker) consumeCPU(s int, rate float64, procPerUnit time.Duration) {
+	speed := c.speed[s]
+	if speed == 0 || procPerUnit <= 0 {
 		return
 	}
-	c.cpuFrac[id] -= rate * float64(procPerUnit) / (speed * float64(time.Second))
-	if c.cpuFrac[id] < 0 {
-		c.cpuFrac[id] = 0
-	}
+	c.cpuFrac[s] = max(c.cpuFrac[s]-rate*float64(procPerUnit)/(speed*float64(time.Second)), 0)
 }
 
 // chargeEpsilon absorbs float rounding when a ratio's scale turns a whole

@@ -5,6 +5,8 @@
 package discovery
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -141,9 +143,10 @@ func (d *Directory) LocalServices() []string {
 func (d *Directory) SetView(v View) { d.view = v }
 
 // Lookup resolves the provider set for service. The callback runs exactly
-// once with the hosts sorted by ID for determinism. With a view installed
-// (SetView) the answer comes synchronously from the local converged state
-// — no DHT round trips — whenever the view knows at least one provider.
+// once with the hosts sorted by ID for determinism, each host once. With a
+// view installed (SetView) the answer comes synchronously from the local
+// converged state — no DHT round trips — whenever the view knows at least
+// one provider.
 func (d *Directory) Lookup(service string, timeout time.Duration, cb func([]overlay.NodeInfo, error)) {
 	if d.view != nil {
 		if hosts := d.view.HostsFor(service); len(hosts) > 0 {
@@ -156,7 +159,7 @@ func (d *Directory) Lookup(service string, timeout time.Duration, cb func([]over
 			cb(nil, err)
 			return
 		}
-		var hosts []overlay.NodeInfo
+		hosts := make([]overlay.NodeInfo, 0, len(values))
 		for _, v := range values {
 			// A record that does not parse, or that names another
 			// service, is skipped.
@@ -164,8 +167,17 @@ func (d *Directory) Lookup(service string, timeout time.Duration, cb func([]over
 				hosts = append(hosts, node)
 			}
 		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i].ID.Cmp(hosts[j].ID) < 0 })
-		cb(hosts, nil)
+		// Stored records are distinct, but a host that re-announced
+		// under a new address has two until the old one expires: keep
+		// the one with the lowest address, so a result names each host
+		// once and its ID order is total.
+		slices.SortFunc(hosts, func(a, b overlay.NodeInfo) int {
+			if c := a.ID.Cmp(b.ID); c != 0 {
+				return c
+			}
+			return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Cluster, b.Cluster))
+		})
+		cb(slices.CompactFunc(hosts, func(a, b overlay.NodeInfo) bool { return a.ID == b.ID }), nil)
 	})
 }
 

@@ -97,6 +97,36 @@ func TestLookupResultsSorted(t *testing.T) {
 	}
 }
 
+// TestLookupNamesEachHostOnce: a host that re-announced under a new
+// address leaves two records with one ID in the DHT; the lookup result
+// still names it once, so composers can order candidates by ID alone.
+func TestLookupNamesEachHostOnce(t *testing.T) {
+	c, dirs := newDirCluster(t, 8, 5)
+	dirs[2].Announce("svc")
+	dirs[5].Announce("svc")
+	stale := c.Nodes[2].Info()
+	stale.Addr = "sim://stale"
+	rec, err := appendHostRecord(nil, stale, "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dirs[2].store.Put(ServiceKey("svc"), rec); err != nil {
+		t.Fatal(err)
+	}
+	c.Sim.Run()
+	var hosts []overlay.NodeInfo
+	dirs[7].Lookup("svc", time.Second, func(h []overlay.NodeInfo, err error) { hosts = h })
+	c.Sim.Run()
+	if len(hosts) != 2 || hosts[0].ID.Cmp(hosts[1].ID) >= 0 {
+		t.Fatalf("lookup = %v, want hosts 2 and 5 once each, sorted by ID", hosts)
+	}
+	for _, h := range hosts {
+		if h.ID == stale.ID && h.Addr != c.Nodes[2].Info().Addr {
+			t.Fatalf("kept %s for host 2, want the lower address %s", h.Addr, c.Nodes[2].Info().Addr)
+		}
+	}
+}
+
 func TestLookupMany(t *testing.T) {
 	c, dirs := newDirCluster(t, 16, 5)
 	services := []string{"s0", "s1", "s2"}

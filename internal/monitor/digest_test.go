@@ -57,6 +57,36 @@ func TestDigestSizeIndependentOfComponents(t *testing.T) {
 	}
 }
 
+// The node's digest is the digest of its full Report, and serving one
+// counts as a report.
+func TestNodeDigestMatchesReport(t *testing.T) {
+	m := NewNodeMonitor(1e6, 2e6, 8)
+	m.SetCPU(0.5)
+	m.SetCPUCount(2)
+	m.SetQueueLenFunc(func() int { return 3 })
+	for i := 0; i < 20; i++ {
+		now := time.Duration(i) * time.Millisecond
+		key := "r/0/" + string(rune('0'+i%4))
+		m.ObserveArrival(key, "filter", now, 1250)
+		m.ObserveSend(now, 900)
+		m.ObserveBusy(now, 300*time.Microsecond)
+		if i%5 == 0 {
+			m.ObserveDrop(key, "filter")
+		} else {
+			m.ObserveProcessed(key, "filter", time.Millisecond)
+		}
+	}
+	now := 25 * time.Millisecond
+	reports := telReports.Value()
+	got := m.AppendDigest(nil, now)
+	if served := telReports.Value() - reports; served != 1 {
+		t.Fatalf("serving a digest counted %d reports, want 1", served)
+	}
+	if want := AppendDigest(nil, m.Report(now)); !bytes.Equal(got, want) {
+		t.Fatalf("node digest %x, want the Report's %x", got, want)
+	}
+}
+
 func TestParseDigestRejectsMalformed(t *testing.T) {
 	good := AppendDigest(nil, fullReport())
 	set := func(word int, v uint64) []byte {

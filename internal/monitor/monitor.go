@@ -242,25 +242,11 @@ func (m *NodeMonitor) MeanProc(key string) time.Duration {
 // DropRatio returns the node-level drop ratio over the window.
 func (m *NodeMonitor) DropRatio() float64 { return m.nodeDrops.Ratio() }
 
-// Report assembles the full monitoring snapshot at time now.
+// Report assembles the full monitoring snapshot at time now: the node
+// level fields (node) and one row per component.
 func (m *NodeMonitor) Report(now time.Duration) Report {
-	r := Report{
-		At:          now,
-		InBpsCap:    m.inCap,
-		OutBpsCap:   m.outCap,
-		InBpsUsed:   m.inMeter.Bps(now),
-		OutBpsUsed:  m.outMeter.Bps(now),
-		DropRatio:   m.nodeDrops.Ratio(),
-		SpeedFactor: m.speed,
-		CPUFraction: m.busyMeter.Fraction(now),
-		Components:  make(map[string]ComponentStats, len(m.components)),
-	}
-	if m.cpus > 1 {
-		r.CPUFraction /= float64(m.cpus)
-	}
-	if m.queueLen != nil {
-		r.QueueLen = m.queueLen()
-	}
+	r := m.node(now)
+	r.Components = make(map[string]ComponentStats, len(m.components))
 	keys := make([]string, 0, len(m.components))
 	for k := range m.components {
 		keys = append(keys, k)
@@ -279,5 +265,37 @@ func (m *NodeMonitor) Report(now time.Duration) Report {
 		}
 	}
 	export(r)
+	return r
+}
+
+// AppendDigest appends the node's stats digest at time now (the package
+// AppendDigest of Report's node-level fields) without assembling the
+// per-component rows, so serving one costs the same whatever the node
+// runs. It counts as a report served; the snapshot gauges keep the last
+// full Report's values.
+func (m *NodeMonitor) AppendDigest(b []byte, now time.Duration) []byte {
+	telReports.Inc()
+	return AppendDigest(b, m.node(now))
+}
+
+// node fills the nine node-level fields of a report at time now — the
+// fields a stats digest carries — and leaves Components nil.
+func (m *NodeMonitor) node(now time.Duration) Report {
+	r := Report{
+		At:          now,
+		InBpsCap:    m.inCap,
+		OutBpsCap:   m.outCap,
+		InBpsUsed:   m.inMeter.Bps(now),
+		OutBpsUsed:  m.outMeter.Bps(now),
+		DropRatio:   m.nodeDrops.Ratio(),
+		SpeedFactor: m.speed,
+		CPUFraction: m.busyMeter.Fraction(now),
+	}
+	if m.cpus > 1 {
+		r.CPUFraction /= float64(m.cpus)
+	}
+	if m.queueLen != nil {
+		r.QueueLen = m.queueLen()
+	}
 	return r
 }

@@ -398,7 +398,7 @@ func (e *Engine) onStats(_ overlay.NodeInfo, _ []byte, respond func([]byte, stri
 		respond(e.statsCache, "")
 		return
 	}
-	b := monitor.AppendDigest(make([]byte, 0, monitor.DigestSize), e.Monitor.Report(now))
+	b := e.Monitor.AppendDigest(make([]byte, 0, monitor.DigestSize), now)
 	if e.cfg.StatsMaxAge > 0 {
 		e.statsCache = b
 		e.statsCacheAt = now

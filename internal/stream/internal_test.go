@@ -198,12 +198,12 @@ func TestGraphOuts(t *testing.T) {
 			{Substream: 0, FromStage: 0, ToStage: 1, From: host("h2"), To: host("dst"), Rate: 2},
 		},
 	}
-	byPlacement, sourceOuts := graphOuts(g)
-	if len(sourceOuts[0]) != 2 {
-		t.Fatalf("source outs = %v", sourceOuts)
+	plan := planGraph(g, nil)
+	if len(plan.sourceOuts[0]) != 2 {
+		t.Fatalf("source outs = %v", plan.sourceOuts)
 	}
-	key1 := componentKey("r", 0, 0) + "@" + host("h1").ID.String()
-	if len(byPlacement[key1]) != 1 || byPlacement[key1][0].Rate != 3 {
-		t.Fatalf("placement outs = %v", byPlacement[key1])
+	key1 := placementKey{0, 0, host("h1").ID}
+	if len(plan.outs[key1]) != 1 || plan.outs[key1][0].Rate != 3 {
+		t.Fatalf("placement outs = %v", plan.outs[key1])
 	}
 }

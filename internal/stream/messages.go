@@ -217,20 +217,40 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// graphOuts extracts, for every placement in an execution graph, the
-// downstream targets with their rate shares; and the source's stage-0
-// targets per substream.
-func graphOuts(g *core.ExecutionGraph) (byPlacement map[string][]outSpec, sourceOuts map[int][]outSpec) {
-	byPlacement = make(map[string][]outSpec)
-	sourceOuts = make(map[int][]outSpec)
+// placementKey names one component instance of an execution graph.
+type placementKey struct {
+	substream, stage int
+	host             overlay.ID
+}
+
+// graphPlan is what instantiating an execution graph draws on, built once
+// per graph: every placement's downstream targets with their rate shares,
+// the source's stage-0 targets per substream, and every substream's
+// stages (spec.Chain).
+type graphPlan struct {
+	outs       map[placementKey][]outSpec
+	sourceOuts map[int][]outSpec
+	chains     [][]spec.Stage
+}
+
+// planGraph builds the plan of g.
+func planGraph(g *core.ExecutionGraph, catalog map[string]spec.ServiceDef) graphPlan {
+	p := graphPlan{
+		outs:       make(map[placementKey][]outSpec, len(g.Placements)),
+		sourceOuts: make(map[int][]outSpec, len(g.Request.Substreams)),
+		chains:     make([][]spec.Stage, len(g.Request.Substreams)),
+	}
 	for _, e := range g.Edges {
 		o := outSpec{To: e.To, ToStage: e.ToStage, Rate: e.Rate}
 		if e.FromStage == -1 {
-			sourceOuts[e.Substream] = append(sourceOuts[e.Substream], o)
+			p.sourceOuts[e.Substream] = append(p.sourceOuts[e.Substream], o)
 			continue
 		}
-		key := componentKey(g.Request.ID, e.Substream, e.FromStage) + "@" + e.From.ID.String()
-		byPlacement[key] = append(byPlacement[key], o)
+		key := placementKey{e.Substream, e.FromStage, e.From.ID}
+		p.outs[key] = append(p.outs[key], o)
 	}
-	return byPlacement, sourceOuts
+	for l, ss := range g.Request.Substreams {
+		p.chains[l] = spec.Chain(nil, catalog, ss.Services, g.Request.UnitBytes)
+	}
+	return p
 }

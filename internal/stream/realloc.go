@@ -117,7 +117,7 @@ func (e *Engine) Reallocate(app string, degraded map[overlay.ID]bool, substreams
 func (e *Engine) applyDelta(app string, st *originState, g *core.ExecutionGraph,
 	affected map[int]bool, timeout time.Duration, done func(error)) {
 
-	byPlacement, sourceOuts := graphOuts(g)
+	plan := planGraph(g, e.Catalog)
 	var targets []core.Placement
 	for _, p := range g.Placements {
 		if affected[p.Substream] {
@@ -138,7 +138,7 @@ func (e *Engine) applyDelta(app string, st *originState, g *core.ExecutionGraph,
 		st.graph = g
 		for l := range affected {
 			if src := e.sources[flowKey{app, l}]; src != nil {
-				src.retarget(sourceOuts[l])
+				src.retarget(plan.sourceOuts[l])
 			}
 		}
 		done(nil)
@@ -149,7 +149,7 @@ func (e *Engine) applyDelta(app string, st *originState, g *core.ExecutionGraph,
 	}
 	for _, p := range targets {
 		p := p
-		e.requestInstantiate(g, p, byPlacement, timeout, func(err error) {
+		e.requestInstantiate(g, p, plan, timeout, func(err error) {
 			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("stream: re-instantiate %s@%s: %w", p.Service, p.Host.Addr, err)
 			}

@@ -3,7 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rasc.dev/rasc/internal/core"
@@ -96,8 +96,10 @@ func (e *Engine) gatherInput(req spec.Request, timeout time.Duration, cb func(co
 	}
 	services := req.Services()
 	hosts := make(map[string][]overlay.NodeInfo, len(services))
-	reports := make(map[overlay.ID]monitor.Report)
-	asked := make(map[overlay.ID]bool)
+	// asked maps each host a fetch went to, once, to its slot in
+	// fetched; a slot whose fetch failed stays empty.
+	asked := make(map[overlay.ID]int)
+	var fetched []hostStats
 	var lookupErr error
 	// pending counts unanswered lookups and stats RPCs, plus one for this
 	// call itself until it has issued every lookup, so a directory that
@@ -111,16 +113,19 @@ func (e *Engine) gatherInput(req spec.Request, timeout time.Duration, cb func(co
 			cb(core.Input{}, fmt.Errorf("%w: %w", ErrDiscovery, lookupErr))
 			return
 		}
-		cb(e.buildInput(req, hosts, reports), nil)
+		cb(e.buildInput(req, hosts, asked, fetched), nil)
 	}
 	fetch := func(h overlay.NodeInfo) {
+		slot := len(fetched)
+		asked[h.ID] = slot
+		fetched = append(fetched, hostStats{})
 		if h.ID == e.node.ID() {
-			reports[h.ID] = e.Monitor.Report(e.clk.Now())
+			fetched[slot] = hostStats{e.Monitor.Report(e.clk.Now()), true}
 			return
 		}
 		if e.statsProvider != nil {
 			if rep, ok := e.statsProvider(h.ID); ok {
-				reports[h.ID] = rep // gossip-fresh digest: no round trip
+				fetched[slot] = hostStats{rep, true} // gossip-fresh digest: no round trip
 				return
 			}
 		}
@@ -128,7 +133,7 @@ func (e *Engine) gatherInput(req spec.Request, timeout time.Duration, cb func(co
 		e.node.Request(h.Addr, appStats, nil, timeout, func(body []byte, err error) {
 			if err == nil {
 				if rep, perr := monitor.ParseDigest(body); perr == nil {
-					reports[h.ID] = rep
+					fetched[slot] = hostStats{rep, true}
 				}
 			} else if errors.Is(err, overlay.ErrTimeout) {
 				// A silent host is treated as failed: prune it from the
@@ -148,9 +153,9 @@ func (e *Engine) gatherInput(req spec.Request, timeout time.Duration, cb func(co
 			}
 			hosts[svc] = found
 			if lookupErr == nil { // a failed gather asks no one else
+				fetched = slices.Grow(fetched, len(found))
 				for _, h := range found {
-					if !asked[h.ID] {
-						asked[h.ID] = true
+					if _, ok := asked[h.ID]; !ok {
 						fetch(h)
 					}
 				}
@@ -161,11 +166,18 @@ func (e *Engine) gatherInput(req spec.Request, timeout time.Duration, cb func(co
 	settle()
 }
 
+// hostStats is one host's stats fetch: ok once it answered.
+type hostStats struct {
+	rep monitor.Report
+	ok  bool
+}
+
 // buildInput assembles the composer input from discovery and monitoring
 // results: the origin is both source and destination, and hosts whose
-// stats fetch failed are excluded from candidacy.
+// stats fetch failed are excluded from candidacy. Every service's
+// candidate list is a capped window of one array.
 func (e *Engine) buildInput(req spec.Request, hosts map[string][]overlay.NodeInfo,
-	reports map[overlay.ID]monitor.Report) core.Input {
+	asked map[overlay.ID]int, fetched []hostStats) core.Input {
 
 	self := e.node.Info()
 	own := e.Monitor.Report(e.clk.Now())
@@ -175,20 +187,26 @@ func (e *Engine) buildInput(req spec.Request, hosts map[string][]overlay.NodeInf
 		Dest:         self,
 		SourceReport: own,
 		DestReport:   own,
-		Candidates:   make(map[string][]core.Candidate),
+		Candidates:   make(map[string][]core.Candidate, len(hosts)),
 		Catalog:      e.Catalog,
 		Rand:         e.rng,
 	}
+	total := 0
+	for _, list := range hosts {
+		total += len(list)
+	}
+	all := make([]core.Candidate, 0, total)
 	for svc, list := range hosts {
-		var cands []core.Candidate
+		first := len(all)
 		for _, h := range list {
-			rep, ok := reports[h.ID]
-			if !ok {
-				continue // stats fetch failed: exclude the host
+			// A host whose stats fetch failed is no candidate.
+			if slot, ok := asked[h.ID]; ok && fetched[slot].ok {
+				all = append(all, core.Candidate{Info: h, Report: fetched[slot].rep})
 			}
-			cands = append(cands, core.Candidate{Info: h, Report: rep})
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].Info.ID.Cmp(cands[j].Info.ID) < 0 })
+		cands := all[first:len(all):len(all)]
+		// A lookup names each host once, so the ID order is total.
+		slices.SortFunc(cands, func(a, b core.Candidate) int { return a.Info.ID.Cmp(b.Info.ID) })
 		in.Candidates[svc] = cands
 	}
 	// Federated deployments compose over the local cluster alone; the
@@ -247,7 +265,7 @@ func (e *Engine) compose(in core.Input, desired spec.Request, composer core.Comp
 // one, or a Teardown that cancelled the submission meanwhile, rolls
 // everything back, sources included.
 func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeout time.Duration, sub *submission, cb func(*core.ExecutionGraph, error)) {
-	byPlacement, sourceOuts := graphOuts(g)
+	plan := planGraph(g, e.Catalog)
 	remaining := len(g.Placements)
 	var failed error
 	done := func() {
@@ -271,14 +289,14 @@ func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeo
 	}
 	// Sources first: a request that fails inside Request (an unencodable
 	// name) rolls back at once, and the rollback must find them.
-	e.activate(g, sourceOuts)
+	e.activate(g, plan.sourceOuts)
 	if remaining == 0 {
 		done()
 		return
 	}
 	for _, p := range g.Placements {
 		p := p
-		e.requestInstantiate(g, p, byPlacement, timeout, func(err error) {
+		e.requestInstantiate(g, p, plan, timeout, func(err error) {
 			if err != nil && failed == nil {
 				failed = fmt.Errorf("%s@%s: %w", p.Service, p.Host.Addr, err)
 			}
@@ -293,8 +311,8 @@ func (e *Engine) instantiate(g *core.ExecutionGraph, desired spec.Request, timeo
 // requestInstantiate sends one placement's instantiate RPC. cb runs exactly
 // once; a message that cannot be framed fails before the call returns, as
 // in overlay.Node.Request.
-func (e *Engine) requestInstantiate(g *core.ExecutionGraph, p core.Placement, byPlacement map[string][]outSpec, timeout time.Duration, cb func(error)) {
-	body, err := appendInstantiate(nil, e.instantiateMsgFor(g, p, byPlacement))
+func (e *Engine) requestInstantiate(g *core.ExecutionGraph, p core.Placement, plan graphPlan, timeout time.Duration, cb func(error)) {
+	body, err := appendInstantiate(nil, e.instantiateMsgFor(g, p, plan))
 	if err != nil {
 		cb(err)
 		return
@@ -304,8 +322,8 @@ func (e *Engine) requestInstantiate(g *core.ExecutionGraph, p core.Placement, by
 
 // instantiateMsgFor builds the instantiation message for one placement of
 // an execution graph.
-func (e *Engine) instantiateMsgFor(g *core.ExecutionGraph, p core.Placement, byPlacement map[string][]outSpec) instantiateMsg {
-	st := spec.Chain(nil, e.Catalog, g.Request.Substreams[p.Substream].Services, g.Request.UnitBytes)[p.Stage]
+func (e *Engine) instantiateMsgFor(g *core.ExecutionGraph, p core.Placement, plan graphPlan) instantiateMsg {
+	st := plan.chains[p.Substream][p.Stage]
 	return instantiateMsg{
 		Req:       g.Request.ID,
 		Substream: p.Substream,
@@ -316,7 +334,7 @@ func (e *Engine) instantiateMsgFor(g *core.ExecutionGraph, p core.Placement, byP
 		ProcHint:  e.Catalog[p.Service].ProcPerUnit,
 		RateRatio: st.Ratio,
 		BytesOut:  int(st.OutBytes),
-		Outs:      byPlacement[componentKey(g.Request.ID, p.Substream, p.Stage)+"@"+p.Host.ID.String()],
+		Outs:      plan.outs[placementKey{p.Substream, p.Stage, p.Host.ID}],
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"rasc.dev/rasc/internal/core"
@@ -288,6 +289,12 @@ func (c *Composition) Stop() {
 // DeliveryStats aggregates a composition's delivery metrics across its
 // substreams.
 type DeliveryStats struct {
+	// Emitted is what the sources emitted, in sink units: each
+	// substream's source count divided by its stage-0 scale s_0 (the
+	// source runs at s_0 times the rate the sink receives; spec.Chain),
+	// rounded. It is what the sinks would receive with nothing lost, so
+	// Received/Emitted is a delivery fraction for any rate ratios, and
+	// the raw source count for a chain of ratio 1.
 	Emitted    int64
 	Received   int64
 	Timely     int64
@@ -345,8 +352,11 @@ func (c *Composition) Stats() DeliveryStats {
 	eng := c.sys.d.Engines[c.origin]
 	var out DeliveryStats
 	var sumDelay, sumJitter time.Duration
-	for l := range c.Graph.Request.Substreams {
-		out.Emitted += eng.Throughput(c.Graph.Request.ID, l).EmittedUnits
+	var chain []spec.Stage
+	for l, ss := range c.Graph.Request.Substreams {
+		chain = spec.Chain(chain[:0], c.sys.d.Options.Catalog, ss.Services, c.Graph.Request.UnitBytes)
+		emitted := eng.Throughput(c.Graph.Request.ID, l).EmittedUnits
+		out.Emitted += int64(math.Round(float64(emitted) / chain[0].Scale))
 		sink := eng.Sink(c.Graph.Request.ID, l)
 		if sink == nil {
 			continue
