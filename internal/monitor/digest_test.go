@@ -71,7 +71,7 @@ func TestNodeDigestMatchesReport(t *testing.T) {
 		m.ObserveSend(now, 900)
 		m.ObserveBusy(now, 300*time.Microsecond)
 		if i%5 == 0 {
-			m.ObserveDrop(key, "filter")
+			m.Dropped(m.Row(key))
 		} else {
 			m.ObserveProcessed(key, "filter", time.Millisecond)
 		}

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -86,14 +85,32 @@ func max0(v float64) float64 {
 	return v
 }
 
-type componentMonitor struct {
+// Row is one component's statistics row. A component holds the handle
+// Arrive returns and passes it back on every later observation, so the
+// per-unit path does no keyed lookup. Forget marks the row forgotten as it
+// drops it from the node; a holder seeing the mark goes back to the node
+// (Row) for the key's current row, which is nil until the next arrival
+// opens a fresh one.
+type Row struct {
 	service   string
-	arrivals  *RateEstimator
-	proc      *DurationWindow
-	drops     *RatioWindow
+	arrivals  RateEstimator
+	proc      DurationWindow
+	drops     RatioWindow
 	arrived   int64
 	processed int64
 	dropped   int64
+	forgotten bool
+}
+
+// Forgotten reports whether Forget has dropped the row from its node.
+func (c *Row) Forgotten() bool { return c.forgotten }
+
+// MeanProc returns the row's mean running time t_ci (0 for a nil row).
+func (c *Row) MeanProc() time.Duration {
+	if c == nil {
+		return 0
+	}
+	return c.proc.Mean()
 }
 
 // NodeMonitor maintains every window for one node.
@@ -107,7 +124,7 @@ type NodeMonitor struct {
 	speed      float64
 	cpus       int
 	nodeDrops  *RatioWindow
-	components map[string]*componentMonitor
+	components map[string]*Row
 	queueLen   func() int
 }
 
@@ -125,7 +142,7 @@ func NewNodeMonitor(inBpsCap, outBpsCap float64, h int) *NodeMonitor {
 		outMeter:   NewByteRateMeter(h),
 		busyMeter:  NewBusyMeter(h),
 		nodeDrops:  NewRatioWindow(h),
-		components: make(map[string]*componentMonitor),
+		components: make(map[string]*Row),
 	}
 }
 
@@ -155,58 +172,78 @@ func (m *NodeMonitor) ObserveInbound(now time.Duration, size int) {
 	m.inMeter.Observe(now, size)
 }
 
-// ObserveArrival records a data unit of size bytes arriving for the
-// component identified by key at time now. A component's row lives from
-// its first arrival until Forget.
-func (m *NodeMonitor) ObserveArrival(key, service string, now time.Duration, size int) {
+// Row returns the current row of the component identified by key, or nil
+// when it has none (no arrival since its last Forget).
+func (m *NodeMonitor) Row(key string) *Row { return m.components[key] }
+
+// Arrive records a data unit of size bytes arriving at time now for the
+// component identified by key, on the row c it holds, and returns the row
+// to hold from now on. A nil or forgotten c is resolved by key first: the
+// key's current row, or a fresh one. A component's row lives from its
+// first arrival until Forget.
+func (m *NodeMonitor) Arrive(c *Row, key, service string, now time.Duration, size int) *Row {
 	m.inMeter.Observe(now, size)
-	c, ok := m.components[key]
-	if !ok {
-		c = &componentMonitor{
-			service:  service,
-			arrivals: NewRateEstimator(m.window),
-			proc:     NewDurationWindow(m.window),
-			drops:    NewRatioWindow(m.window),
+	if c == nil || c.forgotten {
+		c = m.components[key]
+		if c == nil {
+			c = &Row{
+				service:  service,
+				arrivals: *NewRateEstimator(m.window),
+				proc:     *NewDurationWindow(m.window),
+				drops:    *NewRatioWindow(m.window),
+			}
+			m.components[key] = c
 		}
-		m.components[key] = c
 	}
 	c.arrivals.Observe(now)
 	c.arrived++
+	return c
 }
 
-// ObserveProcessed records a completed execution taking proc time. The
-// node-level drop window always sees it; the component's own windows only
-// while the component has a row, so a unit that finishes after Forget
-// (queued when its request was torn down) does not bring the row back.
-// The service name is the row's, set at the first arrival; the parameter
-// stays because the frozen bench/ probes call with it.
-func (m *NodeMonitor) ObserveProcessed(key, _ string, proc time.Duration) {
+// Processed records a completed execution taking proc time. The node-level
+// drop window always sees it; the row c only while it is live, so a unit
+// that finishes after Forget (queued when its request was torn down)
+// touches no row and creates none. c may be nil.
+func (m *NodeMonitor) Processed(c *Row, proc time.Duration) {
 	m.nodeDrops.Observe(false)
-	if c, ok := m.components[key]; ok {
+	if c != nil && !c.forgotten {
 		c.proc.Observe(proc)
 		c.processed++
 		c.drops.Observe(false)
 	}
 }
 
-// ObserveDrop records a dropped data unit, under the same row rule as
-// ObserveProcessed. Sources and sinks pass keys that never have a row.
-func (m *NodeMonitor) ObserveDrop(key, _ string) {
+// Dropped records a dropped data unit, under the same row rule as
+// Processed. Sources and sinks pass nil: they never have a row.
+func (m *NodeMonitor) Dropped(c *Row) {
 	m.nodeDrops.Observe(true)
-	if c, ok := m.components[key]; ok {
+	if c != nil && !c.forgotten {
 		c.dropped++
 		c.drops.Observe(true)
 	}
 }
 
-// Forget discards the component rows whose key starts with prefix (a whole
-// key forgets one component, "<request>/" every component of a request).
-// Node-level windows keep what the components contributed.
-func (m *NodeMonitor) Forget(prefix string) {
-	for k := range m.components {
-		if strings.HasPrefix(k, prefix) {
-			delete(m.components, k)
-		}
+// ObserveArrival is Arrive resolved by key alone, for callers that hold no
+// row (the frozen bench/ probes).
+func (m *NodeMonitor) ObserveArrival(key, service string, now time.Duration, size int) {
+	m.Arrive(nil, key, service, now, size)
+}
+
+// ObserveProcessed is Processed on the key's current row, for callers that
+// hold no row (the frozen bench/ probes). The service name is the row's,
+// set at the first arrival; the parameter stays because the probes pass
+// it.
+func (m *NodeMonitor) ObserveProcessed(key, _ string, proc time.Duration) {
+	m.Processed(m.components[key], proc)
+}
+
+// Forget discards the row of the component identified by key, marking it
+// forgotten for whoever holds it. Node-level windows keep what the
+// component contributed.
+func (m *NodeMonitor) Forget(key string) {
+	if c := m.components[key]; c != nil {
+		c.forgotten = true
+		delete(m.components, key)
 	}
 }
 
@@ -227,14 +264,6 @@ func (m *NodeMonitor) ArrivalRate(key string) float64 {
 func (m *NodeMonitor) Period(key string) time.Duration {
 	if c, ok := m.components[key]; ok {
 		return c.arrivals.Period()
-	}
-	return 0
-}
-
-// MeanProc returns the mean running time t_ci of a component.
-func (m *NodeMonitor) MeanProc(key string) time.Duration {
-	if c, ok := m.components[key]; ok {
-		return c.proc.Mean()
 	}
 	return 0
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 	"time"
 
 	"rasc.dev/rasc/internal/overlay"
@@ -79,8 +78,8 @@ const maxBatchSimBytes = 64 << 10
 //	batch   := count:u16 unit*
 //	unit    := reqLen:u8 req substream:u32 stage:u32 seq:u64 created:u64 size:u32
 //
-// Encoding scratch comes from a pool and the final wire buffer is sized
-// exactly, so a flush costs one allocation regardless of batch size.
+// The encode and decode scratch are the engine's own (encodeBuf,
+// decodeBuf), so a flush costs no allocation whatever the batch size.
 
 // unitWireOverhead is the encoded size of a unit minus its request ID.
 const unitWireOverhead = 1 + 4 + 4 + 8 + 8 + 4
@@ -99,10 +98,12 @@ func appendUnit(b []byte, m *dataMsg) []byte {
 	return b
 }
 
-// readUnit decodes one unit, returning the remaining buffer. A unit of a
-// request found in reqs takes its ID from there, so it decodes without
-// allocating, and carries the request's state as m.local.
-func readUnit(b []byte, m *dataMsg, reqs map[string]*reqState) ([]byte, bool) {
+// readUnit decodes one unit, returning the remaining buffer. A unit of the
+// same request as prev (the unit decoded before it in the frame; may be
+// nil) takes prev's ID and request state; otherwise a unit of a request
+// found in reqs takes its ID from there. Either way it decodes without
+// allocating and carries the request's state as m.local.
+func readUnit(b []byte, m, prev *dataMsg, reqs map[string]*reqState) ([]byte, bool) {
 	if len(b) < 1 {
 		return nil, false
 	}
@@ -111,7 +112,9 @@ func readUnit(b []byte, m *dataMsg, reqs map[string]*reqState) ([]byte, bool) {
 	if len(b) < rl+unitWireOverhead-1 {
 		return nil, false
 	}
-	if r := reqs[string(b[:rl])]; r != nil {
+	if prev != nil && prev.Req == string(b[:rl]) {
+		m.Req, m.local = prev.Req, prev.local
+	} else if r := reqs[string(b[:rl])]; r != nil {
 		m.Req, m.local = r.id, r
 	} else {
 		m.Req, m.local = string(b[:rl]), nil
@@ -135,9 +138,9 @@ func appendBatchUnits(b []byte, units []pendingUnit) []byte {
 }
 
 // decodeBatchUnits decodes a batch payload into dst (reused between
-// calls), interning request IDs against reqs (see readUnit; may be nil); it
-// returns nil on any framing error, bytes left over after the last unit
-// included.
+// calls), interning request IDs against reqs (see readUnit; may be nil), so
+// the map is consulted once per run of units from one request; it returns
+// nil on any framing error, bytes left over after the last unit included.
 func decodeBatchUnits(b []byte, dst []dataMsg, reqs map[string]*reqState) []dataMsg {
 	if len(b) < 2 {
 		return nil
@@ -145,14 +148,16 @@ func decodeBatchUnits(b []byte, dst []dataMsg, reqs map[string]*reqState) []data
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
 	dst = dst[:0]
+	var prev *dataMsg
 	for i := 0; i < n; i++ {
 		var m dataMsg
 		var ok bool
-		b, ok = readUnit(b, &m, reqs)
+		b, ok = readUnit(b, &m, prev, reqs)
 		if !ok {
 			return nil
 		}
 		dst = append(dst, m)
+		prev = &dst[len(dst)-1]
 	}
 	if len(b) != 0 {
 		return nil
@@ -160,37 +165,53 @@ func decodeBatchUnits(b []byte, dst []dataMsg, reqs map[string]*reqState) []data
 	return dst
 }
 
-// encodeScratch pools batch-encode buffers.
-var encodeScratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// decodeScratch pools batch-decode unit slices.
-var decodeScratch = sync.Pool{New: func() any { s := make([]dataMsg, 0, DefaultBatchUnits); return &s }}
-
-// ---------------------------------------------------------------------------
-// Pooled scheduler units.
-//
-// Every queued data unit is a sched.Unit paired with its *unitTask payload.
-// Both live in one pool (in the style of mincostflow.Solver's scratch
-// arenas) so the steady-state hot path allocates nothing per unit.
-
-var unitPool = sync.Pool{New: func() any {
-	return &sched.Unit{Payload: &unitTask{}}
-}}
-
-// getUnit leases a unit+task pair from the pool.
-func getUnit() (*sched.Unit, *unitTask) {
-	u := unitPool.Get().(*sched.Unit)
-	return u, u.Payload.(*unitTask)
+// eachUnit decodes a batch payload on the engine's decode scratch and hands
+// every unit to fn. The scratch is taken for the call, so a re-entrant
+// decode would get its own.
+func (e *Engine) eachUnit(body []byte, fn func(dataMsg)) {
+	buf := e.decodeBuf
+	e.decodeBuf = nil
+	units := decodeBatchUnits(body, buf, e.reqs)
+	for i := range units {
+		fn(units[i])
+	}
+	if units != nil {
+		buf = units
+	}
+	e.decodeBuf = buf[:0]
 }
 
-// putUnit returns a unit to the pool, clearing pointers so pooled entries
-// do not retain components or payloads.
-func putUnit(u *sched.Unit) {
+// ---------------------------------------------------------------------------
+// Scheduler units.
+//
+// Every queued data unit is a unitTask: its payload and the sched.Unit
+// that carries it through the ready queue, in one object. Tasks live on the
+// engine's free list (in the style of mincostflow.Solver's scratch arenas),
+// linked through the tasks themselves, so the steady-state hot path
+// allocates nothing per unit. An engine runs on one execution context (the
+// simulator loop, or the live node's actor loop, which its clock posts
+// timer callbacks to), so the list needs no lock.
+
+// getUnit takes a task off the free list, or makes one, and returns it
+// with its scheduler unit.
+func (e *Engine) getUnit() (*sched.Unit, *unitTask) {
+	task := e.freeUnits
+	if task == nil {
+		task = &unitTask{}
+		task.unit.Payload = task
+	} else {
+		e.freeUnits, task.next = task.next, nil
+	}
+	return &task.unit, task
+}
+
+// putUnit returns a unit's task to the free list, cleared so a free task
+// retains no component or payload.
+func (e *Engine) putUnit(u *sched.Unit) {
 	task := u.Payload.(*unitTask)
-	task.comp = nil
-	task.msg = dataMsg{}
-	*u = sched.Unit{Payload: task}
-	unitPool.Put(u)
+	*task = unitTask{next: e.freeUnits}
+	task.unit.Payload = task
+	e.freeUnits = task
 }
 
 // ---------------------------------------------------------------------------
@@ -203,20 +224,20 @@ type pendingUnit struct {
 	// fromStage is the stage the unit was produced at (-1 for sources),
 	// used for forward/drop traces.
 	fromStage int
-	// key and service attribute drops to the producing component
-	// ("source:<req>/<substream>" and "source" for source emissions).
-	key     string
-	service string
-	// isSource selects source-style accounting (no forward counters).
-	isSource bool
-	flow     *flowCounters
+	// comp is the producing component, which a drop is attributed to; nil
+	// for a source emission, which takes source-style accounting (no
+	// forward counters, no component row).
+	comp *component
+	flow *flowCounters
 }
 
-// unitBatch is an open per-destination batch. Flushed batches go back to
-// the engine's spare list with their unit slice, so a steady stream opens
-// batches without allocating.
+// unitBatch is the engine's record of one destination address. Every out
+// that sends there, of any component or source, resolves to it once
+// (batchFor), so units of different flows to one host share its batch,
+// which is open while it holds units. Records are never removed: a steady
+// stream opens batches without allocating.
 type unitBatch struct {
-	to    overlay.NodeInfo
+	addr  transport.Addr
 	units []pendingUnit
 	// simBytes is the simulated payload total (Σ unit Size), charged on
 	// the wire via padding.
@@ -225,9 +246,8 @@ type unitBatch struct {
 	seq    uint64
 	cancel func() // pending flush-deadline timer, nil until armed
 	// deadline is the flush-deadline timer's callback, built once per
-	// batch object. Flushing cancels the timer; a callback the live clock
-	// could no longer cancel at worst flushes this object's next batch
-	// early.
+	// record. Flushing cancels the timer; a callback the live clock could
+	// no longer cancel at worst flushes the record's next batch early.
 	deadline func()
 }
 
@@ -247,9 +267,9 @@ type engineShard struct {
 	done func()
 }
 
-// shardFor routes a unit to its execution context. Substreams are pinned
-// to one shard (FNV-1a over request ID and substream) so per-substream
-// ordering survives sharding.
+// shardFor picks a component's execution context when the component is
+// created. Substreams are pinned to one shard (FNV-1a over request ID and
+// substream) so per-substream ordering survives sharding.
 func (e *Engine) shardFor(req string, substream int) *engineShard {
 	if len(e.shards) == 1 {
 		return e.shards[0]
@@ -280,25 +300,26 @@ func (e *Engine) queueLen() int {
 // ---------------------------------------------------------------------------
 // Send path.
 
-// batchUnit appends one unit to the open batch for its destination and
+// batchUnit appends one unit to the batch of out's destination and
 // flushes the batch when it is full. With BatchUnits ≤ 1 every batch is
 // full at its first unit, so the unit goes out at once as a batch of one,
-// encoded on the stack, and no batch object is ever opened.
-func (e *Engine) batchUnit(to overlay.NodeInfo, pu pendingUnit) {
+// encoded on the stack, and no destination record is ever resolved.
+func (e *Engine) batchUnit(out *outSpec, pu pendingUnit) {
 	if e.cfg.DataPlane.BatchUnits <= 1 {
 		var buf [2 + unitWireOverhead + 64]byte // grows onto the heap only for a request ID over 64 bytes
 		units := [1]pendingUnit{pu}
-		e.sendUnits(to.Addr, units[:], pu.msg.Size, "full", buf[:0])
+		e.sendUnits(out.To.Addr, units[:], pu.msg.Size, "full", buf[:0])
 		return
 	}
-	b := e.batches[to.Addr]
-	if b == nil {
-		b = e.openBatch(to)
+	b := e.batchFor(out)
+	if len(b.units) == 0 {
+		e.batchSeq++
+		b.seq = e.batchSeq
 	}
 	b.units = append(b.units, pu)
 	b.simBytes += pu.msg.Size
 	if len(b.units) >= e.cfg.DataPlane.BatchUnits || b.simBytes >= maxBatchSimBytes {
-		e.flushDest(to.Addr, "full")
+		e.flushBatch(b, "full")
 		return
 	}
 	if b.cancel == nil {
@@ -306,40 +327,36 @@ func (e *Engine) batchUnit(to overlay.NodeInfo, pu pendingUnit) {
 	}
 }
 
-// openBatch opens the batch for a destination, on a spare batch object
-// when one is free.
-func (e *Engine) openBatch(to overlay.NodeInfo) *unitBatch {
-	var b *unitBatch
-	if n := len(e.spareBatches); n > 0 {
-		b = e.spareBatches[n-1]
-		e.spareBatches = e.spareBatches[:n-1]
-	} else {
-		b = &unitBatch{}
-		b.deadline = func() { e.flushDest(b.to.Addr, "deadline") }
+// batchFor returns the record of out's destination, resolving it on the
+// out's first unit. An out belongs to one engine: the one that parsed or
+// planned it.
+func (e *Engine) batchFor(out *outSpec) *unitBatch {
+	if out.batch == nil {
+		b := e.dests[out.To.Addr]
+		if b == nil {
+			b = &unitBatch{addr: out.To.Addr}
+			b.deadline = func() { e.flushBatch(b, "deadline") }
+			e.dests[b.addr] = b
+		}
+		out.batch = b
 	}
-	e.batchSeq++
-	b.to, b.seq = to, e.batchSeq
-	e.batches[to.Addr] = b
-	return b
+	return out.batch
 }
 
-// flushDest sends the open batch for addr and returns the batch object to
-// the spare list.
-func (e *Engine) flushDest(addr transport.Addr, cause string) {
-	b := e.batches[addr]
-	if b == nil {
+// flushBatch sends a destination's open batch, if it has one, and empties
+// it for the next.
+func (e *Engine) flushBatch(b *unitBatch, cause string) {
+	if len(b.units) == 0 {
 		return
 	}
-	delete(e.batches, addr)
 	if b.cancel != nil {
 		b.cancel()
 	}
-	scratch := encodeScratch.Get().(*[]byte)
-	*scratch = e.sendUnits(b.to.Addr, b.units, b.simBytes, cause, (*scratch)[:0])
-	encodeScratch.Put(scratch)
-	clear(b.units) // a spare batch holds no request, flow or peer
-	b.units, b.simBytes, b.cancel, b.to = b.units[:0], 0, nil, overlay.NodeInfo{}
-	e.spareBatches = append(e.spareBatches, b)
+	buf := e.encodeBuf
+	e.encodeBuf = nil // a re-entrant flush would encode into its own buffer
+	e.encodeBuf = e.sendUnits(b.addr, b.units, b.simBytes, cause, buf[:0])
+	clear(b.units) // an empty batch holds no request, flow or component
+	b.units, b.simBytes, b.cancel = b.units[:0], 0, nil
 }
 
 // sendUnits encodes units into buf as one batch of simBytes simulated
@@ -370,16 +387,15 @@ func (e *Engine) sendUnits(addr transport.Addr, units []pendingUnit, simBytes in
 // the shared link model, so ranging over the map directly would make a
 // stop that finds two batches open irreproducible.
 func (e *Engine) flushAll() {
-	if len(e.batches) == 0 {
-		return
-	}
-	open := make([]*unitBatch, 0, len(e.batches))
-	for _, b := range e.batches {
-		open = append(open, b)
+	var open []*unitBatch
+	for _, b := range e.dests {
+		if len(b.units) > 0 {
+			open = append(open, b)
+		}
 	}
 	sort.Slice(open, func(i, j int) bool { return open[i].seq < open[j].seq })
 	for _, b := range open {
-		e.flushDest(b.to.Addr, "stop")
+		e.flushBatch(b, "stop")
 	}
 }
 
@@ -391,10 +407,10 @@ func (e *Engine) settleUnit(pu *pendingUnit, err error) {
 			pu.flow.droppedUnits++
 			pu.flow.droppedBytes += int64(pu.msg.Size)
 		}
-		if pu.isSource {
+		if pu.comp == nil {
 			// The origin's own uplink is congested: record the drop so
 			// the node's ratio reflects it.
-			e.Monitor.ObserveDrop(pu.key, pu.service)
+			e.Monitor.Dropped(nil)
 			return
 		}
 		// Uplink congestion: the unit is dropped here, and the drop
@@ -403,10 +419,10 @@ func (e *Engine) settleUnit(pu *pendingUnit, err error) {
 		e.DropsUplink++
 		telDropUplink.Inc()
 		e.traceEvent(trace.KindDrop, pu.msg, pu.fromStage, "uplink")
-		e.Monitor.ObserveDrop(pu.key, pu.service)
+		e.Monitor.Dropped(e.row(pu.comp))
 		return
 	}
-	if !pu.isSource {
+	if pu.comp != nil {
 		telForwarded.Inc()
 		e.traceEvent(trace.KindForward, pu.msg, pu.fromStage, "")
 		if pu.flow != nil {
@@ -418,24 +434,15 @@ func (e *Engine) settleUnit(pu *pendingUnit, err error) {
 
 // onDataBatch receives a binary batch and hands each unit to handleUnit.
 func (e *Engine) onDataBatch(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
-	scratch := decodeScratch.Get().(*[]dataMsg)
-	units := decodeBatchUnits(body, *scratch, e.reqs)
-	for i := range units {
-		e.handleUnit(units[i], false)
-	}
-	*scratch = units[:0]
-	decodeScratch.Put(scratch)
+	e.eachUnit(body, e.arrive)
 }
+
+// arrive is handleUnit for a unit off the wire.
+func (e *Engine) arrive(m dataMsg) { e.handleUnit(m, false) }
 
 // onDataBatchDropped accounts a batch lost at this node's downlink
 // (receive-buffer overflow): every unit inside is charged to the component
 // or sink it was addressed to.
 func (e *Engine) onDataBatchDropped(_ overlay.ID, _ overlay.NodeInfo, body []byte) {
-	scratch := decodeScratch.Get().(*[]dataMsg)
-	units := decodeBatchUnits(body, *scratch, e.reqs)
-	for i := range units {
-		e.dropArrival(units[i])
-	}
-	*scratch = units[:0]
-	decodeScratch.Put(scratch)
+	e.eachUnit(body, e.dropArrival)
 }

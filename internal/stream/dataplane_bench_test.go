@@ -31,8 +31,8 @@ func BenchmarkBatchEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchDecode measures the receive side with the pooled scratch
-// the engine uses.
+// BenchmarkBatchDecode measures the receive side on reused scratch, as the
+// engine decodes.
 func BenchmarkBatchDecode(b *testing.B) {
 	units := benchUnits(32)
 	payload := appendBatchUnits(nil, units)
@@ -46,13 +46,14 @@ func BenchmarkBatchDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkUnitPool pins the pooled unit path's allocation-free steady
+// BenchmarkUnitPool pins the engine free list's allocation-free steady
 // state (get, touch, put).
 func BenchmarkUnitPool(b *testing.B) {
+	e := newStubEngine(&testClock{}, &stubEndpoint{addr: "stub"}, DataPlaneConfig{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u, task := getUnit()
+		u, task := e.getUnit()
 		task.msg.Seq = int64(i)
-		putUnit(u)
+		e.putUnit(u)
 	}
 }

@@ -127,13 +127,15 @@ func TestSendUnitChargesOnlyTransportedBytes(t *testing.T) {
 	ep := &stubEndpoint{addr: "stub", fail: transport.ErrBacklog}
 	e := newStubEngine(clk, ep, DataPlaneConfig{})
 	flow := e.flowFor("app", 0)
+	comp := &component{key: "app/0/0", flow: flow}
+	out := &outSpec{To: stubPeer, ToStage: 1}
 	send := func() {
-		e.batchUnit(stubPeer, pendingUnit{
-			msg: dataMsg{Req: "app", Stage: 1, Seq: 1, Size: 1250}, key: "app/0/0", flow: flow,
+		e.batchUnit(out, pendingUnit{
+			msg: dataMsg{Req: "app", Stage: 1, Seq: 1, Size: 1250}, comp: comp, flow: flow,
 		})
-		if len(e.batches) != 0 || len(clk.timers) != 0 {
-			t.Fatalf("a batch of one left %d batches open and %d timers armed, want 0 and 0",
-				len(e.batches), len(clk.timers))
+		if len(e.dests) != 0 || len(clk.timers) != 0 {
+			t.Fatalf("a batch of one left %d destination records and %d timers armed, want 0 and 0",
+				len(e.dests), len(clk.timers))
 		}
 	}
 
@@ -333,19 +335,21 @@ func TestBatchFlushOnFull(t *testing.T) {
 	ep := &stubEndpoint{addr: "stub"}
 	e := newStubEngine(clk, ep, DataPlaneConfig{BatchUnits: 4, Shards: 1})
 	flow := e.flowFor("app", 0)
+	comp := &component{key: "app/0/0", flow: flow}
+	out := &outSpec{To: stubPeer, ToStage: 1}
 
 	for seq := int64(0); seq < 4; seq++ {
-		e.batchUnit(stubPeer, pendingUnit{
+		e.batchUnit(out, pendingUnit{
 			msg:  dataMsg{Req: "app", Stage: 1, Seq: seq, Size: 1000},
-			key:  "app/0/0",
+			comp: comp,
 			flow: flow,
 		})
 	}
 	if len(ep.sent) != 1 {
 		t.Fatalf("transport saw %d messages after a full batch, want 1", len(ep.sent))
 	}
-	if len(e.batches) != 0 {
-		t.Fatalf("%d open batches after flush, want 0", len(e.batches))
+	if n := e.DataPlaneStatus().OpenBatches; n != 0 {
+		t.Fatalf("%d open batches after flush, want 0", n)
 	}
 	units := decodeWireBatch(t, ep.sent[0])
 	if len(units) != 4 {
@@ -372,9 +376,10 @@ func TestBatchFlushOnDeadline(t *testing.T) {
 	ep := &stubEndpoint{addr: "stub"}
 	e := newStubEngine(clk, ep, DataPlaneConfig{BatchUnits: 100, FlushInterval: 2 * time.Millisecond, Shards: 1})
 	flow := e.flowFor("app", 0)
+	out := &outSpec{To: stubPeer, ToStage: 1}
 
 	for seq := int64(0); seq < 2; seq++ {
-		e.batchUnit(stubPeer, pendingUnit{
+		e.batchUnit(out, pendingUnit{
 			msg:  dataMsg{Req: "app", Stage: 1, Seq: seq, Size: 500},
 			flow: flow,
 		})
@@ -401,7 +406,7 @@ func TestFlushAllCancelsDeadline(t *testing.T) {
 	ep := &stubEndpoint{addr: "stub"}
 	e := newStubEngine(clk, ep, DataPlaneConfig{BatchUnits: 100, FlushInterval: 2 * time.Millisecond, Shards: 1})
 
-	e.batchUnit(stubPeer, pendingUnit{msg: dataMsg{Req: "app", Size: 700}, flow: e.flowFor("app", 0)})
+	e.batchUnit(&outSpec{To: stubPeer}, pendingUnit{msg: dataMsg{Req: "app", Size: 700}, flow: e.flowFor("app", 0)})
 	e.flushAll()
 	if len(ep.sent) != 1 {
 		t.Fatalf("transport saw %d messages after flushAll, want 1", len(ep.sent))
@@ -419,14 +424,15 @@ func TestBatchSettlesRefusedSends(t *testing.T) {
 	ep := &stubEndpoint{addr: "stub", fail: transport.ErrBacklog}
 	e := newStubEngine(clk, ep, DataPlaneConfig{BatchUnits: 2, Shards: 1})
 	flow := e.flowFor("app", 0)
+	comp := &component{key: "app/0/0", flow: flow}
 
-	// One forwarded unit and one source emission in the same batch.
-	e.batchUnit(stubPeer, pendingUnit{
-		msg: dataMsg{Req: "app", Stage: 1, Seq: 1, Size: 1000}, key: "app/0/0", flow: flow,
+	// One forwarded unit and one source emission in the same batch: two
+	// outs of different flows to one host share its batch.
+	e.batchUnit(&outSpec{To: stubPeer, ToStage: 1}, pendingUnit{
+		msg: dataMsg{Req: "app", Stage: 1, Seq: 1, Size: 1000}, comp: comp, flow: flow,
 	})
-	e.batchUnit(stubPeer, pendingUnit{
-		msg: dataMsg{Req: "app", Stage: 0, Seq: 2, Size: 1000}, fromStage: -1,
-		key: "source:app/0", service: "source", isSource: true, flow: flow,
+	e.batchUnit(&outSpec{To: stubPeer}, pendingUnit{
+		msg: dataMsg{Req: "app", Stage: 0, Seq: 2, Size: 1000}, fromStage: -1, flow: flow,
 	})
 	if e.DropsUplink != 1 {
 		t.Fatalf("DropsUplink = %d, want 1 (source drops are monitor-only)", e.DropsUplink)
@@ -467,16 +473,30 @@ func TestLongRequestIDRejected(t *testing.T) {
 	}
 }
 
+// The engine's free list hands back a returned unit cleared, and a
+// get/put round allocates nothing once the list holds a unit.
 func TestUnitPoolClearsReleasedUnits(t *testing.T) {
-	u, task := getUnit()
+	e := newStubEngine(&testClock{}, &stubEndpoint{addr: "stub"}, DataPlaneConfig{})
+	u, task := e.getUnit()
+	task.comp = &component{key: "app/0/0"}
 	task.msg = dataMsg{Req: "app", Seq: 9, Size: 1}
 	u.ComponentKey = "app/0/0"
-	putUnit(u)
-	u2, task2 := getUnit()
-	if task2.comp != nil || task2.msg != (dataMsg{}) || u2.ComponentKey != "" {
-		t.Fatalf("pooled unit retains state: %+v / %+v", u2, task2)
+	e.putUnit(u)
+	u2, task2 := e.getUnit()
+	if u2 != u || task2 != task {
+		t.Fatal("the free list did not hand back the unit just returned")
 	}
-	putUnit(u2)
+	if task2.comp != nil || task2.msg != (dataMsg{}) || u2.ComponentKey != "" {
+		t.Fatalf("free unit retains state: %+v / %+v", u2, task2)
+	}
+	e.putUnit(u2)
+	if n := testing.AllocsPerRun(100, func() {
+		u, task := e.getUnit()
+		task.msg.Seq++
+		e.putUnit(u)
+	}); n != 0 {
+		t.Fatalf("a get/put round allocates %v times, want 0", n)
+	}
 }
 
 func TestShardForPinsSubstreams(t *testing.T) {
@@ -514,4 +534,34 @@ func decodeWireBatch(t *testing.T, msg transport.Message) []dataMsg {
 		t.Fatal("wire batch payload failed to decode")
 	}
 	return units
+}
+
+// A component's observations reach the row a lookup by its key would: a
+// successor instantiated under the same key shares the row its predecessor
+// holds, and a component torn down while it still had units queued reaches
+// no row, then the fresh row its successor's first arrival opens.
+func TestComponentRowFollowsKey(t *testing.T) {
+	e := newStubEngine(&testClock{}, &stubEndpoint{addr: "stub"}, DataPlaneConfig{})
+	const key = "app/0/1"
+	old := &component{key: key}
+	old.row = e.Monitor.Arrive(old.row, key, "a", 0, 100)
+	replaced := &component{key: key}
+	if e.row(replaced) != old.row {
+		t.Fatal("a re-instantiated component does not share its predecessor's row")
+	}
+
+	e.Monitor.Forget(key)
+	if e.row(old) != nil {
+		t.Fatal("a torn-down component still reaches a row")
+	}
+	e.Monitor.Processed(e.row(old), time.Millisecond)
+	if n := len(e.Monitor.Report(0).Components); n != 0 {
+		t.Fatalf("a unit processed after its teardown left %d rows", n)
+	}
+	succ := &component{key: key}
+	succ.row = e.Monitor.Arrive(succ.row, key, "a", time.Second, 100)
+	e.Monitor.Processed(e.row(old), time.Millisecond)
+	if e.row(old) != succ.row || e.Monitor.Report(time.Second).Components[key].Processed != 1 {
+		t.Fatal("a straggler of a torn-down component did not reach its successor's row")
+	}
 }

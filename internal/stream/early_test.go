@@ -252,7 +252,13 @@ func TestEarlyBufferEvictsOldest(t *testing.T) {
 // sends its instantiate messages at simulator time 0.
 func newSubmitRig(t *testing.T, latency func(a, b netsim.NodeID) time.Duration) (*gatherRig, *trace.Buffer) {
 	t.Helper()
-	r := newRig(t, 3, latency, 1e8, Config{})
+	return newSubmitRigConfig(t, latency, Config{})
+}
+
+// newSubmitRigConfig is newSubmitRig with every engine on cfg.
+func newSubmitRigConfig(t *testing.T, latency func(a, b netsim.NodeID) time.Duration, cfg Config) (*gatherRig, *trace.Buffer) {
+	t.Helper()
+	r := newRig(t, 3, latency, 1e8, cfg)
 	r.dir.answers["a"] = stubLookup{hosts: r.hosts(1)}
 	r.dir.answers["b"] = stubLookup{hosts: r.hosts(2)}
 	origin := r.engines[0]

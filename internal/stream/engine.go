@@ -87,6 +87,16 @@ func (e *Engine) request(req string) *reqState {
 	return r
 }
 
+// unitReq returns the state of a unit's request: the one decoding
+// attached, or, for a unit decoded before the request was known here, the
+// engine's (nil when there is none).
+func (e *Engine) unitReq(m dataMsg) *reqState {
+	if m.local != nil {
+		return m.local
+	}
+	return e.reqs[m.Req]
+}
+
 // sink returns the sink of a substream, or nil; r may be nil.
 func (r *reqState) sink(substream int) *Sink {
 	if r == nil || substream < 0 || substream >= len(r.sinks) {
@@ -136,12 +146,33 @@ type component struct {
 	split     *splitter
 	outCredit float64
 	flow      *flowCounters
+	// shard is the component's execution context, pinned at creation
+	// (shardFor). row is its monitor row, taken at its first arrival;
+	// observations reach it through Engine.row.
+	shard *engineShard
+	row   *monitor.Row
 }
 
-// unitTask is the payload carried through the scheduler queue.
+// row returns the monitor row c's observations go to: the row it holds
+// while that is live, else its key's current row (nil when there is none).
+// A component replaced by a re-instantiation shares its successor's row,
+// and one torn down reaches no row until an arrival opens a fresh one,
+// exactly as a lookup by key would.
+func (e *Engine) row(c *component) *monitor.Row {
+	if c.row == nil || c.row.Forgotten() {
+		c.row = e.Monitor.Row(c.key)
+	}
+	return c.row
+}
+
+// unitTask is the payload carried through the scheduler queue, with the
+// scheduler unit that carries it (unit.Payload is the task) and its link
+// on the engine's free list.
 type unitTask struct {
 	comp *component
 	msg  dataMsg
+	unit sched.Unit
+	next *unitTask
 }
 
 // Directory is what the engine needs of service discovery
@@ -165,15 +196,20 @@ type Engine struct {
 	Dir     Directory
 
 	// shards are the execution contexts (ready queue + simulated core).
-	// batches holds the open per-destination unit batches, spareBatches
-	// the flushed ones kept for reuse, batchSeq the count of batches opened
-	// so far (it stamps their age), and flows the per-substream throughput
-	// counters behind Throughput().
-	shards       []*engineShard
-	batches      map[transport.Addr]*unitBatch
-	spareBatches []*unitBatch
-	batchSeq     uint64
-	flows        map[flowKey]*flowCounters
+	// dests holds one record per destination address with its batch,
+	// batchSeq the count of batches opened so far (it stamps their age),
+	// and flows the per-substream throughput counters behind Throughput().
+	shards   []*engineShard
+	dests    map[transport.Addr]*unitBatch
+	batchSeq uint64
+	flows    map[flowKey]*flowCounters
+
+	// freeUnits, encodeBuf and decodeBuf are the data path's scratch: the
+	// free list of scheduler units (getUnit) and the batch encode and
+	// decode buffers, each taken for the duration of one use.
+	freeUnits *unitTask
+	encodeBuf []byte
+	decodeBuf []dataMsg
 
 	sources map[flowKey]*source
 	// reqs holds, by ID, every request this engine has hosted a
@@ -266,7 +302,7 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[s
 		Monitor:        monitor.NewNodeMonitor(cfg.InBps, cfg.OutBps, monitor.DefaultWindow),
 		Dir:            dir,
 		shards:         make([]*engineShard, cfg.DataPlane.Shards),
-		batches:        make(map[transport.Addr]*unitBatch),
+		dests:          make(map[transport.Addr]*unitBatch),
 		flows:          make(map[flowKey]*flowCounters),
 		sources:        make(map[flowKey]*source),
 		reqs:           make(map[string]*reqState),
@@ -275,6 +311,12 @@ func NewEngine(node *overlay.Node, clk clock.Clock, dir Directory, catalog map[s
 		composeCapture: make(map[string]*core.ComposeStats),
 		availDown:      make(map[string]time.Duration),
 		Catalog:        catalog,
+	}
+	if cfg.DataPlane.BatchUnits > 1 {
+		// A batched engine encodes and decodes many units per message, so
+		// its scratch starts at a full batch's size instead of growing to it.
+		e.encodeBuf = make([]byte, 0, 4096)
+		e.decodeBuf = make([]dataMsg, 0, cfg.DataPlane.BatchUnits)
 	}
 	for i := range e.shards {
 		sh := &engineShard{queue: sched.NewPolicy(cfg.SchedPolicy, cfg.QueueCapacity)}
@@ -419,6 +461,7 @@ func (e *Engine) onInstantiate(_ overlay.NodeInfo, body []byte, respond func([]b
 		msg:   m,
 		split: newSplitter(m.Outs),
 		flow:  e.flowFor(m.Req, m.Substream),
+		shard: e.shardFor(m.Req, m.Substream),
 	})
 	r.stopped = false
 	e.replayEarly(m.Req, m.Substream, m.Stage)
@@ -439,15 +482,22 @@ func (e *Engine) onTeardown(_ overlay.NodeInfo, body []byte, respond func([]byte
 // StopRequest stops local sources and removes local components of req,
 // with their monitor rows, and drops the early units held for it. Sinks
 // (and flow counters) are kept so their statistics remain readable.
+//
+// Only req's own rows go: a row exists only for a live component's key
+// (one a re-instantiation replaced shares its successor's), so forgetting
+// each component's key forgets exactly them, and a request whose ID
+// extends req's ("x/y" for "x") keeps its rows.
 func (e *Engine) StopRequest(req string) {
 	e.StopSources(req)
 	r := e.request(req)
+	for _, c := range r.comps {
+		e.Monitor.Forget(c.key)
+	}
 	r.comps = nil
 	for _, m := range e.takeEarly(func(m dataMsg) bool { return m.Req == req }) {
 		e.dropStale(m)
 	}
 	r.stopped = true
-	e.Monitor.Forget(req + "/")
 	delete(e.origins, req)
 }
 
@@ -474,7 +524,11 @@ func (e *Engine) dropArrival(m dataMsg) {
 	e.DropsDownlink++
 	telDropDownlink.Inc()
 	e.traceEvent(trace.KindDrop, m, m.Stage, "downlink")
-	e.Monitor.ObserveDrop(componentKey(m.Req, m.Substream, m.Stage), "")
+	var row *monitor.Row
+	if c := e.unitReq(m).comp(m.Substream, m.Stage); c != nil {
+		row = e.row(c)
+	}
+	e.Monitor.Dropped(row)
 	f := e.flowFor(m.Req, m.Substream)
 	f.droppedUnits++
 	f.droppedBytes += int64(m.Size)
@@ -540,10 +594,7 @@ func (e *Engine) replayEarly(req string, substream, stage int) {
 // unit coming out of the early-unit buffer.
 func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 	now := e.clk.Now()
-	r := m.local
-	if r == nil {
-		r = e.reqs[m.Req] // decoded before the request was known here
-	}
+	r := e.unitReq(m)
 	if s := r.sink(m.Substream); s != nil && m.Stage == s.Stages {
 		e.Monitor.ObserveInbound(now, m.Size)
 		telDelivered.Inc()
@@ -563,36 +614,34 @@ func (e *Engine) handleUnit(m dataMsg, replayed bool) {
 		}
 		return
 	}
-	e.Monitor.ObserveArrival(c.key, c.msg.Service, now, m.Size)
+	c.row = e.Monitor.Arrive(c.row, c.key, c.msg.Service, now, m.Size)
 	note := c.msg.Service
 	if replayed {
 		note += earlyNote
 	}
 	e.traceEvent(trace.KindArrive, m, m.Stage, note)
 	period := time.Duration(float64(time.Second) / c.msg.Rate)
-	exec := e.Monitor.MeanProc(c.key)
+	exec := c.row.MeanProc()
 	if exec == 0 {
 		exec = e.scaledProc(c)
 	}
-	u, task := getUnit()
-	u.ComponentKey = c.key
+	u, task := e.getUnit()
 	u.Deadline = now + period
 	u.ExecTime = exec
 	u.Enqueued = now
 	task.comp = c
 	task.msg = m
-	sh := e.shardFor(m.Req, m.Substream)
-	if !sh.queue.Push(u) {
+	if !c.shard.queue.Push(u) {
 		e.DropsQueueFull++
 		telDropQueueFull.Inc()
 		e.traceEvent(trace.KindDrop, m, m.Stage, "queue-full")
-		e.Monitor.ObserveDrop(c.key, c.msg.Service) // queue overflow
+		e.Monitor.Dropped(c.row) // queue overflow
 		c.flow.droppedUnits++
 		c.flow.droppedBytes += int64(m.Size)
-		putUnit(u)
+		e.putUnit(u)
 		return
 	}
-	e.kick(sh)
+	e.kick(c.shard)
 }
 
 // scaledProc returns the component's reference processing time adjusted
@@ -623,10 +672,10 @@ func (e *Engine) kick(sh *engineShard) {
 		e.DropsLaxity++
 		telDropLaxity.Inc()
 		e.traceEvent(trace.KindDrop, task.msg, task.msg.Stage, "laxity")
-		e.Monitor.ObserveDrop(d.ComponentKey, task.comp.msg.Service)
+		e.Monitor.Dropped(e.row(task.comp))
 		task.comp.flow.droppedUnits++
 		task.comp.flow.droppedBytes += int64(task.msg.Size)
-		putUnit(d)
+		e.putUnit(d)
 	})
 	if len(sh.runs) == 0 {
 		return
@@ -665,11 +714,11 @@ func (e *Engine) finish(sh *engineShard) {
 	for i, u := range sh.runs {
 		task := u.Payload.(*unitTask)
 		telProcessed.Inc()
-		e.Monitor.ObserveProcessed(u.ComponentKey, task.comp.msg.Service, sh.procs[i])
+		e.Monitor.Processed(e.row(task.comp), sh.procs[i])
 		e.Monitor.ObserveBusy(now, sh.procs[i])
 		e.traceEvent(trace.KindProcess, task.msg, task.msg.Stage, task.comp.msg.Service)
 		e.forward(task.comp, task.msg)
-		putUnit(u)
+		e.putUnit(u)
 	}
 	sh.busy = false
 	e.kick(sh)
@@ -695,7 +744,7 @@ func (e *Engine) forward(c *component, in dataMsg) {
 		if size <= 0 {
 			size = in.Size
 		}
-		e.batchUnit(out.To, pendingUnit{
+		e.batchUnit(out, pendingUnit{
 			msg: dataMsg{
 				Req:       in.Req,
 				Substream: in.Substream,
@@ -705,8 +754,7 @@ func (e *Engine) forward(c *component, in dataMsg) {
 				Size:      size,
 			},
 			fromStage: in.Stage,
-			key:       c.key,
-			service:   c.msg.Service,
+			comp:      c,
 			flow:      c.flow,
 		})
 	}

@@ -2,6 +2,8 @@ package stream_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,5 +77,47 @@ func TestTeardownForgetsMonitorRows(t *testing.T) {
 		if got := statsReplyBytes(t, s, i); got != replyBefore[i] || got == 0 {
 			t.Errorf("node %d's stats reply is %d bytes after 50 cycles, was %d before the first", i, got, replyBefore[i])
 		}
+	}
+}
+
+// Tearing down request "x" forgets x's monitor rows and no other's, also
+// where another request's ID extends x's ("x/y"; "/" is legal in a request
+// ID). The rows used to be forgotten by the prefix "x/", which took x/y's
+// rows with them while x/y was still hosted.
+func TestTeardownKeepsRowsOfExtendedRequestID(t *testing.T) {
+	s := deploy.NewSystem(deploy.SystemOptions{Nodes: 12, Seed: 11})
+	gx := submit(t, s, 0, simpleRequest("x", 40, "filter", "transcode"), &core.MinCost{})
+	submit(t, s, 0, simpleRequest("x/y", 40, "filter", "transcode"), &core.MinCost{})
+	s.Sim.RunUntil(s.Sim.Now() + 500*time.Millisecond)
+	// Quiesce x/y: a later arrival would open a fresh row and hide a row
+	// x's teardown forgot.
+	s.Engines[0].StopSources("x/y")
+	s.Sim.RunUntil(s.Sim.Now() + 2*time.Second)
+	rows := func(req string) []int {
+		out := make([]int, len(s.Engines))
+		for i, e := range s.Engines {
+			for key := range e.Monitor.Report(s.Sim.Now()).Components {
+				if strings.HasPrefix(key, req+"/") && strings.Count(key[len(req)+1:], "/") == 1 {
+					out[i]++
+				}
+			}
+		}
+		return out
+	}
+	before := rows("x/y")
+	total := 0
+	for _, n := range before {
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("no engine holds a row of x/y; the scenario no longer exercises the monitor")
+	}
+	s.Engines[0].Teardown(gx, rpcTimeout)
+	s.Sim.RunUntil(s.Sim.Now() + time.Second)
+	if x := rows("x"); slices.ContainsFunc(x, func(n int) bool { return n != 0 }) {
+		t.Errorf("rows of x per engine after its teardown: %v, want none", x)
+	}
+	if after := rows("x/y"); !slices.Equal(after, before) {
+		t.Errorf("rows of x/y per engine: %v before x's teardown, %v after", before, after)
 	}
 }

@@ -29,11 +29,13 @@ const (
 )
 
 // outSpec tells a component (or source) where to forward output and at
-// what rate share.
+// what rate share. batch is the engine's record of To's address, resolved
+// at the out's first unit (Engine.batchFor); it is not on the wire.
 type outSpec struct {
 	To      overlay.NodeInfo
 	ToStage int
 	Rate    float64
+	batch   *unitBatch
 }
 
 // instantiateMsg asks a host to create one component instance.

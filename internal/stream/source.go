@@ -68,19 +68,15 @@ func (e *Engine) startSource(req string, substream int, ss spec.Substream, unitB
 	e.sources[flowKey{req, substream}] = s
 	period := time.Duration(float64(time.Second) / s.split.total)
 	tickEvery := max(period, e.cfg.DataPlane.FlushInterval, e.clk.Resolution())
-	key := "source:" + req + "/" + itoa(substream)
 	emit := func() {
 		for ; s.credit >= 1-creditEpsilon; s.credit-- {
 			out := s.split.next()
 			if out == nil {
 				continue
 			}
-			e.batchUnit(out.To, pendingUnit{
+			e.batchUnit(out, pendingUnit{
 				msg:       e.emitUnit(s, out),
 				fromStage: -1,
-				key:       key,
-				service:   "source",
-				isSource:  true,
 				flow:      s.flow,
 			})
 		}

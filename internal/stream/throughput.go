@@ -140,7 +140,6 @@ func (e *Engine) DataPlaneStatus() DataPlaneStatus {
 	st := DataPlaneStatus{
 		Config:          e.cfg.DataPlane,
 		ShardQueueLens:  make([]int, len(e.shards)),
-		OpenBatches:     len(e.batches),
 		DropsQueueFull:  e.DropsQueueFull,
 		DropsLaxity:     e.DropsLaxity,
 		DropsUplink:     e.DropsUplink,
@@ -151,8 +150,11 @@ func (e *Engine) DataPlaneStatus() DataPlaneStatus {
 	for i, sh := range e.shards {
 		st.ShardQueueLens[i] = sh.queue.Len()
 	}
-	for _, b := range e.batches {
-		st.OpenBatchUnits += len(b.units)
+	for _, b := range e.dests {
+		if len(b.units) > 0 {
+			st.OpenBatches++
+			st.OpenBatchUnits += len(b.units)
+		}
 	}
 	return st
 }
