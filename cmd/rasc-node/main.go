@@ -128,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			MaxTenants:  *maxTenants,
 		}
 	}
-	node, err := live.Start(live.Config{
+	cfg := live.Config{
 		Listen:          *listen,
 		Name:            *name,
 		Bootstrap:       *bootstrap,
@@ -165,7 +165,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		},
 		TraceEvents:     *traceEvents,
 		DecisionJournal: *journalCap,
-	})
+	}
+	if err := cfg.Check(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	node, err := live.Start(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "start: %v\n", err)
 		return 1

@@ -10,7 +10,8 @@ import (
 )
 
 // A flag the command does not define, a bad value, an unknown -priority
-// class or an unknown -composer is a usage error: exit code 2 with the
+// class, an unknown -composer, a -record-ttl not above -refresh-interval
+// or -cluster with -no-gossip is a usage error: exit code 2 with the
 // complaint on stderr and nothing on stdout, before any socket is opened.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
@@ -23,6 +24,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-composer", "bogus", "-submit", "filter"}, "bogus"},
 		{[]string{"-submit", "filter", "-unit", "0"}, "-unit"},
 		{[]string{"-adapt-interval", "-1s"}, "-adapt-interval"},
+		{[]string{"-record-ttl", "1s"}, "RecordTTL"},
+		{[]string{"-cluster", "c0", "-no-gossip"}, "requires gossip"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(context.Background(), tc.args, &stdout, &stderr)

@@ -15,6 +15,7 @@ import (
 	"rasc.dev/rasc/internal/federation"
 	"rasc.dev/rasc/internal/gossip"
 	"rasc.dev/rasc/internal/netsim"
+	"rasc.dev/rasc/internal/node"
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/services"
 	"rasc.dev/rasc/internal/simnet"
@@ -62,6 +63,11 @@ func (f *FederationOptions) defaults() {
 
 // ClusterName names cluster k ("c0", "c1", …).
 func ClusterName(k int) string { return "c" + strconv.Itoa(k) }
+
+// GossipProbeTimeout is the simulator's gossip probe timeout: the 300ms
+// default sits below the generated topology's worst inter-site RTT
+// (~330ms); 500ms keeps healthy members from being falsely suspected.
+const GossipProbeTimeout = 500 * time.Millisecond
 
 // SystemOptions configures a full simulated RASC deployment.
 type SystemOptions struct {
@@ -120,10 +126,8 @@ type SystemOptions struct {
 	// Gossip loops reschedule forever, so gossip-enabled deployments must
 	// advance time with RunUntil.
 	EnableGossip bool
-	// Gossip tunes the protocol when EnableGossip is set. Note the
-	// defaults (300ms probe timeout) are tight against the simulated
-	// PlanetLab inter-site RTTs (up to ~330ms); deployments wanting no
-	// false suspicions should raise ProbeTimeout to ≥500ms.
+	// Gossip tunes the protocol when EnableGossip is set; see
+	// GossipProbeTimeout for the probe timeout the simulator needs.
 	Gossip gossip.Config
 
 	// Adaptation, when set, enables the event-driven adaptation control
@@ -159,8 +163,8 @@ type System struct {
 	Stores  []*dht.Store
 	Dirs    []*discovery.Directory
 	Engines []*stream.Engine
-	// Gossip holds each node's membership instance (nil entries when
-	// EnableGossip is off).
+	// Gossip holds each node's membership instance (nil when EnableGossip
+	// is off).
 	Gossip []*gossip.Gossip
 	// Chaos holds each node's fault injector (nil when Options.Chaos is
 	// unset) — the handle for mid-run Partition/Heal.
@@ -186,8 +190,6 @@ type System struct {
 	Ledgers []*federation.Ledger
 	// ClusterOf names each node's cluster ("" when unfederated).
 	ClusterOf []string
-
-	killed []bool // nodes failed by Kill
 }
 
 // NewSystem builds and starts a deployment. After it returns, the overlay
@@ -220,11 +222,10 @@ func NewSystem(opts SystemOptions) *System {
 			}, opts.Seed)
 		}
 	}
-	clusterOf := func(i int) int {
-		if fo == nil {
-			return 0
-		}
-		return i % fo.Clusters
+	// Node i is in cluster i mod nClusters; a flat deployment is one.
+	nClusters := 1
+	if fo != nil {
+		nClusters = fo.Clusters
 	}
 	simOpts := simnet.Options{
 		N:                opts.Nodes,
@@ -253,41 +254,153 @@ func NewSystem(opts SystemOptions) *System {
 		// Cluster identity must be set before any join: it rides NodeInfo
 		// through the overlay, and gossip scopes membership by it.
 		simOpts.ConfigureNode = func(i int, n *overlay.Node) {
-			n.SetCluster(ClusterName(clusterOf(i)))
+			n.SetCluster(ClusterName(i % nClusters))
 		}
 	}
 	c := simnet.New(simOpts)
-	s := &System{Cluster: c, Options: opts, Chaos: chaosEPs, killed: make([]bool, opts.Nodes)}
-	s.ClusterOf = make([]string, opts.Nodes)
-	if fo != nil {
-		for i := range s.ClusterOf {
-			s.ClusterOf[i] = ClusterName(clusterOf(i))
+	s := &System{Cluster: c, Options: opts, Chaos: chaosEPs}
+	// Every engine writes its decision traces into one shared journal,
+	// sized for a deployment's worth of adaptations.
+	s.Journal = trace.NewJournal(4 * trace.DefaultJournalCapacity)
+	// One shared admission gate per cluster fronts the engines' Submit
+	// paths (a flat deployment is one cluster). The default budget is half
+	// the cluster's aggregate access capacity (each streamed unit crosses
+	// an uplink and a downlink) with 10% headroom for control traffic.
+	var nodeShare []float64
+	clusterShare := make([]float64, nClusters)
+	var gates []*tenant.Gate
+	if opts.Tenancy != nil {
+		nodeShare = make([]float64, opts.Nodes)
+		for i := range c.Nodes {
+			nodeShare[i] = min(c.Topology.DownBps[i], c.Topology.UpBps[i])
+			clusterShare[i%nClusters] += nodeShare[i]
+		}
+		gates = make([]*tenant.Gate, nClusters)
+		for k := range gates {
+			gates[k] = node.NewGate(opts.Tenancy, 0.9*clusterShare[k]/2, c.Clock, s.Journal)
+		}
+		s.Gate = gates[0]
+		if fo != nil {
+			s.Gates = gates
 		}
 	}
+	// A cluster's gate budget shrinks when one of its members dies: its
+	// access-link contribution is gone, so fair shares must re-settle.
+	// Every node's detector reports the same death; shrink once, and only
+	// the dead node's own cluster — a remote-cluster death must not release
+	// budget it never contributed locally.
+	deadSeen := make([]bool, opts.Nodes)
+	onDead := func(info overlay.NodeInfo) {
+		for i, ov := range c.Nodes {
+			if k := i % nClusters; ov.ID() == info.ID && gates != nil && !deadSeen[i] {
+				deadSeen[i] = true
+				if clusterShare[k] > 0 {
+					gates[k].AddCapacity(-gates[k].CapacityBps() * nodeShare[i] / clusterShare[k])
+					clusterShare[k] -= nodeShare[i]
+					nodeShare[i] = 0
+				}
+			}
+		}
+	}
+	// Federation: one boundary ledger per cluster (the arbiter all the
+	// cluster's solves reserve against), every inter-cluster link granted
+	// its capacity on both endpoint ledgers.
+	if fo != nil {
+		s.Ledgers = make([]*federation.Ledger, fo.Clusters)
+		for k := range s.Ledgers {
+			s.Ledgers[k] = federation.NewLedger()
+		}
+		for a := 0; a < fo.Clusters; a++ {
+			for b := a + 1; b < fo.Clusters; b++ {
+				s.Ledgers[a].SetLink(ClusterName(a), ClusterName(b), fo.BoundaryBps)
+				s.Ledgers[b].SetLink(ClusterName(a), ClusterName(b), fo.BoundaryBps)
+			}
+		}
+	}
+	// Border pairing: the j-th border of cluster k exchanges summaries
+	// with the j-th border of every other cluster (clusters smaller than
+	// the border count fall back to their first node).
+	borderPeers := func(i int) []overlay.NodeInfo {
+		k, rank := i%nClusters, i/nClusters
+		if rank >= fo.BorderPeers {
+			return nil
+		}
+		var peers []overlay.NodeInfo
+		for kk := 0; kk < fo.Clusters; kk++ {
+			if kk == k {
+				continue
+			}
+			idx := kk + rank*fo.Clusters
+			if idx >= opts.Nodes {
+				idx = kk
+			}
+			if idx < opts.Nodes {
+				peers = append(peers, c.Nodes[idx].Info())
+			}
+		}
+		return peers
+	}
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5eed))
-	for i, node := range c.Nodes {
-		store := dht.New(node, c.Clock)
-		dir := discovery.New(node, store, c.Clock)
+	nodes := make([]*node.Node, opts.Nodes)
+	for i, ov := range c.Nodes {
 		speed := 1.0
 		if opts.HeterogeneousCPU {
 			speed = 0.6 + 0.8*rng.Float64()
 		}
-		cfg := stream.Config{
-			InBps:            c.Topology.DownBps[i],
-			OutBps:           c.Topology.UpBps[i],
-			SpeedFactor:      speed,
-			SchedPolicy:      opts.SchedPolicy,
-			ProcJitter:       opts.ProcJitter,
-			QueueCapacity:    opts.QueueCapacity,
-			StatsMaxAge:      opts.StatsMaxAge,
-			KeepDelaySamples: opts.KeepDelaySamples,
-			DataPlane:        opts.DataPlane,
+		ncfg := node.Config{
+			Catalog: opts.Catalog,
+			Engine: stream.Config{
+				InBps:            c.Topology.DownBps[i],
+				OutBps:           c.Topology.UpBps[i],
+				SpeedFactor:      speed,
+				SchedPolicy:      opts.SchedPolicy,
+				ProcJitter:       opts.ProcJitter,
+				QueueCapacity:    opts.QueueCapacity,
+				StatsMaxAge:      opts.StatsMaxAge,
+				KeepDelaySamples: opts.KeepDelaySamples,
+				DataPlane:        opts.DataPlane,
+			},
+			Rand:    rand.New(rand.NewSource(opts.Seed*1_000_003 + int64(i))),
+			Journal: s.Journal,
 		}
-		engRng := rand.New(rand.NewSource(opts.Seed*1_000_003 + int64(i)))
-		eng := stream.NewEngine(node, c.Clock, dir, opts.Catalog, engRng, cfg)
-		s.Stores = append(s.Stores, store)
-		s.Dirs = append(s.Dirs, dir)
-		s.Engines = append(s.Engines, eng)
+		k := i % nClusters
+		if gates != nil {
+			ncfg.Gate = gates[k]
+		}
+		if opts.EnableGossip {
+			gcfg := opts.Gossip
+			if fo != nil {
+				gcfg.BoundaryBps = fo.BoundaryBps
+				gcfg.BorderPeers = borderPeers(i)
+				ncfg.Cluster = ClusterName(k)
+				ncfg.Ledger = s.Ledgers[k]
+				// Every node reads remote summaries from its cluster's first
+				// border, node k: in-process here, a dissemination hop live.
+				ncfg.Summaries = func() []gossip.ClusterSummary { return nodes[k].Gossip.Summaries() }
+			}
+			ncfg.Gossip = &gcfg
+			ncfg.GossipRand = rand.New(rand.NewSource(opts.Seed*9_999_991 + int64(i)))
+			ncfg.OnMemberDead = onDead
+		}
+		nodes[i] = node.Assemble(ov, c.Clock, ncfg)
+		if fo != nil {
+			// Summary TTL expiry is detected at the border; fan the
+			// remote_candidate_lost signal out to the cluster's engines
+			// (the in-process stand-in for an intra-cluster broadcast).
+			nodes[i].Gossip.OnSummaryLost(func(cluster string) {
+				for j := k; j < opts.Nodes; j += fo.Clusters {
+					s.Engines[j].OnRemoteClusterLost(cluster)
+				}
+			})
+			s.Federation = append(s.Federation, nodes[i].Federation)
+		}
+		s.ClusterOf = append(s.ClusterOf, ncfg.Cluster)
+		s.Stores = append(s.Stores, nodes[i].Store)
+		s.Dirs = append(s.Dirs, nodes[i].Dir)
+		s.Engines = append(s.Engines, nodes[i].Engine)
+		if opts.EnableGossip {
+			s.Gossip = append(s.Gossip, nodes[i].Gossip)
+		}
 	}
 	// Announce services: each node offers ServicesPerNode services drawn
 	// without replacement, seeded, so the replication degree matches
@@ -296,7 +409,7 @@ func NewSystem(opts SystemOptions) *System {
 	for i, d := range s.Dirs {
 		cnames := names
 		if fo != nil && len(fo.ClusterServices) > 0 {
-			cnames = fo.ClusterServices[clusterOf(i)%len(fo.ClusterServices)]
+			cnames = fo.ClusterServices[i%nClusters%len(fo.ClusterServices)]
 		}
 		perNode := opts.ServicesPerNode
 		if perNode > len(cnames) {
@@ -312,207 +425,14 @@ func NewSystem(opts SystemOptions) *System {
 		}
 	}
 	c.Sim.Run()
-	// Every engine writes its decision traces into one shared journal,
-	// sized for a deployment's worth of adaptations. Built before gossip
-	// and tenancy so both record into it from the first event.
-	s.Journal = trace.NewJournal(4 * trace.DefaultJournalCapacity)
-	for _, eng := range s.Engines {
-		eng.SetDecisionJournal(s.Journal)
+	// Start gossip and adaptation once the set-up traffic has quiesced
+	// (their loops would keep Run from returning). Membership is seeded
+	// with the converged overlay's roster; digests still disseminate.
+	roster := make([]overlay.NodeInfo, len(c.Nodes))
+	for i, ov := range c.Nodes {
+		roster[i] = ov.Info()
 	}
-	// One shared admission gate per cluster fronts the engines' Submit
-	// paths (a flat deployment is one cluster). The default budget is half
-	// the cluster's aggregate access capacity (each streamed unit crosses
-	// an uplink and a downlink) with 10% headroom for control traffic.
-	nClusters := 1
-	if fo != nil {
-		nClusters = fo.Clusters
-	}
-	var nodeShare []float64
-	clusterShare := make([]float64, nClusters)
-	if opts.Tenancy != nil {
-		nodeShare = make([]float64, opts.Nodes)
-		for i := range c.Nodes {
-			down, up := c.Topology.DownBps[i], c.Topology.UpBps[i]
-			nodeShare[i] = down
-			if up < down {
-				nodeShare[i] = up
-			}
-			clusterShare[clusterOf(i)] += nodeShare[i]
-		}
-		gates := make([]*tenant.Gate, nClusters)
-		for k := range gates {
-			tcfg := *opts.Tenancy
-			if tcfg.CapacityBps <= 0 {
-				tcfg.CapacityBps = 0.9 * clusterShare[k] / 2
-			}
-			if tcfg.Clock == nil {
-				tcfg.Clock = c.Clock
-			}
-			if tcfg.Journal == nil {
-				tcfg.Journal = s.Journal
-			}
-			gates[k] = tenant.NewGate(tcfg)
-		}
-		for i := range c.Nodes {
-			s.Engines[i].SetTenantGate(gates[clusterOf(i)])
-		}
-		s.Gate = gates[0]
-		if fo != nil {
-			s.Gates = gates
-		}
-	}
-	// Start gossip only after the control plane has quiesced: its loops
-	// reschedule forever and would keep Run from returning. Membership is
-	// seeded with the full roster, mirroring the already-converged overlay;
-	// digests still have to disseminate through the protocol.
-	if opts.EnableGossip {
-		s.Gossip = make([]*gossip.Gossip, len(c.Nodes))
-		var roster []overlay.NodeInfo
-		for _, node := range c.Nodes {
-			roster = append(roster, node.Info())
-		}
-		// A cluster's gate budget shrinks when one of its members dies:
-		// its access-link contribution is gone, so fair shares must
-		// re-settle. Every node's detector reports the same death; shrink
-		// once, and only the dead node's own cluster — a remote-cluster
-		// death must not release budget it never contributed locally.
-		nodeByID := make(map[overlay.ID]int, len(c.Nodes))
-		for i, node := range c.Nodes {
-			nodeByID[node.Info().ID] = i
-		}
-		gateFor := func(i int) *tenant.Gate {
-			if s.Gates != nil {
-				return s.Gates[clusterOf(i)]
-			}
-			return s.Gate
-		}
-		deadSeen := make(map[overlay.ID]bool)
-		onDead := func(info overlay.NodeInfo) {
-			if s.Gate == nil || deadSeen[info.ID] {
-				return
-			}
-			i, ok := nodeByID[info.ID]
-			if !ok {
-				return
-			}
-			deadSeen[info.ID] = true
-			gate := gateFor(i)
-			k := clusterOf(i)
-			if clusterShare[k] > 0 {
-				gate.AddCapacity(-gate.CapacityBps() * nodeShare[i] / clusterShare[k])
-				clusterShare[k] -= nodeShare[i]
-				nodeShare[i] = 0
-			}
-		}
-		// Border pairing: the j-th border of cluster k exchanges summaries
-		// with the j-th border of every other cluster (clusters smaller
-		// than the border count fall back to their first node).
-		borderPeers := func(i int) []overlay.NodeInfo {
-			k, rank := clusterOf(i), i/fo.Clusters
-			if rank >= fo.BorderPeers {
-				return nil
-			}
-			var peers []overlay.NodeInfo
-			for kk := 0; kk < fo.Clusters; kk++ {
-				if kk == k {
-					continue
-				}
-				idx := kk + rank*fo.Clusters
-				if idx >= opts.Nodes {
-					idx = kk
-				}
-				if idx < opts.Nodes {
-					peers = append(peers, c.Nodes[idx].Info())
-				}
-			}
-			return peers
-		}
-		for i, node := range c.Nodes {
-			gRng := rand.New(rand.NewSource(opts.Seed*9_999_991 + int64(i)))
-			gcfg := opts.Gossip
-			if fo != nil {
-				gcfg.Cluster = ClusterName(clusterOf(i))
-				gcfg.BoundaryBps = fo.BoundaryBps
-				gcfg.BorderPeers = borderPeers(i)
-			}
-			g := gossip.New(node, c.Clock, gRng, gcfg)
-			dir, eng, n := s.Dirs[i], s.Engines[i], node
-			g.SetDigestFunc(func() gossip.Digest {
-				return gossip.Digest{
-					Report:   eng.Monitor.Report(c.Clock.Now()),
-					Services: dir.LocalServices(),
-				}
-			})
-			g.OnMemberDead(func(info overlay.NodeInfo) {
-				if s.killed[i] {
-					// A crashed node detects nothing: its suspicion timers
-					// outlive Stop, but their verdicts must not release a
-					// live peer's budget.
-					return
-				}
-				n.RemovePeer(info.ID)
-				eng.OnPeerDead(info.ID)
-				onDead(info)
-			})
-			if fo != nil {
-				// Summary TTL expiry is detected at the border; fan the
-				// remote_candidate_lost signal out to the cluster's engines
-				// (the in-process stand-in for an intra-cluster broadcast).
-				k := clusterOf(i)
-				g.OnSummaryLost(func(cluster string) {
-					for j := k; j < opts.Nodes; j += fo.Clusters {
-						s.Engines[j].OnRemoteClusterLost(cluster)
-					}
-				})
-			}
-			dir.SetView(g)
-			eng.SetStatsProvider(g.ReportFor)
-			g.Seed(roster)
-			s.Gossip[i] = g
-		}
-		for _, g := range s.Gossip {
-			g.Start()
-		}
-	}
-	// Federation: one boundary ledger per cluster (the arbiter all the
-	// cluster's solves reserve against), every inter-cluster link granted
-	// its capacity on both endpoint ledgers, and a coordinator on every
-	// node. Non-border nodes read remote summaries from their cluster's
-	// first border — in-process in the simulator, a dissemination hop in a
-	// live deployment.
-	if fo != nil {
-		s.Ledgers = make([]*federation.Ledger, fo.Clusters)
-		for k := range s.Ledgers {
-			s.Ledgers[k] = federation.NewLedger()
-		}
-		for a := 0; a < fo.Clusters; a++ {
-			for b := a + 1; b < fo.Clusters; b++ {
-				s.Ledgers[a].SetLink(ClusterName(a), ClusterName(b), fo.BoundaryBps)
-				s.Ledgers[b].SetLink(ClusterName(a), ClusterName(b), fo.BoundaryBps)
-			}
-		}
-		s.Federation = make([]*federation.Coordinator, opts.Nodes)
-		for i, node := range c.Nodes {
-			k := clusterOf(i)
-			border := s.Gossip[k] // cluster k's first border is node k (k ≤ i < Nodes)
-			coord := federation.New(federation.Config{
-				Cluster:      ClusterName(k),
-				Node:         node,
-				Ledger:       s.Ledgers[k],
-				Summaries:    border.Summaries,
-				LocalSummary: s.Gossip[i].LocalSummary,
-			})
-			s.Engines[i].SetFederation(coord)
-			s.Federation[i] = coord
-		}
-	}
-	// Enable adaptation only after the deployment has quiesced: the check
-	// loop reschedules forever.
-	if opts.Adaptation != nil {
-		for _, eng := range s.Engines {
-			eng.EnableAdaptation(*opts.Adaptation)
-		}
-	}
+	node.Start(roster, opts.Adaptation, nodes...)
 	// Start background cross-traffic only after the control plane has
 	// quiesced (the flows reschedule forever).
 	if opts.BackgroundFlows > 0 {
@@ -535,10 +455,9 @@ func NewSystem(opts SystemOptions) *System {
 // Kill fails node i: its transport endpoint closes, so it neither receives
 // nor sends anything from now on (fail-stop). Peers observe timeouts; with
 // gossip enabled they detect the death through probing. The dead node's
-// own protocol loops are stopped so the event queue stays lean, and its
-// detector's verdicts are ignored from now on.
+// own protocol loops are stopped so the event queue stays lean, and a
+// stopped detector reports no verdicts.
 func (s *System) Kill(i int) {
-	s.killed[i] = true
 	_ = s.Endpoints[i].Close()
 	if s.Gossip != nil && s.Gossip[i] != nil {
 		s.Gossip[i].Stop()

@@ -351,9 +351,7 @@ func RunOne(cfg Config, composerName string, rate int, seed int64) (RunStats, er
 		BackgroundFlows:  cfg.BackgroundFlows,
 		Adaptation:       cfg.Adaptation,
 		EnableGossip:     enableGossip,
-		// 500ms keeps probes from timing out over the topology's worst
-		// inter-site RTT (~330ms) and falsely suspecting healthy nodes.
-		Gossip: gossip.Config{ProbeTimeout: 500 * time.Millisecond},
+		Gossip:           gossip.Config{ProbeTimeout: deploy.GossipProbeTimeout},
 	})
 	if enableGossip {
 		// Let the membership protocol disseminate the initial digests

@@ -196,7 +196,7 @@ func runFederationCell(cfg FederationConfig, seed int64, fed bool, reqs []spec.R
 		Seed:            seed,
 		EnableGossip:    true,
 		ServicesPerNode: 5,
-		Gossip:          gossip.Config{ProbeTimeout: 500 * time.Millisecond},
+		Gossip:          gossip.Config{ProbeTimeout: deploy.GossipProbeTimeout},
 	}
 	if fed {
 		opts.Federation = &deploy.FederationOptions{

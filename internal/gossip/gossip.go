@@ -255,6 +255,7 @@ type Gossip struct {
 	probeCancel func()
 	syncCancel  func()
 	running     bool
+	stopped     bool // set by Stop, cleared by Start: silences OnMemberDead
 }
 
 // New attaches a gossip instance to an overlay node. rng drives probe
@@ -298,7 +299,7 @@ func (g *Gossip) Config() Config { return g.cfg }
 func (g *Gossip) SetDigestFunc(fn func() Digest) { g.digestFn = fn }
 
 // OnMemberDead registers a callback fired (on the protocol goroutine) when
-// a member transitions to dead.
+// a member transitions to dead while the instance is not stopped.
 func (g *Gossip) OnMemberDead(fn func(overlay.NodeInfo)) { g.onDead = append(g.onDead, fn) }
 
 // Seed adds known peers as alive members without any network exchange
@@ -330,6 +331,7 @@ func (g *Gossip) Start() {
 		return
 	}
 	g.running = true
+	g.stopped = false
 	g.refreshDigest()
 	var probe func()
 	probe = func() {
@@ -355,8 +357,10 @@ func (g *Gossip) Start() {
 
 // Stop halts the protocol loops. Pending suspicion timers keep running so
 // in-flight state machines settle; inbound messages are still answered.
+// A stopped (crashed) detector reports no verdicts: OnMemberDead is mute.
 func (g *Gossip) Stop() {
 	g.running = false
+	g.stopped = true
 	if g.probeCancel != nil {
 		g.probeCancel()
 		g.probeCancel = nil
@@ -652,6 +656,9 @@ func (g *Gossip) declareDead(m *member, inc uint64) {
 			delete(g.members, id)
 		}
 	})
+	if g.stopped {
+		return
+	}
 	for _, fn := range g.onDead {
 		fn(m.Info)
 	}

@@ -441,3 +441,30 @@ func TestSummaryCountsAndDigestAge(t *testing.T) {
 		t.Fatalf("summary after death: %+v", s)
 	}
 }
+
+// TestStoppedInstanceReportsNoVerdicts stops an instance while it holds a
+// pending suspicion: the suspicion timer still settles the member dead,
+// but no OnMemberDead callback runs, because a crashed detector must not
+// pass a verdict on a peer it can no longer observe.
+func TestStoppedInstanceReportsNoVerdicts(t *testing.T) {
+	tc := newGossipCluster(2, 7, testConfig(), false)
+	tc.step(3 * time.Second)
+	g, peer := tc.gs[0], tc.c.Nodes[1].Info()
+	reports := 0
+	g.OnMemberDead(func(overlay.NodeInfo) { reports++ })
+	// Silence the peer so nothing refutes the suspicion.
+	tc.gs[1].Stop()
+	tc.c.Endpoints[1].Close()
+	g.suspect(peer.ID)
+	if m, _ := g.Member(peer.ID); m.State != StateSuspect {
+		t.Fatalf("peer state %v after suspect, want suspect", m.State)
+	}
+	g.Stop()
+	tc.step(2 * g.Config().SuspicionTimeout)
+	if m, _ := g.Member(peer.ID); m.State != StateDead {
+		t.Fatalf("peer state %v after the suspicion timeout, want dead", m.State)
+	}
+	if reports != 0 {
+		t.Fatalf("stopped instance fired OnMemberDead %d times, want 0", reports)
+	}
+}

@@ -172,14 +172,7 @@ func buildControlHealth(ctl *control.Controller, j *trace.Journal) *controlHealt
 	}
 	if j != nil {
 		ch.Decisions = j.Total()
-		last := j.LastByApp()
-		apps := make([]string, 0, len(last))
-		for app := range last {
-			apps = append(apps, app)
-		}
-		sort.Strings(apps)
-		for _, app := range apps {
-			d := last[app]
+		for app, d := range j.LastByApp() {
 			ac := get(app)
 			ac.LastTrigger = d.Trigger
 			ac.LastMode = d.Mode

@@ -38,13 +38,7 @@ func DecisionsHandler(j *trace.Journal) http.Handler {
 		}
 		ds := j.Decisions()
 		if app := r.URL.Query().Get("app"); app != "" {
-			kept := ds[:0]
-			for _, d := range ds {
-				if d.App == app {
-					kept = append(kept, d)
-				}
-			}
-			ds = kept
+			ds = filter(ds, func(d trace.Decision) bool { return d.App == app })
 		}
 		if r.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -115,13 +109,7 @@ func DataPlaneHandler(status func() stream.DataPlaneStatus) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st := status()
 		if req := r.URL.Query().Get("req"); req != "" {
-			kept := st.Throughputs[:0]
-			for _, t := range st.Throughputs {
-				if t.Req == req {
-					kept = append(kept, t)
-				}
-			}
-			st.Throughputs = kept
+			st.Throughputs = filter(st.Throughputs, func(t stream.Throughput) bool { return t.Req == req })
 		}
 		writeJSON(w, st)
 	})
@@ -148,13 +136,7 @@ func TenantsHandler(gate func() *tenant.Gate) http.Handler {
 		}
 		ts := g.Snapshot()
 		if app := r.URL.Query().Get("app"); app != "" {
-			kept := ts[:0]
-			for _, t := range ts {
-				if t.App == app {
-					kept = append(kept, t)
-				}
-			}
-			ts = kept
+			ts = filter(ts, func(t tenant.Status) bool { return t.App == app })
 		}
 		writeJSON(w, tenantsResponse{Totals: g.Totals(), Tenants: ts})
 	})
@@ -188,6 +170,18 @@ func ClustersHandler(status func() *ClustersStatus) http.Handler {
 		}
 		writeJSON(w, st)
 	})
+}
+
+// filter keeps the elements of xs that match, in place and in order (the
+// ?app= and ?req= selections).
+func filter[T any](xs []T, match func(T) bool) []T {
+	kept := xs[:0]
+	for _, x := range xs {
+		if match(x) {
+			kept = append(kept, x)
+		}
+	}
+	return kept
 }
 
 // writeJSON writes v as indented JSON (these are debugging endpoints read

@@ -1,11 +1,14 @@
 // Package live runs a RASC node over real TCP sockets and the wall clock.
-// The protocol stack (overlay, DHT, discovery, monitoring, scheduling,
-// stream engine) is single-threaded by design; here every inbound frame
-// and timer callback is serialized onto one actor goroutine, so the exact
-// same code that runs in the simulator runs against real networks.
+// The protocol stack is single-threaded by design; here every inbound
+// frame and timer callback is serialized onto one actor goroutine, so the
+// exact same code that runs in the simulator runs against real networks.
+// That is literal: internal/node assembles the stack for both, and live
+// adds only the endpoint, the clock, a per-node gate, DHT record refresh
+// and leaf-set stabilisation (DESIGN.md §3.2).
 package live
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -14,10 +17,9 @@ import (
 
 	"rasc.dev/rasc/internal/clock"
 	"rasc.dev/rasc/internal/core"
-	"rasc.dev/rasc/internal/dht"
-	"rasc.dev/rasc/internal/discovery"
 	"rasc.dev/rasc/internal/federation"
 	"rasc.dev/rasc/internal/gossip"
+	"rasc.dev/rasc/internal/node"
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/services"
 	"rasc.dev/rasc/internal/spec"
@@ -115,32 +117,20 @@ type Config struct {
 	DecisionJournal int
 }
 
-// Node is a running live RASC node.
+// Node is a running live RASC node on the stack internal/node assembles.
+// /debug/rasc/decisions serves its Journal, /debug/rasc/tenants its Gate
+// (nil without Config.Tenancy), /debug/rasc/clusters its Federation.
 type Node struct {
-	loop    chan func()
-	done    chan struct{}
-	ep      transport.Endpoint
-	Overlay *overlay.Node
-	Store   *dht.Store
-	Dir     *discovery.Directory
-	Engine  *stream.Engine
-	// Gossip is the node's membership instance (nil when disabled).
-	Gossip *gossip.Gossip
+	*node.Node
+	loop chan func()
+	done chan struct{}
+	ep   transport.Endpoint
 	// Transport is the resilient send pipeline every frame goes through;
 	// its breaker states feed /healthz and gossip suspicion.
 	Transport *transport.Resilient
-	// Journal records the node's adaptation decision traces, served by
-	// /debug/rasc/decisions.
-	Journal *trace.Journal
 	// Trace is the per-unit event buffer (nil unless Config.TraceEvents
 	// enabled it), served by /debug/rasc/trace.
 	Trace *trace.Buffer
-	// Gate is the node's admission gate (nil unless Config.Tenancy
-	// enabled it), served by /debug/rasc/tenants.
-	Gate *tenant.Gate
-	// Federation is the node's coordinator (nil unless Config.Cluster
-	// named one), served by /debug/rasc/clusters.
-	Federation *federation.Coordinator
 
 	// clk is the node's base clock (wall time unless injected), used for
 	// the off-loop waits (join, submit).
@@ -185,36 +175,42 @@ func (c loopClock) After(d time.Duration, fn func()) func() {
 }
 func (c loopClock) Resolution() time.Duration { return c.base.Resolution() }
 
-// Start boots a live node: binds the listener, builds the protocol stack,
-// joins (or bootstraps) the overlay and announces services. It blocks
-// until the node is a member of the overlay.
-func Start(cfg Config) (*Node, error) {
+// Check fills cfg's zero fields with their defaults and returns the error
+// Start refuses cfg with before it binds anything: a RecordTTL that does
+// not exceed RefreshInterval, or a Cluster without gossip.
+func (cfg *Config) Check() error {
 	if cfg.Catalog == nil {
 		cfg.Catalog = services.Standard()
 	}
-	if cfg.InBps == 0 {
-		cfg.InBps = 10e6
-	}
-	if cfg.OutBps == 0 {
-		cfg.OutBps = 10e6
-	}
-	if cfg.JoinTimeout == 0 {
-		cfg.JoinTimeout = 10 * time.Second
-	}
+	cfg.InBps, cfg.OutBps = cmp.Or(cfg.InBps, 10e6), cmp.Or(cfg.OutBps, 10e6)
+	cfg.JoinTimeout = cmp.Or(cfg.JoinTimeout, 10*time.Second)
 	if cfg.RefreshInterval <= 0 {
 		cfg.RefreshInterval = 2 * time.Second
 	}
 	if cfg.RecordTTL <= 0 {
 		cfg.RecordTTL = 10 * time.Second
 	}
-	if cfg.RecordTTL <= cfg.RefreshInterval {
-		return nil, fmt.Errorf("live: RecordTTL %v must exceed RefreshInterval %v", cfg.RecordTTL, cfg.RefreshInterval)
-	}
-	if cfg.Cluster != "" && cfg.DisableGossip {
-		return nil, fmt.Errorf("live: federation (Cluster %q) requires gossip", cfg.Cluster)
-	}
 	if cfg.BoundaryBps <= 0 {
 		cfg.BoundaryBps = 1e8
+	}
+	if cfg.DecisionJournal <= 0 {
+		cfg.DecisionJournal = trace.DefaultJournalCapacity
+	}
+	if cfg.RecordTTL <= cfg.RefreshInterval {
+		return fmt.Errorf("live: RecordTTL %v must exceed RefreshInterval %v", cfg.RecordTTL, cfg.RefreshInterval)
+	}
+	if cfg.Cluster != "" && cfg.DisableGossip {
+		return fmt.Errorf("live: federation (Cluster %q) requires gossip", cfg.Cluster)
+	}
+	return nil
+}
+
+// Start boots a live node: binds the listener, builds the protocol stack,
+// joins (or bootstraps) the overlay and announces services. It blocks
+// until the node is a member of the overlay.
+func Start(cfg Config) (*Node, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	var ep transport.Endpoint
 	var err error
@@ -276,99 +272,54 @@ func Start(cfg Config) (*Node, error) {
 	}
 	joined := make(chan struct{})
 	n.DoSync(func() {
-		n.Overlay = overlay.NewNode(overlay.HashID(name), lep, clk)
+		ov := overlay.NewNode(overlay.HashID(name), lep, clk)
 		// Cluster identity rides NodeInfo; set it before the join spreads
 		// this node's info through the overlay.
-		n.Overlay.SetCluster(cfg.Cluster)
-		n.Store = dht.New(n.Overlay, clk)
-		// Registrations age out unless refreshed (StartRefresh below
-		// re-publishes every RefreshInterval), so a crashed node's
-		// services disappear from discovery within the TTL.
-		n.Store.TTL = cfg.RecordTTL
-		n.Dir = discovery.New(n.Overlay, n.Store, clk)
-		n.Engine = stream.NewEngine(n.Overlay, clk, n.Dir, cfg.Catalog, newLiveRand(name), stream.Config{
-			InBps:     cfg.InBps,
-			OutBps:    cfg.OutBps,
-			DataPlane: cfg.DataPlane,
-		})
-		capJ := cfg.DecisionJournal
-		if capJ <= 0 {
-			capJ = trace.DefaultJournalCapacity
-		}
-		n.Journal = trace.NewJournal(capJ)
-		n.Engine.SetDecisionJournal(n.Journal)
-		if cfg.TraceEvents > 0 {
-			n.Trace = trace.NewBuffer(cfg.TraceEvents)
-			n.Engine.SetTracer(n.Trace)
-		}
-		if cfg.Tenancy != nil {
-			tcfg := *cfg.Tenancy
-			if tcfg.CapacityBps <= 0 {
-				tcfg.CapacityBps = cfg.InBps
-				if cfg.OutBps < tcfg.CapacityBps {
-					tcfg.CapacityBps = cfg.OutBps
-				}
-			}
-			if tcfg.Clock == nil {
-				tcfg.Clock = clk
-			}
-			if tcfg.Journal == nil {
-				tcfg.Journal = n.Journal
-			}
-			n.Gate = tenant.NewGate(tcfg)
-			n.Engine.SetTenantGate(n.Gate)
+		ov.SetCluster(cfg.Cluster)
+		journal := trace.NewJournal(cfg.DecisionJournal)
+		ncfg := node.Config{
+			Catalog: cfg.Catalog,
+			Engine:  stream.Config{InBps: cfg.InBps, OutBps: cfg.OutBps, DataPlane: cfg.DataPlane},
+			Rand:    newLiveRand(name),
+			Journal: journal,
+			Gate:    node.NewGate(cfg.Tenancy, min(cfg.InBps, cfg.OutBps), clk, journal),
 		}
 		if !cfg.DisableGossip {
 			gcfg := cfg.Gossip
 			if cfg.Cluster != "" {
-				gcfg.Cluster = cfg.Cluster
 				gcfg.BoundaryBps = cfg.BoundaryBps
 				for _, addr := range cfg.BorderPeers {
 					// The peer's ID is unknown until the first exchange; the
 					// border protocol addresses peers by transport address.
 					gcfg.BorderPeers = append(gcfg.BorderPeers, overlay.NodeInfo{Addr: transport.Addr(addr)})
 				}
+				// Each live node arbiters its own boundary ledger; a hand-off's
+				// remote side reserves at the border serving it, so both
+				// endpoints account the debit.
+				ncfg.Cluster, ncfg.Ledger = cfg.Cluster, federation.NewLedger()
+				ncfg.Summaries = func() []gossip.ClusterSummary { return n.Gossip.Summaries() }
 			}
-			n.Gossip = gossip.New(n.Overlay, clk, newLiveRand(name+"/gossip"), gcfg)
-			eng, dir, ov := n.Engine, n.Dir, n.Overlay
-			n.Gossip.SetDigestFunc(func() gossip.Digest {
-				return gossip.Digest{
-					Report:   eng.Monitor.Report(clk.Now()),
-					Services: dir.LocalServices(),
+			ncfg.Gossip, ncfg.GossipRand = &gcfg, newLiveRand(name+"/gossip")
+		}
+		n.Node = node.Assemble(ov, clk, ncfg)
+		// Registrations age out unless StartRefresh (below) re-publishes
+		// them, so a crashed node's services leave discovery within the TTL.
+		n.Store.TTL = cfg.RecordTTL
+		if cfg.TraceEvents > 0 {
+			n.Trace = trace.NewBuffer(cfg.TraceEvents)
+			n.Engine.SetTracer(n.Trace)
+		}
+		if n.Federation != nil {
+			// Links are granted as remote clusters introduce themselves
+			// through summaries, at the minimum of both advertisements.
+			n.Gossip.OnSummary(func(s gossip.ClusterSummary) {
+				capBps := cfg.BoundaryBps
+				if s.BoundaryBps > 0 {
+					capBps = min(capBps, s.BoundaryBps)
 				}
+				n.Federation.Ledger().SetLink(cfg.Cluster, s.Cluster, capBps)
 			})
-			n.Gossip.OnMemberDead(func(info overlay.NodeInfo) {
-				ov.RemovePeer(info.ID)
-				eng.OnPeerDead(info.ID)
-			})
-			dir.SetView(n.Gossip)
-			eng.SetStatsProvider(n.Gossip.ReportFor)
-			if cfg.Cluster != "" {
-				// Every live node arbiters its own boundary ledger; the
-				// remote side of each hand-off reserves at the border that
-				// serves it, so both endpoints account the debit. Links are
-				// granted as remote clusters introduce themselves through
-				// summaries, at the minimum of both sides' advertisements.
-				led := federation.NewLedger()
-				n.Federation = federation.New(federation.Config{
-					Cluster:      cfg.Cluster,
-					Node:         n.Overlay,
-					Ledger:       led,
-					Summaries:    n.Gossip.Summaries,
-					LocalSummary: n.Gossip.LocalSummary,
-				})
-				n.Engine.SetFederation(n.Federation)
-				n.Gossip.OnSummary(func(s gossip.ClusterSummary) {
-					capBps := cfg.BoundaryBps
-					if s.BoundaryBps > 0 && s.BoundaryBps < capBps {
-						capBps = s.BoundaryBps
-					}
-					led.SetLink(cfg.Cluster, s.Cluster, capBps)
-				})
-				n.Gossip.OnSummaryLost(func(cluster string) {
-					eng.OnRemoteClusterLost(cluster)
-				})
-			}
+			n.Gossip.OnSummaryLost(n.Engine.OnRemoteClusterLost)
 		}
 		if cfg.Bootstrap == "" {
 			n.Overlay.Bootstrap()
@@ -408,13 +359,7 @@ func Start(cfg Config) (*Node, error) {
 		clk.After(time.Second, stabilize)
 		// Membership bootstraps from the post-join leaf set; anti-entropy
 		// pulls the rest of the roster.
-		if n.Gossip != nil {
-			n.Gossip.Seed(n.Overlay.Leafset())
-			n.Gossip.Start()
-		}
-		if cfg.Adaptation != nil {
-			n.Engine.EnableAdaptation(*cfg.Adaptation)
-		}
+		node.Start(n.Overlay.Leafset(), cfg.Adaptation, n.Node)
 	})
 	if announceErr != nil {
 		n.Close()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rasc.dev/rasc/internal/gossip"
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/spec"
 )
@@ -189,4 +190,65 @@ func TestLiveSubmitAndStream(t *testing.T) {
 	if s.MeanDelay <= 0 {
 		t.Fatal("mean delay must be positive")
 	}
+}
+
+// TestLiveMemberDeadPrunesOverlay runs the member-dead hook the simulator
+// shares over real TCP: three nodes on short gossip periods, one closed;
+// both survivors must declare it dead and drop it from their leaf sets.
+func TestLiveMemberDeadPrunesOverlay(t *testing.T) {
+	var nodes []*Node
+	var bootstrap string
+	for i := 0; i < 3; i++ {
+		n, err := Start(Config{
+			Listen:    "127.0.0.1:0",
+			Name:      fmt.Sprintf("dead-test-%d", i),
+			Bootstrap: bootstrap,
+			Gossip: gossip.Config{
+				ProbeInterval:    100 * time.Millisecond,
+				ProbeTimeout:     50 * time.Millisecond,
+				SuspicionTimeout: 300 * time.Millisecond,
+			},
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		t.Cleanup(n.Close)
+		nodes = append(nodes, n)
+		bootstrap = nodes[0].Addr()
+	}
+	victim := nodes[2].Overlay.ID()
+	// state reports the victim as node i's gossip view holds it (known is
+	// false while unheard of) and whether node i's leaf set lists it.
+	state := func(i int) (m gossip.Member, known, inLeaf bool) {
+		nodes[i].DoSync(func() {
+			m, known = nodes[i].Gossip.Member(victim)
+			for _, p := range nodes[i].Overlay.Leafset() {
+				inLeaf = inLeaf || p.ID == victim
+			}
+		})
+		return m, known, inLeaf
+	}
+	waitFor := func(what string, want gossip.State, wantInLeaf bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			done := true
+			for i := 0; i < 2; i++ {
+				m, known, inLeaf := state(i)
+				done = done && known && m.State == want && inLeaf == wantInLeaf
+			}
+			if done {
+				return
+			}
+			if time.Now().After(deadline) {
+				for i := 0; i < 2; i++ {
+					m, known, inLeaf := state(i)
+					t.Errorf("node %d: victim known %v, state %v, in leaf set %v", i, known, m.State, inLeaf)
+				}
+				t.Fatalf("survivors never %s", what)
+			}
+		}
+	}
+	waitFor("saw the victim alive", gossip.StateAlive, true)
+	nodes[2].Close()
+	waitFor("declared the victim dead and pruned it", gossip.StateDead, false)
 }

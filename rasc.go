@@ -172,10 +172,7 @@ func newSystem(opts Options) *System {
 		Tenancy:          opts.Tenancy,
 		DataPlane:        dataPlane,
 		Federation:       opts.Federation,
-		// The default 300ms probe timeout sits below the topology's worst
-		// inter-site RTT (~330ms); 500ms keeps healthy members from being
-		// falsely suspected.
-		Gossip: gossip.Config{ProbeTimeout: 500 * time.Millisecond},
+		Gossip:           gossip.Config{ProbeTimeout: deploy.GossipProbeTimeout},
 	})
 	return &System{d: d}
 }
