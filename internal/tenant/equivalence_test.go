@@ -1,7 +1,10 @@
 package tenant
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"math/rand"
 	"reflect"
@@ -242,6 +245,44 @@ func (r *refGate) Totals() Totals {
 	return tt
 }
 
+// churnOp is one operation of the seeded gate churn: an admission (a new
+// app, or a demand change on an admitted one), a release, a capacity
+// reset to bps, or a capacity delta of bps.
+type churnOp struct {
+	kind string // "admit", "release", "capacity" or "add"
+	app  string
+	pri  spec.Priority
+	bps  float64
+}
+
+// gateChurn generates the 1500-operation churn of seed 42 that the
+// equivalence and notification-order tests replay. capacity reports the
+// gate's current budget: a delta that would take it to zero or below is
+// drawn but not applied.
+func gateChurn(capacity func() float64, apply func(step int, op churnOp)) {
+	rng := rand.New(rand.NewSource(42))
+	pris := []spec.Priority{spec.Critical, spec.Standard, spec.BestEffort}
+	for step := 0; step < 1500; step++ {
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3, 4: // admit: new app, or demand change on an existing one
+			app := fmt.Sprintf("app-%03d", rng.Intn(80))
+			pri := pris[rng.Intn(len(pris))]
+			demand := float64(1 + rng.Intn(300000))
+			apply(step, churnOp{kind: "admit", app: app, pri: pri, bps: demand})
+		case 5, 6, 7: // release (promotes from the queue)
+			apply(step, churnOp{kind: "release", app: fmt.Sprintf("app-%03d", rng.Intn(80))})
+		case 8: // grow or shrink capacity (shrink can preempt)
+			apply(step, churnOp{kind: "capacity", bps: float64(100000 + rng.Intn(2000000))})
+		default: // delta resize through AddCapacity
+			d := float64(rng.Intn(200001) - 100000)
+			if capacity()+d <= 0 {
+				continue
+			}
+			apply(step, churnOp{kind: "add", bps: d})
+		}
+	}
+}
+
 // TestGateIncrementalEquivalence feeds the same randomized operation
 // sequence — admissions across priority classes, demand changes, releases,
 // capacity resizes — to the gate and to refGate, and requires their
@@ -252,10 +293,8 @@ func (r *refGate) Totals() Totals {
 // bit-level. Run it with -race: the churn also exercises the
 // coalescing-free notification path end to end.
 func TestGateIncrementalEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	cfg := Config{CapacityBps: 1e6, QueueCapacity: 32, MinShareFraction: 0.25}
 	inc, ref := NewGate(cfg), newRefGate(cfg)
-	pris := []spec.Priority{spec.Critical, spec.Standard, spec.BestEffort}
 
 	compare := func(step int, op string) {
 		t.Helper()
@@ -277,39 +316,30 @@ func TestGateIncrementalEquivalence(t *testing.T) {
 		}
 	}
 
-	for step := 0; step < 1500; step++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4: // admit: new app, or demand change on an existing one
-			app := fmt.Sprintf("app-%03d", rng.Intn(80))
-			pri := pris[rng.Intn(len(pris))]
-			demand := float64(1 + rng.Intn(300000))
-			di := inc.Admit(app, pri, demand, nil)
-			dr := ref.Admit(app, pri, demand)
+	gateChurn(func() float64 { return inc.CapacityBps() }, func(step int, op churnOp) {
+		switch op.kind {
+		case "admit":
+			di := inc.Admit(op.app, op.pri, op.bps, nil)
+			dr := ref.Admit(op.app, op.pri, op.bps)
 			if di.State != dr.State || di.New != dr.New || di.CapBps != dr.CapBps {
 				t.Fatalf("step %d: admit(%s, %s, %v) decisions diverged: gate %+v, reference %+v",
-					step, app, pri, demand, di, dr)
+					step, op.app, op.pri, op.bps, di, dr)
 			}
-			compare(step, "admit "+app)
-		case 5, 6, 7: // release (promotes from the queue)
-			app := fmt.Sprintf("app-%03d", rng.Intn(80))
-			inc.Release(app)
-			ref.Release(app)
-			compare(step, "release "+app)
-		case 8: // grow or shrink capacity (shrink can preempt)
-			c := float64(100000 + rng.Intn(2000000))
-			inc.SetCapacity(c)
-			ref.SetCapacity(c)
-			compare(step, fmt.Sprintf("capacity %v", c))
-		default: // delta resize through AddCapacity
-			d := float64(rng.Intn(200001) - 100000)
-			if inc.CapacityBps()+d <= 0 {
-				continue
-			}
-			inc.AddCapacity(d)
-			ref.SetCapacity(ref.capacity + d)
-			compare(step, fmt.Sprintf("capacity += %v", d))
+			compare(step, "admit "+op.app)
+		case "release":
+			inc.Release(op.app)
+			ref.Release(op.app)
+			compare(step, "release "+op.app)
+		case "capacity":
+			inc.SetCapacity(op.bps)
+			ref.SetCapacity(op.bps)
+			compare(step, fmt.Sprintf("capacity %v", op.bps))
+		case "add":
+			inc.AddCapacity(op.bps)
+			ref.SetCapacity(ref.capacity + op.bps)
+			compare(step, fmt.Sprintf("capacity += %v", op.bps))
 		}
-	}
+	})
 	if tt := inc.Totals(); tt.Admitted == 0 || tt.Preemptions == 0 {
 		t.Fatalf("totals %+v: the churn never left tenants admitted or never preempted; the test exercised too little", tt)
 	}
@@ -344,5 +374,56 @@ func TestGateIncrementalNotificationsConsistent(t *testing.T) {
 		if math.Abs(got-announced) > 1e-6 {
 			t.Errorf("%s: last announced cap %v, gate holds %v", app, announced, got)
 		}
+	}
+}
+
+// digestOwner hashes every owner callback in delivery order: kind, app
+// and, for cap changes, the cap's float bits.
+type digestOwner struct {
+	h     hash.Hash
+	calls int
+}
+
+func (d *digestOwner) TenantCapChanged(app string, capBps float64) {
+	fmt.Fprintf(d.h, "cap %s %016x\n", app, math.Float64bits(capBps))
+	d.calls++
+}
+
+func (d *digestOwner) TenantPreempted(app string) {
+	fmt.Fprintf(d.h, "preempt %s\n", app)
+	d.calls++
+}
+
+func (d *digestOwner) TenantPromoted(app string) {
+	fmt.Fprintf(d.h, "promote %s\n", app)
+	d.calls++
+}
+
+// TestGateNotificationOrderDigest pins the order and bits of every owner
+// notification over the equivalence churn. Notifications become simulator
+// events, so a change in their order moves simulated outcomes even when
+// every cap the gate holds stays the same. The digest was computed on the
+// treap-backed allocator; never re-pin it to make an allocator change pass.
+func TestGateNotificationOrderDigest(t *testing.T) {
+	const want = "ec5be9864f2175dd4415249ccba72fb0d68a1d85afffc0de8f7aef3d6cdf9487"
+	g := NewGate(Config{CapacityBps: 1e6, QueueCapacity: 32, MinShareFraction: 0.25})
+	rec := &digestOwner{h: sha256.New()}
+	gateChurn(g.CapacityBps, func(step int, op churnOp) {
+		switch op.kind {
+		case "admit":
+			g.Admit(op.app, op.pri, op.bps, rec)
+		case "release":
+			g.Release(op.app)
+		case "capacity":
+			g.SetCapacity(op.bps)
+		case "add":
+			g.AddCapacity(op.bps)
+		}
+	})
+	if rec.calls == 0 {
+		t.Fatal("the churn delivered no notification")
+	}
+	if got := hex.EncodeToString(rec.h.Sum(nil)); got != want {
+		t.Fatalf("notification digest over %d callbacks = %s, want %s", rec.calls, got, want)
 	}
 }
