@@ -91,8 +91,16 @@ func (g *Gossip) LocalSummary() ClusterSummary {
 		BoundaryBps: g.cfg.BoundaryBps,
 		Border:      g.node.Info(),
 	}
+	// Sum in member-ID order: the float totals then repeat from run to
+	// run, and so does the summary's size on the wire.
+	ids := make([]overlay.ID, 0, len(g.members))
+	for id := range g.members {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Cmp(ids[j]) < 0 })
 	services := map[string]bool{}
-	for _, m := range g.members {
+	for _, id := range ids {
+		m := g.members[id]
 		if m.State != StateAlive {
 			continue
 		}

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -183,5 +184,49 @@ func TestSummaryExchangeRejectedWhenUnscoped(t *testing.T) {
 	}
 	if got := flat.Summaries(); len(got) != 0 {
 		t.Fatalf("flat node holds summaries %+v", got)
+	}
+}
+
+// TestLocalSummaryIndependentOfMemberOrder builds one membership in
+// forward and in reverse insertion order, several times over, and
+// requires bit-equal summary totals: the headroom sums must not follow
+// the member map's iteration order.
+func TestLocalSummaryIndependentOfMemberOrder(t *testing.T) {
+	c := simnet.New(simnet.Options{N: 1, Seed: 5})
+	g := New(c.Nodes[0], c.Clock, rand.New(rand.NewSource(5)), testConfig())
+	self := g.members[c.Nodes[0].ID()]
+	var members []*member
+	for i := 0; i < 64; i++ {
+		members = append(members, &member{Member: Member{
+			Info:  overlay.NodeInfo{ID: overlay.HashID(fmt.Sprintf("m-%d", i))},
+			State: StateAlive,
+			Digest: Digest{Version: 1, Report: monitor.Report{
+				InBpsCap:  1e6 / float64(3+i),
+				OutBpsCap: 7e5 / float64(7+2*i),
+			}},
+		}})
+	}
+	var want ClusterSummary
+	for round := 0; round < 16; round++ {
+		g.members = map[overlay.ID]*member{self.Info.ID: self}
+		for i := range members {
+			m := members[i]
+			if round%2 == 1 {
+				m = members[len(members)-1-i]
+			}
+			g.members[m.Info.ID] = m
+		}
+		s := g.LocalSummary()
+		if round == 0 {
+			want = s
+			continue
+		}
+		if s.Members != want.Members ||
+			math.Float64bits(s.AggAvailInBps) != math.Float64bits(want.AggAvailInBps) ||
+			math.Float64bits(s.AggAvailOutBps) != math.Float64bits(want.AggAvailOutBps) {
+			t.Fatalf("round %d: summary %d members, in %v, out %v; first build %d, %v, %v",
+				round, s.Members, s.AggAvailInBps, s.AggAvailOutBps,
+				want.Members, want.AggAvailInBps, want.AggAvailOutBps)
+		}
 	}
 }

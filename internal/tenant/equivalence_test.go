@@ -303,10 +303,10 @@ func TestGateIncrementalEquivalence(t *testing.T) {
 			t.Fatalf("step %d (%s): snapshots diverged\ngate:      %+v\nreference: %+v", step, op, si, sr)
 		}
 		ti, tr := inc.Totals(), ref.Totals()
-		// AllocatedBps is summed in map-iteration order, so the two can
-		// differ in the last ulp even with bit-equal per-tenant caps (the
-		// snapshot comparison above pins those). Compare it within epsilon
-		// and everything else exactly.
+		// The reference sums AllocatedBps in map-iteration order, so the
+		// two can differ in the last ulp even with bit-equal per-tenant
+		// caps (the snapshot comparison above pins those). Compare it
+		// within epsilon and everything else exactly.
 		if math.Abs(ti.AllocatedBps-tr.AllocatedBps) > 1e-6*math.Max(1, tr.AllocatedBps) {
 			t.Fatalf("step %d (%s): allocated diverged: gate %v, reference %v", step, op, ti.AllocatedBps, tr.AllocatedBps)
 		}
@@ -316,7 +316,7 @@ func TestGateIncrementalEquivalence(t *testing.T) {
 		}
 	}
 
-	gateChurn(func() float64 { return inc.CapacityBps() }, func(step int, op churnOp) {
+	gateChurn(inc.CapacityBps, func(step int, op churnOp) {
 		switch op.kind {
 		case "admit":
 			di := inc.Admit(op.app, op.pri, op.bps, nil)
@@ -402,8 +402,9 @@ func (d *digestOwner) TenantPromoted(app string) {
 // TestGateNotificationOrderDigest pins the order and bits of every owner
 // notification over the equivalence churn. Notifications become simulator
 // events, so a change in their order moves simulated outcomes even when
-// every cap the gate holds stays the same. The digest was computed on the
-// treap-backed allocator; never re-pin it to make an allocator change pass.
+// every cap the gate holds stays the same. The digest was computed before
+// the allocator became a sorted slice; never re-pin it to make an
+// allocator change pass.
 func TestGateNotificationOrderDigest(t *testing.T) {
 	const want = "ec5be9864f2175dd4415249ccba72fb0d68a1d85afffc0de8f7aef3d6cdf9487"
 	g := NewGate(Config{CapacityBps: 1e6, QueueCapacity: 32, MinShareFraction: 0.25})

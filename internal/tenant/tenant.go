@@ -106,10 +106,10 @@ type Owner interface {
 // nothing (zero capacity); set CapacityBps.
 type Config struct {
 	// CapacityBps is the aggregate cluster capacity the gate budgets, in
-	// bits/sec. The gate's feasibility probe is a ledger against this
-	// budget — cheap (no solver run), with the min-cost composer behind
-	// it still the precise check (a composition that fails releases the
-	// admission).
+	// bits/sec: one aggregate budget that the admitted tenants' demands
+	// are water-filled against. It runs no solver; the min-cost composer
+	// behind the gate is still the precise check (a composition that
+	// fails releases the admission).
 	CapacityBps float64
 	// MaxTenants bounds concurrently admitted applications (0 =
 	// unlimited).
@@ -488,10 +488,10 @@ func less(a, b *tenantState) bool {
 }
 
 // ---------------------------------------------------------------------
-// Allocator: the waterfill treap gives the water level in O(log n), the
-// closed form share = min(demand, L·weight) gives each cap without
-// touching the others, and fan-out visits only the suffix of entries
-// whose share can have moved.
+// Allocator: the sorted waterfill slice gives the water level in one
+// prefix-sum scan, the closed form share = min(demand, L·weight) gives
+// each cap without touching the others, and fan-out visits only the tail
+// of entries whose share can have moved.
 // ---------------------------------------------------------------------
 
 // viableLocked reports whether the admitted set is viable at water
@@ -592,18 +592,20 @@ func (g *Gate) pickRebalanceVictimLocked(L float64) *tenantState {
 	top := g.maxRankLocked()
 	f := g.cfg.MinShareFraction
 	var best *tenantState
-	g.wf.suffix(L/f, func(e *wfEntry) {
+	tail := g.wf.suffix(L / f)
+	for i := range tail {
+		e := &tail[i]
 		if wfShare(e, L) >= f*e.demand-1e-9 {
-			return
+			continue
 		}
 		t := g.admitted[e.app]
 		if t == nil || t.pri.Rank() >= top {
-			return
+			continue
 		}
 		if best == nil || less(t, best) {
 			best = t
 		}
-	})
+	}
 	return best
 }
 
@@ -710,20 +712,22 @@ func (g *Gate) fanoutLocked(L float64, skip *tenantState, n *notifs) {
 	if L == g.lastSweepLevel {
 		return
 	}
-	g.wf.suffix(math.Min(L, g.lastSweepLevel), func(e *wfEntry) {
+	tail := g.wf.suffix(math.Min(L, g.lastSweepLevel))
+	for i := range tail {
+		e := &tail[i]
 		t := g.admitted[e.app]
 		if t == nil || t == skip {
-			return
+			continue
 		}
 		newCap := wfShare(e, L)
 		if math.Abs(newCap-t.capBps) <= 1e-6 {
-			return
+			continue
 		}
 		t.capBps = newCap
 		g.statCapNotifs++
 		telCapChanges.Inc()
 		n.capChange = append(n.capChange, t)
-	})
+	}
 	g.lastSweepLevel = L
 }
 
@@ -824,8 +828,10 @@ func (g *Gate) Totals() Totals {
 		CapacityBps: g.capacity, DemandBps: g.demandSum,
 		Preemptions: g.preemptions, Rejections: g.rejections,
 	}
-	for _, t := range g.admitted {
-		tt.AllocatedBps += t.capBps
+	// Key order makes the sum repeat from run to run; admitted tenants
+	// outside the allocator have zero demand and a zero cap.
+	for _, e := range g.wf.entries {
+		tt.AllocatedBps += g.admitted[e.app].capBps
 	}
 	return tt
 }

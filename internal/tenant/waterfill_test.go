@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// wfApply computes the full allocation described by the treap's water
+// wfApply computes the full allocation described by the waterfill's water
 // level, indexed like demands — the incremental analogue of FairShares.
 func wfApply(w *waterfill, demands []Demand, capacityBps float64) []float64 {
 	level := w.level(capacityBps)
@@ -28,9 +28,9 @@ func wfApply(w *waterfill, demands []Demand, capacityBps float64) []float64 {
 }
 
 // TestWaterfillMatchesOracle churns a random tenant population through
-// the treap — joins, leaves, weight changes, demand changes, capacity
+// the waterfill set — joins, leaves, weight changes, demand changes, capacity
 // resizes — and after every operation requires the closed-form allocation
-// at the treap's water level to be bit-identical to the FairShares oracle.
+// at the set's water level to be bit-identical to the FairShares oracle.
 // Demands are integers and weights powers of two, so both paths' float
 // arithmetic is exact and "bit-identical" is meaningful.
 func TestWaterfillMatchesOracle(t *testing.T) {
@@ -55,7 +55,7 @@ func TestWaterfillMatchesOracle(t *testing.T) {
 			}
 		}
 		if w.size() != len(demands) {
-			t.Fatalf("step %d: treap size %d, population %d", step, w.size(), len(demands))
+			t.Fatalf("step %d: set size %d, population %d", step, w.size(), len(demands))
 		}
 		var sum float64
 		for _, d := range demands {
@@ -163,7 +163,9 @@ func TestWaterfillSuffixAndCount(t *testing.T) {
 			}
 		}
 		var got []string
-		w.suffix(bound, func(e *wfEntry) { got = append(got, e.app) })
+		for _, e := range w.suffix(bound) {
+			got = append(got, e.app)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("bound %v: suffix visited %d entries, want %d", bound, len(got), len(want))
 		}
