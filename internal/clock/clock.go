@@ -14,14 +14,39 @@ import (
 type Clock interface {
 	// Now returns time elapsed since an arbitrary fixed origin.
 	Now() time.Duration
-	// After runs fn once d has elapsed and returns a cancel function.
-	// Cancelling after the timer fired is a no-op.
-	After(d time.Duration, fn func()) (cancel func())
+	// After runs fn once d has elapsed and returns the timer's handle,
+	// whose Stop keeps fn from running. Stopping after the timer fired, or
+	// twice, is a no-op; so is stopping the zero Timer.
+	After(d time.Duration, fn func()) Timer
 	// Resolution is the shortest wait the clock's timers keep: a timer
 	// asked for less may still fire that late. Code that models time
 	// finer than this (a processing span, a source tick) keeps the
 	// modelled instant itself instead of arming a timer for it.
 	Resolution() time.Duration
+}
+
+// Timer is the handle of a timer armed by Clock.After, held by value. A
+// simulator timer is its netsim handle; any other clock's timer is what
+// that clock stops it with (a *time.Timer for Real). The zero Timer is
+// unarmed.
+type Timer struct {
+	sim  netsim.Timer
+	stop Stopper
+}
+
+// Stopper stops a timer of a clock other than the simulator's, the way
+// (*time.Timer).Stop does.
+type Stopper interface{ Stop() bool }
+
+// StopWith returns the handle of a timer that s stops.
+func StopWith(s Stopper) Timer { return Timer{stop: s} }
+
+// Stop keeps the timer's callback from running if it has not run yet.
+func (t Timer) Stop() {
+	t.sim.Stop()
+	if t.stop != nil {
+		t.stop.Stop()
+	}
 }
 
 // Sim adapts a netsim.Simulator to the Clock interface. It must only be
@@ -33,8 +58,9 @@ type Sim struct {
 // Now returns the simulator's virtual time.
 func (c Sim) Now() time.Duration { return c.S.Now() }
 
-// After schedules fn on the simulator after d of virtual time.
-func (c Sim) After(d time.Duration, fn func()) func() { return c.S.Timer(d, fn) }
+// After schedules fn on the simulator after d of virtual time. It
+// allocates nothing.
+func (c Sim) After(d time.Duration, fn func()) Timer { return Timer{sim: c.S.Timer(d, fn)} }
 
 // Resolution is 0: a virtual timer fires at exactly the instant asked for.
 func (c Sim) Resolution() time.Duration { return 0 }
@@ -64,9 +90,8 @@ func (r *Real) Now() time.Duration {
 }
 
 // After runs fn on its own goroutine once d has elapsed.
-func (r *Real) After(d time.Duration, fn func()) func() {
-	t := time.AfterFunc(d, fn)
-	return func() { t.Stop() }
+func (r *Real) After(d time.Duration, fn func()) Timer {
+	return StopWith(time.AfterFunc(d, fn))
 }
 
 // Resolution is one millisecond. An idle Go process sleeps in the network

@@ -35,19 +35,31 @@ func TestSimClockCancel(t *testing.T) {
 	s := netsim.New(1)
 	c := Sim{S: s}
 	fired := false
-	cancel := c.After(time.Second, func() { fired = true })
-	cancel()
+	timer := c.After(time.Second, func() { fired = true })
+	timer.Stop()
 	s.Run()
 	if fired {
-		t.Fatal("cancelled timer fired")
+		t.Fatal("stopped timer fired")
 	}
-	// Cancelling twice (and after the event would have fired) is a no-op.
-	cancel()
+	// A stopped simulator timer keeps its place: the clock still reaches
+	// its instant.
+	if c.Now() != time.Second {
+		t.Fatalf("clock at %v after a stopped 1s timer, want 1s", c.Now())
+	}
+	// Stopping twice, and after the event would have fired, is a no-op.
+	timer.Stop()
 }
 
-// A simulator timer costs at most its cancel function: After adds no
-// closure around the callback, and the simulator keeps the cancellation
-// mark in its queue.
+// The zero Timer is unarmed: Stop on it does nothing.
+func TestZeroTimerStopIsNoop(t *testing.T) {
+	var timer Timer
+	timer.Stop()
+	timer.Stop()
+}
+
+// A simulator timer allocates nothing: After adds no closure around the
+// callback, the handle is a value and the simulator keeps the stop mark in
+// its queue.
 func TestSimClockAfterAllocations(t *testing.T) {
 	s := netsim.New(1)
 	c := Sim{S: s}
@@ -55,10 +67,11 @@ func TestSimClockAfterAllocations(t *testing.T) {
 	c.After(0, fn)
 	s.Run() // the queue has room from here on
 	if allocs := testing.AllocsPerRun(1000, func() {
+		c.After(time.Millisecond, fn).Stop()
 		c.After(time.Millisecond, fn)
 		s.Run()
-	}); allocs > 1 {
-		t.Fatalf("After allocates %v times per timer, want ≤ 1", allocs)
+	}); allocs != 0 {
+		t.Fatalf("After allocates %v times per two timers, want 0", allocs)
 	}
 }
 
@@ -92,12 +105,23 @@ func TestRealClockAfterFires(t *testing.T) {
 func TestRealClockCancel(t *testing.T) {
 	r := NewReal()
 	var fired atomic.Bool
-	cancel := r.After(50*time.Millisecond, func() { fired.Store(true) })
-	cancel()
+	timer := r.After(50*time.Millisecond, func() { fired.Store(true) })
+	timer.Stop()
 	time.Sleep(80 * time.Millisecond)
 	if fired.Load() {
-		t.Fatal("cancelled timer fired")
+		t.Fatal("stopped timer fired")
 	}
+	timer.Stop() // twice: a no-op
+}
+
+// Stopping a wall-clock timer after it fired is a no-op.
+func TestRealClockStopAfterFire(t *testing.T) {
+	r := NewReal()
+	done := make(chan struct{})
+	timer := r.After(time.Millisecond, func() { close(done) })
+	<-done
+	timer.Stop()
+	timer.Stop()
 }
 
 // The simulator's timers are exact; the wall clock's keep a millisecond.

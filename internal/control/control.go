@@ -128,9 +128,9 @@ type appState struct {
 	backoff       time.Duration
 	pending       *work
 	// timerArmed marks a scheduled flushPending (cooldown expiry or retry
-	// backoff); cancelTimer cancels it.
-	timerArmed  bool
-	cancelTimer func()
+	// backoff); timer is its handle.
+	timerArmed bool
+	timer      clock.Timer
 }
 
 // AppStatus is one application's controller-side posture, as reported by
@@ -226,9 +226,7 @@ func (c *Controller) Close() {
 	apps := c.apps
 	c.mu.Unlock()
 	for _, st := range apps {
-		if st.cancelTimer != nil {
-			st.cancelTimer()
-		}
+		st.timer.Stop()
 	}
 }
 
@@ -404,9 +402,8 @@ func (c *Controller) armTimer(app string, st *appState, d time.Duration) {
 		return
 	}
 	st.timerArmed = true
-	st.cancelTimer = c.cfg.Clock.After(d, func() {
+	st.timer = c.cfg.Clock.After(d, func() {
 		st.timerArmed = false
-		st.cancelTimer = nil
 		c.flushPending(app)
 	})
 }
@@ -484,9 +481,7 @@ func (c *Controller) finish(app string, st *appState, w *work, mode string, fell
 		}
 	case errors.Is(err, ErrUnknownApp):
 		// The application finished while the work was queued; forget it.
-		if st.cancelTimer != nil {
-			st.cancelTimer()
-		}
+		st.timer.Stop()
 		delete(c.apps, app)
 	default:
 		telFailures.Inc()

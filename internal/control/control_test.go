@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rasc.dev/rasc/internal/clock"
 	"rasc.dev/rasc/internal/core"
 	"rasc.dev/rasc/internal/overlay"
 )
@@ -24,10 +25,15 @@ type fakeTimer struct {
 
 func (c *fakeClock) Now() time.Duration { return c.now }
 
-func (c *fakeClock) After(d time.Duration, fn func()) func() {
+func (c *fakeClock) After(d time.Duration, fn func()) clock.Timer {
 	t := &fakeTimer{at: c.now + d, fn: fn}
 	c.timers = append(c.timers, t)
-	return func() { t.stopped = true }
+	return clock.StopWith(t)
+}
+
+func (t *fakeTimer) Stop() bool {
+	t.stopped = true
+	return true
 }
 
 func (c *fakeClock) Resolution() time.Duration { return 0 }

@@ -116,8 +116,8 @@ func readValue(b []byte) (v, rest []byte, ok bool) {
 }
 
 type pendingGet struct {
-	cb     func([][]byte, error)
-	cancel func()
+	cb    func([][]byte, error)
+	timer clock.Timer
 }
 
 // Store is one node's participation in the DHT.
@@ -171,7 +171,7 @@ func (s *Store) Get(key overlay.ID, timeout time.Duration, cb func([][]byte, err
 	s.nextReq++
 	id := s.nextReq
 	p := &pendingGet{cb: cb}
-	p.cancel = s.clk.After(timeout, func() {
+	p.timer = s.clk.After(timeout, func() {
 		if _, ok := s.pending[id]; ok {
 			delete(s.pending, id)
 			// The key's route is suspect: probe-and-prune the local
@@ -183,7 +183,7 @@ func (s *Store) Get(key overlay.ID, timeout time.Duration, cb func([][]byte, err
 	s.pending[id] = p
 	if err := s.route(message{Op: opGet, Key: key, ReqID: id}); err != nil {
 		delete(s.pending, id)
-		p.cancel()
+		p.timer.Stop()
 		cb(nil, err)
 	}
 }
@@ -257,7 +257,7 @@ func (s *Store) deliver(_ overlay.ID, src overlay.NodeInfo, body []byte) {
 			return
 		}
 		delete(s.pending, m.ReqID)
-		p.cancel()
+		p.timer.Stop()
 		p.cb(m.Values, nil)
 	}
 }

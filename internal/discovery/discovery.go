@@ -62,7 +62,7 @@ type Directory struct {
 	clk     clock.Clock
 	local   map[string]bool
 	view    View
-	refresh func() // cancels the running refresh loop
+	refresh clock.Timer // the running refresh loop's next round
 }
 
 // New attaches a directory to an overlay node and its DHT store.
@@ -88,12 +88,7 @@ func (d *Directory) StartRefresh(interval time.Duration) {
 }
 
 // StopRefresh cancels a running refresh loop.
-func (d *Directory) StopRefresh() {
-	if d.refresh != nil {
-		d.refresh()
-		d.refresh = nil
-	}
-}
+func (d *Directory) StopRefresh() { d.refresh.Stop() }
 
 // Announce publishes this node as a provider of service. A service name
 // (or a node identity) the host record cannot carry is refused with

@@ -88,9 +88,9 @@ type Member struct {
 // member is the internal mutable entry behind a Member snapshot.
 type member struct {
 	Member
-	suspectCancel func()
-	suspectRound  int64
-	removeCancel  func()
+	suspectTimer clock.Timer
+	suspectRound int64
+	removeTimer  clock.Timer
 }
 
 // Summary are the membership counts exposed on /healthz.
@@ -248,14 +248,14 @@ type Gossip struct {
 	summaries      map[string]*remoteSummary
 	onSummary      []func(ClusterSummary)
 	onSummaryLost  []func(string)
-	summaryCancel  func()
+	summaryTimer   clock.Timer
 
-	rounds      int64
-	syncs       int64
-	probeCancel func()
-	syncCancel  func()
-	running     bool
-	stopped     bool // set by Stop, cleared by Start: silences OnMemberDead
+	rounds     int64
+	syncs      int64
+	probeTimer clock.Timer
+	syncTimer  clock.Timer
+	running    bool
+	stopped    bool // set by Stop, cleared by Start: silences OnMemberDead
 }
 
 // New attaches a gossip instance to an overlay node. rng drives probe
@@ -336,22 +336,22 @@ func (g *Gossip) Start() {
 	var probe func()
 	probe = func() {
 		g.tick()
-		g.probeCancel = g.clk.After(g.cfg.ProbeInterval, probe)
+		g.probeTimer = g.clk.After(g.cfg.ProbeInterval, probe)
 	}
-	g.probeCancel = g.clk.After(g.cfg.ProbeInterval, probe)
+	g.probeTimer = g.clk.After(g.cfg.ProbeInterval, probe)
 	var sync func()
 	sync = func() {
 		g.antiEntropy()
-		g.syncCancel = g.clk.After(g.cfg.SyncInterval, sync)
+		g.syncTimer = g.clk.After(g.cfg.SyncInterval, sync)
 	}
-	g.syncCancel = g.clk.After(g.cfg.SyncInterval, sync)
+	g.syncTimer = g.clk.After(g.cfg.SyncInterval, sync)
 	if g.cfg.Cluster != "" && len(g.cfg.BorderPeers) > 0 {
 		var summary func()
 		summary = func() {
 			g.summaryRound()
-			g.summaryCancel = g.clk.After(g.cfg.SummaryInterval, summary)
+			g.summaryTimer = g.clk.After(g.cfg.SummaryInterval, summary)
 		}
-		g.summaryCancel = g.clk.After(g.cfg.SummaryInterval, summary)
+		g.summaryTimer = g.clk.After(g.cfg.SummaryInterval, summary)
 	}
 }
 
@@ -361,18 +361,9 @@ func (g *Gossip) Start() {
 func (g *Gossip) Stop() {
 	g.running = false
 	g.stopped = true
-	if g.probeCancel != nil {
-		g.probeCancel()
-		g.probeCancel = nil
-	}
-	if g.syncCancel != nil {
-		g.syncCancel()
-		g.syncCancel = nil
-	}
-	if g.summaryCancel != nil {
-		g.summaryCancel()
-		g.summaryCancel = nil
-	}
+	g.probeTimer.Stop()
+	g.syncTimer.Stop()
+	g.summaryTimer.Stop()
 }
 
 // Rounds returns the number of protocol periods elapsed since Start.
@@ -621,11 +612,9 @@ func (g *Gossip) setSuspect(m *member, inc uint64) {
 	m.Incarnation = inc
 	m.StateAt = g.clk.Now()
 	m.suspectRound = g.rounds
-	if m.suspectCancel != nil {
-		m.suspectCancel()
-	}
+	m.suspectTimer.Stop()
 	id := m.Info.ID
-	m.suspectCancel = g.clk.After(g.cfg.SuspicionTimeout, func() {
+	m.suspectTimer = g.clk.After(g.cfg.SuspicionTimeout, func() {
 		cur, ok := g.members[id]
 		if !ok || cur.State != StateSuspect || cur.Incarnation != inc {
 			return
@@ -643,15 +632,10 @@ func (g *Gossip) declareDead(m *member, inc uint64) {
 	m.State = StateDead
 	m.Incarnation = inc
 	m.StateAt = g.clk.Now()
-	if m.suspectCancel != nil {
-		m.suspectCancel()
-		m.suspectCancel = nil
-	}
+	m.suspectTimer.Stop()
 	id := m.Info.ID
-	if m.removeCancel != nil {
-		m.removeCancel()
-	}
-	m.removeCancel = g.clk.After(g.cfg.DeadRetention, func() {
+	m.removeTimer.Stop()
+	m.removeTimer = g.clk.After(g.cfg.DeadRetention, func() {
 		if cur, ok := g.members[id]; ok && cur.State == StateDead {
 			delete(g.members, id)
 		}
@@ -882,14 +866,10 @@ func (g *Gossip) apply(u update) {
 		// Only the node itself ever raises its incarnation, so a strictly
 		// higher one proves it is alive again — even over a tombstone.
 		if u.Inc > m.Incarnation {
-			if m.State == StateDead && m.removeCancel != nil {
-				m.removeCancel()
-				m.removeCancel = nil
+			if m.State == StateDead {
+				m.removeTimer.Stop()
 			}
-			if m.suspectCancel != nil {
-				m.suspectCancel()
-				m.suspectCancel = nil
-			}
+			m.suspectTimer.Stop()
 			m.State = StateAlive
 			m.Incarnation = u.Inc
 			m.StateAt = g.clk.Now()

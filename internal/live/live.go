@@ -170,7 +170,7 @@ type loopClock struct {
 }
 
 func (c loopClock) Now() time.Duration { return c.base.Now() }
-func (c loopClock) After(d time.Duration, fn func()) func() {
+func (c loopClock) After(d time.Duration, fn func()) clock.Timer {
 	return c.base.After(d, func() { c.post(fn) })
 }
 func (c loopClock) Resolution() time.Duration { return c.base.Resolution() }
@@ -332,10 +332,10 @@ func Start(cfg Config) (*Node, error) {
 	// on scaled virtual time bound the handshake consistently with every
 	// other timer in the stack.
 	joinTimeout := make(chan struct{})
-	cancelJoinTimer := cfg.Clock.After(cfg.JoinTimeout, func() { close(joinTimeout) })
+	joinTimer := cfg.Clock.After(cfg.JoinTimeout, func() { close(joinTimeout) })
 	select {
 	case <-joined:
-		cancelJoinTimer()
+		joinTimer.Stop()
 	case <-joinTimeout:
 		n.Close()
 		return nil, fmt.Errorf("live: join through %s timed out", cfg.Bootstrap)
@@ -446,8 +446,8 @@ func (n *Node) SubmitContext(ctx context.Context, req spec.Request, composerName
 	// clock, so scaled-time tests see submit deadlines consistent with
 	// the RPC timeouts the engine itself runs on.
 	expired := make(chan struct{})
-	cancelTimer := n.clk.After(timeout+time.Second, func() { close(expired) })
-	defer cancelTimer()
+	timer := n.clk.After(timeout+time.Second, func() { close(expired) })
+	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.graph, r.err

@@ -19,7 +19,7 @@ type scaledClock struct {
 
 func (c scaledClock) Now() time.Duration { return c.base.Now() * time.Duration(c.scale) }
 
-func (c scaledClock) After(d time.Duration, fn func()) func() {
+func (c scaledClock) After(d time.Duration, fn func()) clock.Timer {
 	real := d / time.Duration(c.scale)
 	if real <= 0 {
 		real = time.Nanosecond

@@ -24,6 +24,8 @@ type simWorld struct {
 	nw *Network
 }
 
+func (w simWorld) timer(t time.Duration, fn func()) func() { return w.Simulator.timer(t, fn).Stop }
+
 func (w simWorld) send(from, to NodeID, size int, payload interface{}, droppable bool) bool {
 	if droppable {
 		return w.nw.SendDroppable(from, to, size, payload)
@@ -285,8 +287,8 @@ func TestEventQueueMatchesStableSort(t *testing.T) {
 	}
 }
 
-// Scheduling and running an event costs no allocation beyond the callback
-// the caller built.
+// Scheduling and running an event, or arming and stopping a timer, costs
+// no allocation beyond the callback the caller built.
 func TestScheduleDoesNotAllocate(t *testing.T) {
 	sim := New(1)
 	fn := func() {}
@@ -297,9 +299,11 @@ func TestScheduleDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() {
 		sim.Schedule(time.Millisecond, fn)
 		sim.Schedule(0, fn)
+		sim.Timer(time.Millisecond, fn)
+		sim.Timer(time.Millisecond, fn).Stop()
 		sim.Run()
 	}); allocs != 0 {
-		t.Fatalf("Schedule + dispatch allocates %v times, want 0", allocs)
+		t.Fatalf("Schedule, Timer, Stop + dispatch allocate %v times, want 0", allocs)
 	}
 }
 
@@ -331,19 +335,37 @@ func TestSendDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// A cancelled timer does not run, still advances the clock to its instant,
-// and cancelling after it fired changes nothing — not even the event that
-// reused its queue slot.
+// A stopped timer does not run and still advances the clock to its
+// instant; stopping it again, or after it fired, changes nothing — not
+// even the event that reused its queue slot.
 func TestTimerCancel(t *testing.T) {
 	sim := New(1)
 	ran := 0
 	first := sim.Timer(time.Second, func() { ran++ })
-	sim.Timer(2*time.Second, func() { ran++ })()
+	stopped := sim.Timer(2*time.Second, func() { ran++ })
+	stopped.Stop()
+	stopped.Stop()
 	sim.Run()
+	if ran != 1 || sim.Now() != 2*time.Second {
+		t.Fatalf("ran %d, clock %v; want 1 and 2s", ran, sim.Now())
+	}
 	sim.Timer(time.Second, func() { ran++ }) // reuses a freed slot
-	first()
+	first.Stop()
+	stopped.Stop()
 	sim.Run()
 	if ran != 2 || sim.Now() != 3*time.Second {
 		t.Fatalf("ran %d, clock %v; want 2 and 3s", ran, sim.Now())
+	}
+}
+
+// The zero Timer is unarmed: Stop on it does nothing.
+func TestZeroTimerStopIsNoop(t *testing.T) {
+	sim := New(1)
+	ran := false
+	sim.Timer(time.Second, func() { ran = true })
+	Timer{}.Stop()
+	sim.Run()
+	if !ran {
+		t.Fatal("the queued timer did not run")
 	}
 }

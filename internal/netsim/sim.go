@@ -40,9 +40,9 @@ func earlier(x, y key) int {
 }
 
 // event is what a queued key does: run fn, or move the message fl one
-// step on (Network.step); with neither it is a cancelled timer, which only
-// advances the clock. seq repeats the key's, so a Timer's cancel
-// recognises its own event and leaves a reused slot alone.
+// step on (Network.step); with neither it is a stopped timer, which only
+// advances the clock. seq repeats the key's, so a Timer's Stop recognises
+// its own event and leaves a reused slot alone.
 type event struct {
 	fn  func()
 	fl  *flight
@@ -136,7 +136,7 @@ func (q *eventQueue) pop() (time.Duration, event) {
 	return top.at, ev
 }
 
-// len is the number of queued events, cancelled timers included.
+// len is the number of queued events, stopped timers included.
 func (q *eventQueue) len() int { return len(q.heap) }
 
 // next is the instant of the earliest event. The queue must not be empty.
@@ -177,13 +177,13 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) {
 // (at the current time, after already-pending events for this instant).
 func (s *Simulator) At(t time.Duration, fn func()) { s.at(t, event{fn: fn}) }
 
-// Timer is Schedule with cancellation: the returned function keeps fn from
-// running if the event has not fired yet, and does nothing after it has.
-// A cancelled event still holds its place in the queue (and advances the
-// clock when it is reached), so cancelling never reorders anything else:
-// Run ends at the last queued instant, cancelled or not, and every later
-// instant of a simulation inherits that clock.
-func (s *Simulator) Timer(delay time.Duration, fn func()) (cancel func()) {
+// Timer is Schedule with cancellation: Stop on the returned handle keeps fn
+// from running if the event has not fired yet, and does nothing after it
+// has. A stopped event still holds its place in the queue (and advances the
+// clock when it is reached), so stopping never reorders anything else: Run
+// ends at the last queued instant, stopped or not, and every later instant
+// of a simulation inherits that clock. Arming a timer allocates nothing.
+func (s *Simulator) Timer(delay time.Duration, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
 	}
@@ -191,14 +191,29 @@ func (s *Simulator) Timer(delay time.Duration, fn func()) (cancel func()) {
 }
 
 // timer queues fn at absolute time t (clamped to now) and returns its
-// cancel function.
-func (s *Simulator) timer(t time.Duration, fn func()) (cancel func()) {
+// handle.
+func (s *Simulator) timer(t time.Duration, fn func()) Timer {
 	slot := s.at(t, event{fn: fn})
-	seq := s.seq
-	return func() {
-		if ev := &s.events.slab[slot]; ev.seq == seq {
-			ev.fn = nil
-		}
+	return Timer{s: s, slot: slot, seq: s.seq}
+}
+
+// Timer is the handle of a queued timer: its slab slot and the seq of the
+// event it queued there. The zero Timer is unarmed.
+type Timer struct {
+	s    *Simulator
+	slot uint32
+	seq  uint64
+}
+
+// Stop keeps the timer's callback from running. It is a no-op on the zero
+// Timer, after the timer fired or was stopped, and after its slot was
+// reused by a later event (whose seq differs).
+func (t Timer) Stop() {
+	if t.s == nil {
+		return
+	}
+	if ev := &t.s.events.slab[t.slot]; ev.seq == t.seq {
+		ev.fn = nil
 	}
 }
 

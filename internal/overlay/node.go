@@ -23,14 +23,14 @@ type RequestHandler func(from NodeInfo, body []byte, respond func(body []byte, e
 var ErrTimeout = errors.New("overlay: request timed out")
 
 type pendingReq struct {
-	cb     func(body []byte, err error)
-	cancel func()
+	cb    func(body []byte, err error)
+	timer clock.Timer
 }
 
 type pendingAck struct {
-	env    envelope
-	hop    ID
-	cancel func()
+	env   envelope
+	hop   ID
+	timer clock.Timer
 }
 
 // Node is a Pastry overlay node. Node is not internally synchronized: all
@@ -471,7 +471,7 @@ func (n *Node) routeEnvelope(env envelope) {
 	}
 	n.Forwarded++
 	p := &pendingAck{env: env, hop: hop.ID}
-	p.cancel = n.clk.After(n.RouteAckTimeout, func() {
+	p.timer = n.clk.After(n.RouteAckTimeout, func() {
 		pa, ok := n.pendingAcks[ackID]
 		if !ok {
 			return
@@ -529,7 +529,7 @@ func (n *Node) onMessage(from transport.Addr, msg transport.Message) {
 	case kindRouteAck:
 		if p, ok := n.pendingAcks[env.Ack]; ok {
 			delete(n.pendingAcks, env.Ack)
-			p.cancel()
+			p.timer.Stop()
 		}
 	case kindRoute:
 		n.routeEnvelope(env)

@@ -91,7 +91,7 @@ func (n *Node) Request(to transport.Addr, app string, body []byte, timeout time.
 		return
 	}
 	p := &pendingReq{cb: cb}
-	p.cancel = n.clk.After(timeout, func() {
+	p.timer = n.clk.After(timeout, func() {
 		if _, ok := n.pending[id]; ok {
 			delete(n.pending, id)
 			cb(nil, ErrTimeout)
@@ -117,7 +117,7 @@ func (n *Node) onRPCMessage(msg transport.Message) {
 			return // late or duplicate response
 		}
 		delete(n.pending, env.ReqID)
-		p.cancel()
+		p.timer.Stop()
 		if env.Err != "" {
 			p.cb(nil, errors.New(env.Err))
 			return

@@ -96,9 +96,9 @@ func (e *Engine) EnableAdaptation(cfg AdaptationConfig) {
 	var tick func()
 	tick = func() {
 		e.checkAdaptation()
-		e.adaptCancel = e.clk.After(cfg.Interval, tick)
+		e.adaptTimer = e.clk.After(cfg.Interval, tick)
 	}
-	e.adaptCancel = e.clk.After(cfg.Interval, tick)
+	e.adaptTimer = e.clk.After(cfg.Interval, tick)
 	// The availability meter samples faster than the adaptation check so
 	// the journal's convergence timestamps resolve recovery within a
 	// reallocation cooldown, not just at check granularity.
@@ -106,9 +106,9 @@ func (e *Engine) EnableAdaptation(cfg AdaptationConfig) {
 	var sample func()
 	sample = func() {
 		e.sampleAvailability()
-		e.availCancel = e.clk.After(availEvery, sample)
+		e.availTimer = e.clk.After(availEvery, sample)
 	}
-	e.availCancel = e.clk.After(availEvery, sample)
+	e.availTimer = e.clk.After(availEvery, sample)
 }
 
 // DisableAdaptation stops the check loop and closes the controller. The
@@ -116,14 +116,8 @@ func (e *Engine) EnableAdaptation(cfg AdaptationConfig) {
 // controller from the stored configuration, as before the control plane
 // existed.
 func (e *Engine) DisableAdaptation() {
-	if e.adaptCancel != nil {
-		e.adaptCancel()
-		e.adaptCancel = nil
-	}
-	if e.availCancel != nil {
-		e.availCancel()
-		e.availCancel = nil
-	}
+	e.adaptTimer.Stop()
+	e.availTimer.Stop()
 	if e.controller != nil {
 		e.controller.Close()
 		e.controller = nil

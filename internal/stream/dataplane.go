@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"rasc.dev/rasc/internal/clock"
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/sched"
 	"rasc.dev/rasc/internal/trace"
@@ -243,11 +244,12 @@ type unitBatch struct {
 	// the wire via padding.
 	simBytes int
 	// seq orders open batches by when they were opened, for flushAll.
-	seq    uint64
-	cancel func() // pending flush-deadline timer, nil until armed
+	seq uint64
+	// timer is the open batch's flush deadline, armed by its first unit.
+	timer clock.Timer
 	// deadline is the flush-deadline timer's callback, built once per
-	// record. Flushing cancels the timer; a callback the live clock could
-	// no longer cancel at worst flushes the record's next batch early.
+	// record. Flushing stops the timer; a callback the live clock could
+	// no longer stop at worst flushes the record's next batch early.
 	deadline func()
 }
 
@@ -322,8 +324,8 @@ func (e *Engine) batchUnit(out *outSpec, pu pendingUnit) {
 		e.flushBatch(b, "full")
 		return
 	}
-	if b.cancel == nil {
-		b.cancel = e.clk.After(e.cfg.DataPlane.FlushInterval, b.deadline)
+	if len(b.units) == 1 {
+		b.timer = e.clk.After(e.cfg.DataPlane.FlushInterval, b.deadline)
 	}
 }
 
@@ -349,14 +351,12 @@ func (e *Engine) flushBatch(b *unitBatch, cause string) {
 	if len(b.units) == 0 {
 		return
 	}
-	if b.cancel != nil {
-		b.cancel()
-	}
+	b.timer.Stop()
 	buf := e.encodeBuf
 	e.encodeBuf = nil // a re-entrant flush would encode into its own buffer
 	e.encodeBuf = e.sendUnits(b.addr, b.units, b.simBytes, cause, buf[:0])
 	clear(b.units) // an empty batch holds no request, flow or component
-	b.units, b.simBytes, b.cancel = b.units[:0], 0, nil
+	b.units, b.simBytes = b.units[:0], 0
 }
 
 // sendUnits encodes units into buf as one batch of simBytes simulated

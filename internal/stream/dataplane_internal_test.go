@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rasc.dev/rasc/internal/clock"
 	"rasc.dev/rasc/internal/core"
 	"rasc.dev/rasc/internal/overlay"
 	"rasc.dev/rasc/internal/spec"
@@ -42,7 +43,7 @@ func (c *testClock) Now() time.Duration { return c.now }
 
 func (c *testClock) Resolution() time.Duration { return c.res }
 
-func (c *testClock) After(d time.Duration, fn func()) (cancel func()) {
+func (c *testClock) After(d time.Duration, fn func()) clock.Timer {
 	c.asked = append(c.asked, d)
 	wait := d
 	if wait > 0 && wait < c.res {
@@ -50,7 +51,12 @@ func (c *testClock) After(d time.Duration, fn func()) (cancel func()) {
 	}
 	t := &testTimer{at: c.now + wait + c.lag, fn: fn}
 	c.timers = append(c.timers, t)
-	return func() { t.stopped = true }
+	return clock.StopWith(t)
+}
+
+func (t *testTimer) Stop() bool {
+	t.stopped = true
+	return true
 }
 
 // advance moves the clock forward by d, firing due timers in time order
@@ -387,6 +393,9 @@ func TestBatchFlushOnDeadline(t *testing.T) {
 	if len(ep.sent) != 0 {
 		t.Fatal("under-full batch flushed before its deadline")
 	}
+	if len(clk.asked) != 1 {
+		t.Fatalf("a batch of two units armed %d deadline timers, want 1 (by its first unit)", len(clk.asked))
+	}
 	clk.advance(2 * time.Millisecond)
 	if len(ep.sent) != 1 {
 		t.Fatalf("transport saw %d messages after the flush deadline, want 1", len(ep.sent))
@@ -411,9 +420,17 @@ func TestFlushAllCancelsDeadline(t *testing.T) {
 	if len(ep.sent) != 1 {
 		t.Fatalf("transport saw %d messages after flushAll, want 1", len(ep.sent))
 	}
-	clk.advance(time.Second)
+	// The next batch opens before the stopped deadline's instant and
+	// keeps its own full interval.
+	clk.advance(time.Millisecond)
+	e.batchUnit(&outSpec{To: stubPeer}, pendingUnit{msg: dataMsg{Req: "app", Size: 700}, flow: e.flowFor("app", 0)})
+	clk.advance(2*time.Millisecond - time.Nanosecond)
 	if len(ep.sent) != 1 {
-		t.Fatal("cancelled deadline timer still flushed")
+		t.Fatal("the stopped deadline timer flushed the next batch early")
+	}
+	clk.advance(time.Nanosecond)
+	if len(ep.sent) != 2 {
+		t.Fatalf("transport saw %d messages after the second deadline, want 2", len(ep.sent))
 	}
 }
 

@@ -225,8 +225,8 @@ type Engine struct {
 	// origins tracks applications submitted from this engine, for the
 	// adaptation plane.
 	origins        map[string]*originState
-	adaptCancel    func()
-	availCancel    func()
+	adaptTimer     clock.Timer
+	availTimer     clock.Timer
 	adaptCfg       *AdaptationConfig
 	controller     *control.Controller
 	recompositions int64
